@@ -177,8 +177,7 @@ def run_check(args) -> int:
     payload = {
         "verdict": outcome.verdict,
         "limit": outcome.limit,
-        "stats": {"nodes_visited": outcome.nodes_visited,
-                  "cache_hits": outcome.cache_hits},
+        "stats": {"nodes_visited": outcome.nodes_visited},
     }
     _emit(payload, args.json, outcome.verdict)
     if outcome.verdict == EXHAUSTED:

@@ -4,13 +4,19 @@ The evaluator is exact: every strategy below is a search-space reduction
 justified by a structural property of the clause being evaluated, never an
 approximation.  The properties used are
 
-* locality(satisfaction depends only on the teams at mentioned sorts,
-  projected to free variables) - justifies memoization keys and restricting
-  disjunction covers to mentioned sorts;
+* locality (satisfaction depends only on the teams at mentioned sorts) -
+  justifies restricting disjunction covers to mentioned sorts;
 * row decomposition - a subformula whose truth over the team at sort t is a
   conjunction of per-row facts (literals, dependence/exclusion atoms with one
   side at t, flat first-order parts, ...) lets covers and value choices be
   decided row by row;
+* inclusion guards - when ∃x B at sort t is decided row by row, a top-level
+  conjunct pinc(x̄ | ȳ) of B (read past B's leading chain of sort-t
+  existentials, up to any rebinding of x) with sort_i = t, sort_j ≠ t, x in
+  x̄, and every other variable of x̄ in the team and unbound by the chain
+  admits a row's value a only if s[a/x](x̄) ∈ rel(X_j, ȳ): lax ∃ keeps the
+  one-row team nonempty and leaves X_j as it is.  Candidate values come
+  from a hash join of the row against each guard's relation;
 * downward closure at sort t - shrinking the sort-t team preserves truth,
   so existential value sets can be searched as single values per row and an
   opaque-but-downward-closed disjunct takes exactly the rows no row-wise
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .errors import ResourceExhausted, SortedDomainError
-from .model import Polyteam, Structure, Team
+from .model import Polyteam, Structure, Team, value_key
 from .syntax import (
     And, AtomF, Eq, Exists, Forall, Formula, GeneralizedAtom, Neq, NegRel,
     OrGlobal, OrLocal, PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth,
@@ -50,7 +56,6 @@ class EvalConfig:
     max_expanded_team_rows: int = 100_000
     max_split_assignments: int = 14
     timeout: Optional[float] = 120.0
-    memoization: bool = True
 
     def __post_init__(self):
         if self.max_expanded_team_rows <= 0 or self.max_split_assignments <= 0:
@@ -63,7 +68,6 @@ class EvalConfig:
 class EvalOutcome:
     verdict: str
     nodes_visited: int = 0
-    cache_hits: int = 0
     limit: Optional[str] = None
 
     def as_bool(self) -> bool:
@@ -113,17 +117,15 @@ class _Evaluator:
         self.structure = structure
         self.config = config
         self.registry = registry
-        self.memo = {}
+        self.domain_set = frozenset(structure.domain)
         self.nodes = 0
-        self.hits = 0
         self.deadline = None
         if config.timeout is not None:
             self.deadline = time.monotonic() + config.timeout
         self._mentioned = {}
-        self._free = {}
         self._rowwise = {}
         self._downward = {}
-        self._key_plan = {}
+        self._guards = {}
 
     # -- cached structural queries ---------------------------------------
 
@@ -132,13 +134,6 @@ class _Evaluator:
         if got is None:
             got = mentioned_sorts(node)
             self._mentioned[id(node)] = got
-        return got
-
-    def free(self, node):
-        got = self._free.get(id(node))
-        if got is None:
-            got = free_variables(node)
-            self._free[id(node)] = got
         return got
 
     def rowwise(self, node, t) -> bool:
@@ -219,19 +214,6 @@ class _Evaluator:
             if time.monotonic() > self.deadline:
                 raise ResourceExhausted("timeout")
 
-    def memo_key(self, node, pt: Polyteam):
-        plan = self._key_plan.get(id(node))
-        if plan is None:
-            free = self.free(node)
-            plan = tuple((sort, tuple(sorted(free.get(sort, ()))))
-                         for sort in sorted(self.mentioned(node)))
-            self._key_plan[id(node)] = plan
-        parts = []
-        for sort, variables in plan:
-            team = pt.team(sort)
-            parts.append(frozenset(r.values_of(variables) for r in team.rows))
-        return (id(node), tuple(parts))
-
     # -- evaluation -------------------------------------------------------
 
     def eval(self, node, pt: Polyteam) -> bool:
@@ -240,28 +222,17 @@ class _Evaluator:
             return True
         if isinstance(node, (Eq, Neq, Rel, NegRel)):
             return self.eval_literal(node, pt)
-        use_memo = self.config.memoization
-        if use_memo:
-            key = self.memo_key(node, pt)
-            got = self.memo.get(key)
-            if got is not None:
-                self.hits += 1
-                return got
         if isinstance(node, And):
-            result = self.eval(node.left, pt) and self.eval(node.right, pt)
-        elif isinstance(node, (OrGlobal, OrLocal)):
-            result = self.eval_or(node, pt)
-        elif isinstance(node, Forall):
-            result = self.eval_forall(node, pt)
-        elif isinstance(node, Exists):
-            result = self.eval_exists(node, pt)
-        elif isinstance(node, AtomF):
-            result = atom_checks.check_atom(self.structure, pt, node.atom, self.registry)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        if use_memo:
-            self.memo[key] = result
-        return result
+            return self.eval(node.left, pt) and self.eval(node.right, pt)
+        if isinstance(node, (OrGlobal, OrLocal)):
+            return self.eval_or(node, pt)
+        if isinstance(node, Forall):
+            return self.eval_forall(node, pt)
+        if isinstance(node, Exists):
+            return self.eval_exists(node, pt)
+        if isinstance(node, AtomF):
+            return atom_checks.check_atom(self.structure, pt, node.atom, self.registry)
+        raise TypeError(f"not a formula node: {node!r}")
 
     def eval_literal(self, node, pt: Polyteam) -> bool:
         if isinstance(node, (Eq, Neq)):
@@ -358,12 +329,14 @@ class _Evaluator:
             empty = Team._trusted(t, new_domain, frozenset())
             if not self.eval(node.body, pt.with_team(empty)):
                 return False
+            witnesses = self.guarded_witnesses(node, pt)
             for row in team.ordered_rows():
+                values = domain if witnesses is None else witnesses(row)
                 if not any(self.eval(node.body,
                                      pt.with_team(Team._trusted(
                                          t, new_domain,
                                          frozenset((row.extended(node.var, a),)))))
-                           for a in domain):
+                           for a in values):
                     return False
             return True
         plan = self.existential_block_plan(node)
@@ -378,6 +351,80 @@ class _Evaluator:
                     return True
             return False
         return self.eval_exists_subsets(node, team, pt)
+
+    def inclusion_guards(self, node):
+        """Conjuncts pinc(x̄ | ȳ) of ∃x B that every single-row witness must meet.
+
+        B is read past its leading chain of same-sort existentials (stopping
+        where the chain rebinds x) as a flat conjunction.  A conjunct
+        pinc(x̄ | ȳ) guards x when it includes the block sort t into another
+        sort, x occurs in x̄, and the chain binds no other variable of x̄.
+        Each guard is (atom, positions of x in x̄, positions of the other
+        variables of x̄, those variables).
+        """
+        got = self._guards.get(id(node))
+        if got is not None:
+            return got
+        x = node.var
+        t = x.sort
+        bound = set()
+        body = node.body
+        while isinstance(body, Exists) and body.var.sort == t and body.var != x:
+            bound.add(body.var)
+            body = body.body
+        guards = []
+        for c in _flatten_and(body):
+            if not isinstance(c, AtomF) or not isinstance(c.atom, PolyInc):
+                continue
+            a = c.atom
+            if a.sort_i != t or a.sort_j == t or x not in a.x:
+                continue
+            at_keys = tuple(k for k, v in enumerate(a.x) if v != x)
+            keys = tuple(a.x[k] for k in at_keys)
+            if bound.intersection(keys):
+                continue
+            at_x = tuple(k for k, v in enumerate(a.x) if v == x)
+            guards.append((a, at_x, at_keys, keys))
+        got = tuple(guards)
+        self._guards[id(node)] = got
+        return got
+
+    def guarded_witnesses(self, node, pt: Polyteam):
+        """Per-row candidate values for the row-wise ∃x branch, or None.
+
+        On a one-row team {s} the existential chain keeps the team nonempty
+        and leaves the sort-j team as it is, so a guard pinc(x̄ | ȳ) can hold
+        only if s[a/x](x̄) ∈ rel(X_j, ȳ).  Hash-joining each guard's relation
+        on the other variables of x̄ leaves, per row, just the values a every
+        guard admits, in domain order.
+
+        Call it only after B held on the empty sort-t team: that evaluated
+        every guard, so the variables of x̄ and ȳ are known to lie in the
+        team domains.
+        """
+        indexes = []
+        for atom, at_x, at_keys, keys in self.inclusion_guards(node):
+            index = {}
+            for values in pt.team(atom.sort_j).relation(atom.y):
+                a = values[at_x[0]]
+                if a not in self.domain_set or \
+                        any(values[k] != a for k in at_x[1:]):
+                    continue
+                index.setdefault(tuple(values[k] for k in at_keys), set()).add(a)
+            indexes.append((keys, index))
+        if not indexes:
+            return None
+
+        def witnesses(row):
+            allowed = None
+            for keys, index in indexes:
+                got = index.get(row.values_of(keys))
+                if not got:
+                    return ()
+                allowed = got if allowed is None else allowed & got
+            return sorted(allowed, key=value_key)
+
+        return witnesses
 
     def eval_exists_subsets(self, node, team, pt: Polyteam) -> bool:
         domain = self.structure.domain
@@ -493,9 +540,9 @@ def eval_formula(structure: Structure, pt: Polyteam, phi: Formula,
     ev = _Evaluator(structure, config, registry)
     try:
         verdict = TRUE if ev.eval(phi, pt) else FALSE
-        return EvalOutcome(verdict, ev.nodes, ev.hits)
+        return EvalOutcome(verdict, ev.nodes)
     except ResourceExhausted as stop:
-        return EvalOutcome(EXHAUSTED, ev.nodes, ev.hits, limit=stop.limit)
+        return EvalOutcome(EXHAUSTED, ev.nodes, limit=stop.limit)
 
 
 def eval_sentence(structure: Structure, phi: Formula,
@@ -511,10 +558,11 @@ def eval_sentence(structure: Structure, phi: Formula,
 class BulkEvaluator:
     """Many evaluations against one structure, sharing caches across queries.
 
-    Locality makes memo entries reusable across polyteams (keys project the
-    teams onto each node's free variables), so sweeping one formula over an
-    enumeration of polyteams avoids re-deriving shared subresults.  Raises
-    ResourceExhausted instead of returning a third verdict.
+    The structural analysis of each formula (mentioned sorts, row-wise and
+    downward-closed classifications, inclusion guards) is computed once and
+    reused for every polyteam it is evaluated on; verdicts themselves are
+    not cached.  Raises ResourceExhausted
+    instead of returning a third verdict.
     """
 
     def __init__(self, structure: Structure, config: Optional[EvalConfig] = None,
@@ -533,6 +581,3 @@ class BulkEvaluator:
             self._checked.add(id(phi))
             self._keep.append(phi)
         return self._engine.eval(phi, pt)
-
-    def reset(self):
-        self._engine.memo.clear()

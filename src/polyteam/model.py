@@ -179,9 +179,6 @@ class Team:
         """Rows in the canonical deterministic order."""
         return tuple(sorted(self.rows, key=lambda r: tuple(map(value_key, r.values_of(self.domain)))))
 
-    def has_variables(self, variables: Iterable[Variable]) -> bool:
-        return set(variables) <= set(self.domain)
-
     def domain_with(self, *variables: Variable) -> tuple:
         """The canonical domain tuple extended by the given variables."""
         extra = [v for v in variables if v not in self.domain]
@@ -392,9 +389,6 @@ class Structure:
             return self.relations[name]
         except KeyError:
             raise SortedDomainError(f"unknown relation {name!r}") from None
-
-    def has_relation(self, name: str) -> bool:
-        return name in self.relations
 
     def arity(self, name: str) -> int:
         rel = self.relation(name)

@@ -135,7 +135,7 @@ def evaluator_backed(config=None, registry=None):
     for equivalence sweeps whose search spaces the naive evaluator cannot
     finish (the evaluator itself is cross-validated against the naive one on
     random formulas elsewhere).  Evaluation sessions are cached per structure
-    so structural analysis and memoized subresults carry across instances.
+    so the structural analysis of each formula carries across instances.
     """
     from ..evaluator import BulkEvaluator
 

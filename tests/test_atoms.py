@@ -17,7 +17,7 @@ from polyteam.oracle import (
 )
 from polyteam.syntax import GeneralizedAtom, PolyDep, PolyExc, PolyInc, PolyInd
 
-from conftest import P, PX, PY, Q, QU, QV, assignments
+from samplers import P, PX, PY, Q, QU, QV, assignments
 
 ST2 = Structure((0, 1))
 DEP = PolyDep(P, (PX,), (PY,), Q, (QU,), (QV,))

@@ -7,7 +7,7 @@ from polyteam.model import (
     polyteam_union, singleton_empty_team, subteam_of,
 )
 
-from conftest import P, PX, PY, Q, QU, assignments
+from samplers import P, PX, PY, Q, QU, assignments
 
 
 def team_of(rows, variables=(PX, PY), sort=P):

@@ -10,7 +10,7 @@ from polyteam.syntax import (
     free_variables, mentioned_sorts, parse,
 )
 
-from conftest import FormulaSampler, P, PX, PY, Q, QU, QV
+from samplers import FormulaSampler, P, PX, PY, Q, QU, QV
 import random
 
 
