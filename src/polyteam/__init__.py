@@ -13,8 +13,7 @@ from .errors import (
 )
 from .model import (
     Assignment, Polyteam, Sort, Structure, Team, Value, Variable,
-    polyteam_intersection, polyteam_restrict, polyteam_union,
-    singleton_empty_team, subteam_of,
+    polyteam_restrict, polyteam_union, singleton_empty_team, subteam_of,
 )
 from .syntax import (
     And, AtomF, Eq, Exists, Forall, Formula, GeneralizedAtom, Neq, NegRel,
@@ -37,7 +36,7 @@ from .implication import (
 )
 from .rewrite import (
     CardinalityWarning, FreshNameSource, decompose_by_sort,
-    eliminate_global_disjunction, rewrite_formula, to_dialect, translate_atom,
+    eliminate_global_disjunction, rewrite_formula, translate_atom,
 )
 
 __version__ = "0.1.0"

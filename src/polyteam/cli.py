@@ -220,20 +220,19 @@ def run_implies(args) -> int:
 def run_rewrite(args) -> int:
     phi = parse(Path(args.formula).read_text(encoding="utf-8"))
     fresh = FreshNameSource.for_formula(phi)
+    if args.rule not in ("elim-or", "decompose"):
+        print(format_formula(rewrite_formula(phi, args.rule, fresh)))
+        return 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = eliminate_global_disjunction(phi, fresh)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     if args.rule == "elim-or":
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = eliminate_global_disjunction(phi, fresh)
-        for warning in caught:
-            print(f"warning: {warning.message}", file=sys.stderr)
         print(format_formula(result))
-        return 0
-    if args.rule == "decompose":
-        prepared = eliminate_global_disjunction(phi, fresh)
-        for sort, part in decompose_by_sort(prepared).items():
+    else:
+        for sort, part in decompose_by_sort(result).items():
             print(f"{sort}: {format_formula(part)}")
-        return 0
-    print(format_formula(rewrite_formula(phi, args.rule, fresh)))
     return 0
 
 

@@ -20,7 +20,15 @@ approximation.  The properties used are
 * downward closure at sort t - shrinking the sort-t team preserves truth,
   so existential value sets can be searched as single values per row and an
   opaque-but-downward-closed disjunct takes exactly the rows no row-wise
-  disjunct accepts.
+  disjunct accepts;
+* existential blocks - let x̄ be a chain of sort-t existentials over a body
+  C ∧ (D ∨ O), where C is row-wise at t, the disjunction splits only t, D
+  stands for its row-wise parts, and its one other part O is downward-closed
+  at t and shares no variable with x̄.  Then lax semantics and locality give
+  ∃x̄(C ∧ (D ∨ O)) ≡ ∃x̄(C ∧ D) ∨_t (O ∧ ∃x̄C): a row goes left when some
+  choice for x̄ meets C ∧ D; every other row needs a choice meeting C, and O,
+  blind to x̄, must hold on those rows together.  The right-hand side is
+  built once per ∃ node and decided by the disjunction strategies above.
 
 Anything not certified falls back to literal cover/choice enumeration, which
 the configuration caps guard.  ``tests`` cross-validate every strategy
@@ -29,6 +37,7 @@ against the naive oracle evaluator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -126,6 +135,7 @@ class _Evaluator:
         self._rowwise = {}
         self._downward = {}
         self._guards = {}
+        self._blocks = {}
 
     # -- cached structural queries ---------------------------------------
 
@@ -339,18 +349,67 @@ class _Evaluator:
                            for a in values):
                     return False
             return True
-        plan = self.existential_block_plan(node)
-        if plan is not None:
-            return self.eval_exists_block(plan, pt)
-        if self.downward_closed(node.body, t):
-            rows = team.ordered_rows()
-            for combo in itertools.product(domain, repeat=len(rows)):
-                chosen = Team._trusted(t, new_domain, frozenset(
-                    r.extended(node.var, a) for r, a in zip(rows, combo)))
-                if self.eval(node.body, pt.with_team(chosen)):
-                    return True
-            return False
-        return self.eval_exists_subsets(node, team, pt)
+        rewritten = self.block_disjunction(node)
+        if rewritten is not None:
+            return self.eval(rewritten, pt)
+        rows = team.ordered_rows()
+        # per row, a set of values for x: single values suffice when the
+        # body is downward-closed at t, else every nonempty subset is tried
+        sizes = [1] if self.downward_closed(node.body, t) else range(1, len(domain) + 1)
+        choices = [c for size in sizes for c in itertools.combinations(domain, size)]
+        for combo in itertools.product(choices, repeat=len(rows)):
+            chosen = Team._trusted(t, new_domain, frozenset(
+                r.extended(node.var, a) for r, values in zip(rows, combo) for a in values))
+            if self.eval(node.body, pt.with_team(chosen)):
+                return True
+        return False
+
+    def block_disjunction(self, node):
+        """∃x̄(C ∧ D) ∨_t (O ∧ ∃x̄C) for a block ∃x̄(C ∧ (D ∨ O)), or None.
+
+        x̄ is the leading chain of sort-t existentials from ∃x.  Every
+        conjunct of the chain's body except one disjunction is row-wise at t
+        and goes to C.  That disjunction splits only t, and all its parts
+        but one are row-wise at t and go to D.  The last part O is
+        downward-closed at t and shares no variable with x̄.  Built once per
+        node; None when a side condition fails.
+        """
+        key = id(node)
+        if key in self._blocks:
+            return self._blocks[key]
+        self._blocks[key] = None
+        t = node.var.sort
+        block = []
+        body = node
+        while isinstance(body, Exists) and body.var.sort == t:
+            block.append(body.var)
+            body = body.body
+        plain, others = [], []
+        for c in _flatten_and(body):
+            (plain if self.rowwise(c, t) else others).append(c)
+        if len(others) != 1 or not isinstance(others[0], (OrGlobal, OrLocal)):
+            return None
+        parts = _flatten_or(others[0])
+        if self.split_sorts(others[0], parts) != [t]:
+            return None
+        opaque = [p for p in parts if not self.rowwise(p, t)]
+        if len(opaque) != 1 or not self.downward_closed(opaque[0], t) or \
+                set(block) & all_variables(opaque[0]):
+            return None
+        at_t = frozenset((t,))
+
+        def chain(*conjuncts):
+            body = functools.reduce(And, conjuncts)
+            for var in reversed(block):
+                body = Exists(var, body)
+            return body
+
+        rowwise_parts = functools.reduce(lambda a, b: OrLocal(at_t, a, b),
+                                         [p for p in parts if self.rowwise(p, t)])
+        got = OrLocal(at_t, chain(*plain, rowwise_parts),
+                      And(opaque[0], chain(*(plain or [Truth()]))))
+        self._blocks[key] = got
+        return got
 
     def inclusion_guards(self, node):
         """Conjuncts pinc(x̄ | ȳ) of ∃x B that every single-row witness must meet.
@@ -426,97 +485,6 @@ class _Evaluator:
 
         return witnesses
 
-    def eval_exists_subsets(self, node, team, pt: Polyteam) -> bool:
-        domain = self.structure.domain
-        rows = team.ordered_rows()
-        choices = []
-        for size in range(1, len(domain) + 1):
-            choices.extend(itertools.combinations(domain, size))
-        new_domain = team.domain_with(node.var)
-        for combo in itertools.product(choices, repeat=len(rows)):
-            chosen = Team._trusted(team.sort, new_domain, frozenset(
-                r.extended(node.var, a)
-                for r, vals in zip(rows, combo) for a in vals))
-            if self.eval(node.body, pt.with_team(chosen)):
-                return True
-        return False
-
-    # -- existential block with one opaque downward-closed disjunct --------
-
-    def existential_block_plan(self, node):
-        """Detect ∃x1..xk(C ∧ (D1 ∨ ... ∨ O ∨ ...)) decidable row by row.
-
-        Requires: all conjuncts row-decomposable at the block sort except one
-        disjunction whose parts are row-decomposable except a single opaque,
-        downward-closed part O not containing the block variables.  Truth is
-        then: per row, pick values making C and some row-wise disjunct hold;
-        rows no row-wise disjunct accepts must satisfy O as one slice.
-        """
-        t = node.var.sort
-        block = []
-        body = node
-        while isinstance(body, Exists) and body.var.sort == t:
-            block.append(body.var)
-            body = body.body
-        conjuncts = _flatten_and(body)
-        plain, disjunction = [], None
-        for c in conjuncts:
-            if self.rowwise(c, t):
-                plain.append(c)
-            elif disjunction is None and isinstance(c, (OrGlobal, OrLocal)):
-                disjunction = c
-            else:
-                return None
-        if disjunction is None:
-            return None
-        parts = _flatten_or(disjunction)
-        if self.split_sorts(disjunction, parts) != [t]:
-            return None
-        opaque = [p for p in parts if not self.rowwise(p, t)]
-        if len(opaque) != 1:
-            return None
-        blocker = opaque[0]
-        if not self.downward_closed(blocker, t):
-            return None
-        if set(block) & all_variables(blocker):
-            return None
-        rowwise_parts = [p for p in parts if self.rowwise(p, t)]
-        return (t, tuple(block), tuple(plain), tuple(rowwise_parts), blocker)
-
-    def eval_exists_block(self, plan, pt: Polyteam) -> bool:
-        t, block, plain, rowwise_parts, blocker = plan
-        team = pt.team(t)
-        domain = self.structure.domain
-        new_domain = team.domain_with(*block)
-        empty = pt.with_team(Team._trusted(t, new_domain, frozenset()))
-        if not all(self.eval(c, empty) for c in plain):
-            return False
-        if not all(self.eval(p, empty) for p in rowwise_parts):
-            return False
-        candidates = tuple(itertools.product(domain, repeat=len(block)))
-        required = []
-        for row in team.ordered_rows():
-            feasible = False
-            covered = False
-            for values in candidates:
-                extended = row
-                for var, a in zip(block, values):
-                    extended = extended.extended(var, a)
-                single = pt.with_team(Team._trusted(t, new_domain,
-                                                    frozenset((extended,))))
-                if not all(self.eval(c, single) for c in plain):
-                    continue
-                feasible = True
-                if any(self.eval(p, single) for p in rowwise_parts):
-                    covered = True
-                    break
-            if not feasible:
-                return False
-            if not covered:
-                required.append(row)
-        # blocker is free of the block variables: evaluate its slice without them
-        return self.eval(blocker, pt.with_team(team.with_rows(required)))
-
 
 def eval_formula(structure: Structure, pt: Polyteam, phi: Formula,
                  config: Optional[EvalConfig] = None, registry=None) -> EvalOutcome:
@@ -559,10 +527,10 @@ class BulkEvaluator:
     """Many evaluations against one structure, sharing caches across queries.
 
     The structural analysis of each formula (mentioned sorts, row-wise and
-    downward-closed classifications, inclusion guards) is computed once and
-    reused for every polyteam it is evaluated on; verdicts themselves are
-    not cached.  Raises ResourceExhausted
-    instead of returning a third verdict.
+    downward-closed classifications, inclusion guards, existential-block
+    rewrites) is computed once and reused for every polyteam it is
+    evaluated on; verdicts themselves are not cached.  Raises
+    ResourceExhausted instead of returning a third verdict.
     """
 
     def __init__(self, structure: Structure, config: Optional[EvalConfig] = None,

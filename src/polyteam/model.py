@@ -335,16 +335,6 @@ def polyteam_union(x: Polyteam, y: Polyteam) -> Polyteam:
     return Polyteam(teams)
 
 
-def polyteam_intersection(x: Polyteam, y: Polyteam) -> Polyteam:
-    teams = []
-    for sort in set(x.sorts()) | set(y.sorts()):
-        a, b = x.team(sort), y.team(sort)
-        if a.sort != b.sort or a.domain != b.domain:
-            raise SortedDomainError(f"intersection at sort {sort!r} with differing domains")
-        teams.append(Team(sort, a.domain, a.rows & b.rows))
-    return Polyteam(teams)
-
-
 def polyteam_restrict(x: Polyteam, view: Mapping) -> Polyteam:
     """Pointwise projection onto ``view[sort]``; unlisted sorts project to ()."""
     teams = []

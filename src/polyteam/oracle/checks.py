@@ -6,12 +6,14 @@ import itertools
 from typing import Iterable, Optional
 
 from ..errors import SortedDomainError
-from ..model import Polyteam, Structure, Team, value_key
+from ..model import Polyteam, Team, value_key
 from ..syntax import (
     PolyDep, Formula, Rel, NegRel, atom_variables, free_variables,
     mentioned_sorts, walk,
 )
-from .enumeration import enumerate_assignments, enumerate_polyteams
+from .enumeration import (
+    enumerate_assignments, enumerate_polyteams, enumerate_structures,
+)
 from .naive import naive_atom, naive_eval, naive_polydep
 
 
@@ -115,19 +117,6 @@ def _relation_signature(*formulas):
     return signature
 
 
-def _interpretations(signature, values):
-    names = sorted(signature)
-    spaces = []
-    for name in names:
-        tuples = tuple(itertools.product(values, repeat=signature[name]))
-        interps = []
-        for size in range(len(tuples) + 1):
-            interps.extend(itertools.combinations(tuples, size))
-        spaces.append(interps)
-    for combo in itertools.product(*spaces):
-        yield dict(zip(names, combo))
-
-
 def evaluator_backed(config=None, registry=None):
     """An ``evaluate`` callback for ``equivalent`` driving the main evaluator.
 
@@ -175,8 +164,7 @@ def equivalent(phi: Formula, psi: Formula, values=(0, 1), max_rows=2, min_rows=0
             domains[sort] = tuple(sorted(set(domains.get(sort, ())) | vs))
     values = tuple(sorted(set(values), key=value_key))
     signature = _relation_signature(phi, psi)
-    for relations in _interpretations(signature, values):
-        structure = Structure(values, relations)
+    for structure in enumerate_structures(signature, values):
         for pt in enumerate_polyteams(domains, values, max_rows, min_rows):
             left = evaluate(structure, pt, phi)
             right = evaluate(structure, pt, psi)

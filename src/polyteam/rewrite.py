@@ -218,40 +218,6 @@ def rewrite_formula(phi: Formula, rule: str,
     return go(phi)
 
 
-_DIALECTS = {
-    # dialect name -> rules tried per atom kind, in application order
-    "pind": {PolyDep: "e1", PolyInc: "e3", PolyExc: "e5"},
-    "pexc-inc": {PolyInd: "e8", PolyDep: "e2"},
-    "pinc-exc": {PolyInd: "e8", PolyDep: "e2", PolyExc: "e6"},
-    "pdep-inc": {PolyInd: "e8", PolyExc: "e5"},
-}
-
-
-def to_dialect(phi: Formula, dialect: str,
-               fresh: Optional[FreshNameSource] = None) -> Formula:
-    """Rewrite all atoms until only the dialect's atom kinds remain.
-
-    Rules that introduce atoms of still-disallowed kinds are reapplied until
-    the formula is stable; cross-sort preconditions of e5/e8 apply.
-    """
-    try:
-        plan = _DIALECTS[dialect]
-    except KeyError:
-        raise RewriteError(f"unknown dialect {dialect!r}; "
-                           f"choose from {sorted(_DIALECTS)}") from None
-    fresh = fresh or FreshNameSource.for_formula(phi)
-    for _ in range(8):
-        changed = False
-        for kind, rule in plan.items():
-            if any(isinstance(n, AtomF) and isinstance(n.atom, kind)
-                   for n in walk(phi)):
-                phi = rewrite_formula(phi, rule, fresh)
-                changed = True
-        if not changed:
-            return phi
-    raise RewriteError(f"dialect {dialect!r} did not stabilize")
-
-
 # ---------------------------------------------------------------------------
 # Global-disjunction elimination
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from polyteam import cli
 FIXTURES = Path(__file__).parent / "fixtures"
 HOSPITAL = FIXTURES / "hospital"
 EXCHANGE = FIXTURES / "exchange"
+WORKFORCE = FIXTURES / "workforce"
 
 
 def check(capsys, formula, teams, structure=None):
@@ -43,3 +45,56 @@ def test_exchange_verdicts(capsys, employees, verdict):
     teams = [("P", EXCHANGE / "projects.csv"), ("E", EXCHANGE / employees)]
     got = check(capsys, EXCHANGE / "solution_exists.ptf", teams)
     assert got == (verdict, 0 if verdict == "true" else 1)
+
+
+@pytest.mark.parametrize("employees,verdict", [
+    ("employees.csv", "true"),
+    ("employees_empty.csv", "false"),
+])
+def test_workforce_verdicts(capsys, employees, verdict):
+    teams = [("P", WORKFORCE / "projects.csv"), ("T", WORKFORCE / "teams.csv"),
+             ("E", WORKFORCE / employees)]
+    got = check(capsys, WORKFORCE / "join_atom.ptf", teams)
+    assert got == (verdict, 0 if verdict == "true" else 1)
+
+
+@pytest.mark.parametrize("atoms,verdict,code", [
+    ("transitivity.pdep", "implied", 0),
+    ("not_implied.pdep", "not-implied", 1),
+])
+def test_implies_verdicts(capsys, atoms, verdict, code):
+    assert cli.main(["implies", "--atoms", str(FIXTURES / "implication" / atoms)]) == code
+    assert capsys.readouterr().out.strip() == verdict
+
+
+@pytest.mark.parametrize("rule", ["elim-or", "decompose"])
+def test_rewrite_reports_cardinality_warning_on_stderr(capsys, tmp_path, rule):
+    formula = tmp_path / "split.ptf"
+    formula.write_text(r"P.x = P.y \/ Q.u = Q.v", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        code = cli.main(["rewrite", "--formula", str(formula), "--rule", rule])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err == "warning: the split encoding needs at least two domain elements\n"
+    assert leaked == []
+
+
+def test_usage_errors_exit_4(capsys):
+    assert cli.main(["check"]) == 4
+    assert cli.main(["rewrite", "--formula", "f.ptf", "--rule", "e7"]) == 4
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_malformed_inputs_exit_3(capsys, tmp_path):
+    table = tmp_path / "P.csv"
+    table.write_text("x,y\n0,1\n2\n", encoding="utf-8")
+    structure = tmp_path / "structure.json"
+    structure.write_text('{"domain": [0, 1', encoding="utf-8")
+    formula = tmp_path / "phi.ptf"
+    formula.write_text("P.x = P.y", encoding="utf-8")
+    assert cli.main(["check", "--formula", str(formula), "--team", str(table)]) == 3
+    assert f"{table}:3: expected 2 cells, got 1" in capsys.readouterr().err
+    assert cli.main(["check", "--formula", str(formula),
+                     "--structure", str(structure)]) == 3
+    assert str(structure) in capsys.readouterr().err

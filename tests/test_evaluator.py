@@ -17,7 +17,7 @@ from polyteam.oracle import (
 )
 from polyteam.syntax import (
     And, AtomF, Eq, Exists, Forall, Neq, NegRel, OrGlobal, OrLocal, PolyDep,
-    PolyExc, PolyInc, Rel, Truth, free_variables, parse,
+    PolyExc, PolyInc, Rel, Truth, free_variables, parse, walk,
 )
 
 from samplers import (
@@ -288,10 +288,10 @@ GUARD_CASES = {
 }
 
 
-def agree_with_naive(phi, structures=(ST3,), p_rows=2, q_rows=2):
+def agree_with_naive(phi, structures=(ST3,), p_rows=2, q_rows=2, values=VALUES3):
     """Evaluator and naive oracle agree on all small P(y), Q(u, v) polyteams."""
-    p_teams = list(enumerate_teams(P, (PY,), VALUES3, p_rows, min_rows=0))
-    q_teams = list(enumerate_teams(Q, (QU, QV), VALUES3, q_rows, min_rows=0))
+    p_teams = list(enumerate_teams(P, (PY,), values, p_rows, min_rows=0))
+    q_teams = list(enumerate_teams(Q, (QU, QV), values, q_rows, min_rows=0))
     for st in structures:
         for p_team, q_team in itertools.product(p_teams, q_teams):
             pt = Polyteam([p_team, q_team])
@@ -326,8 +326,16 @@ def test_guard_witnesses_are_the_join_values():
                                 row(u=0, v=1)])
     pt = Polyteam([p_team, q_team])
 
+    # the evaluator's caches key on id(node): keep every parsed formula alive
+    # so that no later parse can reuse the id of a freed one
+    formulas = []
+
+    def guarded(text):
+        formulas.append(parse(text))
+        return ev.guarded_witnesses(formulas[-1], pt)
+
     def picks(text):
-        witnesses = ev.guarded_witnesses(parse(text), pt)
+        witnesses = guarded(text)
         return [list(witnesses(r)) for r in p_team.ordered_rows()]
 
     # repeated x keeps only the diagonal tuple (0, 0)
@@ -338,8 +346,7 @@ def test_guard_witnesses_are_the_join_values():
     # so y=0 allows u in {0} and y=1 allows u in {0, 2}
     assert picks(r"E P.x . (pinc(P.y, P.x | Q.u, Q.v) /\ pinc(P.x, P.y | Q.u, Q.v))") == \
         [[0], [2]]
-    assert ev.guarded_witnesses(parse(r"E P.x . E P.y . pinc(P.y, P.x | Q.u, Q.v)"),
-                                pt) is None
+    assert guarded(r"E P.x . E P.y . pinc(P.y, P.x | Q.u, Q.v)") is None
 
 
 def test_inclusion_guard_with_empty_target_team():
@@ -366,3 +373,57 @@ def test_guarded_exists_cross_validation(rng):
         st = rng.choice(structures)
         pt = random_polyteam(rng, {P: (PX, PY), Q: (QU, QV)}, (0, 1))
         assert holds(st, pt, phi) == naive_eval(st, pt, phi)
+
+
+# ---------------------------------------------------------------------------
+# Existential blocks ∃x̄(C ∧ (D ∨_P O)), decided as ∃x̄(C ∧ D) ∨_P (O ∧ ∃x̄C)
+
+# C conjuncts and D parts are row-wise at P; {z} is a block variable
+BLOCK_GUARDS = (r"pinc(P.y, {z} | Q.u, Q.v)", r"pinc({z} | Q.v)")
+BLOCK_C = BLOCK_GUARDS + (r"{z} != P.y", r"R({z})", r"pexc({z} | Q.u)",
+                          r"pdep({z} ; P.y | Q.u ; Q.v)")
+BLOCK_D = (r"{z} = P.y", r"R({z})", r"!R(P.y)", r"pexc({z} | Q.v)",
+           r"pinc({z}, P.y | Q.u, Q.v)")
+# opaque at P, downward-closed at P and free of the block variables
+BLOCK_O = (r"pdep(:P ; P.y | :P ; P.y)", r"pexc(P.y | P.y)",
+           r"(pdep(:P ; P.y | :P ; P.y) /\ pinc(P.y | Q.u))")
+
+
+def block_formula(rng, block):
+    def fill(templates):
+        return rng.choice(templates).format(z=rng.choice(block))
+
+    conjuncts = [fill(BLOCK_C) for _ in range(rng.randint(0, 1))]
+    if rng.random() < 0.8:
+        conjuncts.insert(rng.randint(0, len(conjuncts)), fill(BLOCK_GUARDS))
+    parts = [fill(BLOCK_D) for _ in range(rng.randint(1, 2))]
+    parts.insert(rng.randint(0, len(parts)), rng.choice(BLOCK_O))
+    # the disjunction comes last so that the naive And can stop at C
+    conjuncts.append("(" + r" \/_{P} ".join(parts) + ")")
+    prefix = "".join(f"E {z} . " for z in block)
+    return parse(prefix + "(" + r" /\ ".join(conjuncts) + ")")
+
+
+@pytest.mark.parametrize("block, values, rows, count", [
+    (("P.z1",), VALUES3, 2, 10),
+    (("P.z1", "P.z2"), (0, 1), 1, 60),
+])
+def test_existential_block_matches_naive_oracle(block, values, rows, count):
+    rng = random.Random(31)
+    structures = list(enumerate_structures({"R": 1}, values))
+    for _ in range(count):
+        phi = block_formula(rng, block)
+        assert _Evaluator(ST3, NO_LIMITS, None).block_disjunction(phi) is not None, phi
+        agree_with_naive(phi, [rng.choice(structures)], rows, rows, values)
+
+
+def test_rowwise_implies_downward_closed(rng):
+    # the block rewrite hands ∃x̄C to the downward-closed slice branch
+    sampler = FormulaSampler(tuple(FormulaSampler.LEAVES))
+    ev = _Evaluator(ST, NO_LIMITS, None)
+    formulas = []
+    for _ in range(300):
+        formulas.append(sampler.formula(rng, rng.randint(0, 3)))
+        for node in walk(formulas[-1]):
+            for t in (P, Q):
+                assert not ev.rowwise(node, t) or ev.downward_closed(node, t), (node, t)
