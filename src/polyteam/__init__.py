@@ -35,7 +35,7 @@ from .implication import (
     derive_rule, replay_trace, verify_counterexample,
 )
 from .rewrite import (
-    CardinalityWarning, FreshNameSource, decompose_by_sort,
+    CardinalityWarning, EmptyTeamWarning, FreshNameSource, decompose_by_sort,
     eliminate_global_disjunction, rewrite_formula, translate_atom,
 )
 

@@ -191,6 +191,7 @@ def run_implies(args) -> int:
     if verdict.implied:
         payload = {
             "implied": True,
+            "stats": dict(verdict.stats),
             "trace": [{
                 "atom": format_formula(AtomF(record.atom)),
                 "merges": [[str(a), str(b)] for a, b in record.merges],
@@ -207,6 +208,7 @@ def run_implies(args) -> int:
     ce = verdict.counterexample
     payload = {
         "implied": False,
+        "stats": dict(verdict.stats),
         "counterexample": {
             "classes": {str(v): value for v, value in sorted(ce.classes.items())},
             "teams": {sort: _team_json(ce.polyteam.team(sort))
@@ -220,19 +222,19 @@ def run_implies(args) -> int:
 def run_rewrite(args) -> int:
     phi = parse(Path(args.formula).read_text(encoding="utf-8"))
     fresh = FreshNameSource.for_formula(phi)
-    if args.rule not in ("elim-or", "decompose"):
-        print(format_formula(rewrite_formula(phi, args.rule, fresh)))
-        return 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = eliminate_global_disjunction(phi, fresh)
+        if args.rule in RULE_NAMES:
+            result = rewrite_formula(phi, args.rule, fresh)
+        else:
+            result = eliminate_global_disjunction(phi, fresh)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    if args.rule == "elim-or":
-        print(format_formula(result))
-    else:
+    if args.rule == "decompose":
         for sort, part in decompose_by_sort(result).items():
             print(f"{sort}: {format_formula(part)}")
+    else:
+        print(format_formula(result))
     return 0
 
 

@@ -1,17 +1,40 @@
 """Sound and complete implication for poly-dependence atoms.
 
 ``decide`` answers whether every structure and polyteam satisfying all
-premise atoms also satisfies the conclusion.  Same-sort conclusions reduce to
-attribute-set closure over the same-sort premises; cross-sort conclusions are
-decided by saturating an equivalence relation over the two sorts' variables.
-A negative answer always carries a concrete counterexample polyteam (an exact
-witness, not a bounded search result); a positive answer carries the firing
-trace, which ``replay_trace`` expands into a checked single-step derivation.
+premise atoms also satisfies the conclusion.  A negative answer always
+carries a concrete counterexample polyteam (an exact witness, not a bounded
+search result); a positive answer carries the firing trace, which
+``replay_trace`` expands into a checked single-step derivation.
+
+Both branches saturate with a worklist on which each premise fires at most
+once:
+
+* Same-sort conclusions reduce to attribute-set closure over the same-sort
+  premises at the conclusion's sort, computed as LINCLOSURE (Beeri &
+  Bernstein, "Computational problems related to the design of normal form
+  relational schemas", ACM TODS 4(1), 1979).  Each premise counts its
+  distinct antecedent attributes still outside the closure, and a watch list
+  maps each attribute to the premises waiting on it.  A premise whose count
+  reaches zero joins a FIFO queue.  Cost: O(total atom size).
+* Cross-sort conclusions saturate an equivalence relation over the two
+  sorts' variables, as in congruence closure (Downey, Sethi & Tarjan,
+  "Variations on the common subexpression problem", JACM 27(4), 1980).
+  Union-find merges by size.  Each unmet antecedent position (x_k, u_k) of
+  an oriented premise waits on the pending lists of both endpoint classes; a
+  merge rechecks only the absorbed (smaller) class's list and moves the
+  positions still unmet to the surviving class.  A position is rechecked
+  only when the class of its endpoint at least doubles, so the cost is
+  O(n log n) rechecks over n antecedent positions, plus the O(n) merges,
+  each a near-constant union-find operation.
+
+The closure and the partition do not depend on the firing order, so the
+verdict and the counterexample are those of any saturation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import RuleApplicationError, SortedDomainError
@@ -54,20 +77,37 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class ImplicationVerdict:
+    """The answer of ``decide``, with a trace or a counterexample.
+
+    ``stats`` counts the work done and takes no part in equality:
+    ``premises`` given, ``premises_kept`` after discarding those at other
+    sorts (``premises_discarded``), ``firings`` (premises whose antecedent
+    was met; only those that added something appear in the trace) and
+    ``pair_checks`` (watch-list rechecks of a waiting premise).
+    """
+
     implied: bool
     trace: Optional[Tuple[FiringRecord, ...]] = None
     counterexample: Optional[Counterexample] = None
+    stats: Mapping = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if (self.trace is None) == (self.counterexample is None):
             raise ValueError("exactly one of trace/counterexample must be present")
 
 
+def _stats(premises, kept, firings, pair_checks) -> dict:
+    return {"premises": len(premises), "premises_kept": kept,
+            "premises_discarded": len(premises) - kept,
+            "firings": firings, "pair_checks": pair_checks}
+
+
 class _UnionFind:
-    """Plain union-find with path compression; merges only, never splits."""
+    """Union-find by size with path compression; merges only, never splits."""
 
     def __init__(self):
         self.parent = {}
+        self.size = {}
 
     def find(self, item):
         root = item
@@ -77,12 +117,17 @@ class _UnionFind:
             self.parent[item], item = root, self.parent[item]
         return root
 
-    def merge(self, a, b) -> bool:
+    def merge(self, a, b):
+        """Join the classes of a and b: (surviving, absorbed) roots, or None."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return False
+            return None
+        size_a, size_b = self.size.get(ra, 1), self.size.get(rb, 1)
+        if size_a < size_b:
+            ra, rb = rb, ra
         self.parent[rb] = ra
-        return True
+        self.size[ra] = size_a + size_b
+        return ra, rb
 
 
 def _validate(atoms: Sequence[PolyDep]):
@@ -124,18 +169,31 @@ def _decide_same_sort(premises, conclusion) -> ImplicationVerdict:
     sort = conclusion.sort_i
     local = [a for a in premises if a.sort_i == sort and a.sort_j == sort]
     closure = set(conclusion.x)
-    trace = []
-    changed = True
-    while changed:
-        changed = False
-        for atom in local:
-            new = set(atom.y) - closure
-            if new and set(atom.x) <= closure:
-                closure |= new
-                trace.append(FiringRecord(atom, tuple((v, v) for v in sorted(new))))
-                changed = True
+    unmet, watch = [], {}
+    for p, atom in enumerate(local):
+        missing = set(atom.x) - closure
+        unmet.append(len(missing))
+        for attr in missing:
+            watch.setdefault(attr, []).append(p)
+    queue = deque(p for p, count in enumerate(unmet) if count == 0)
+    trace, firings, pair_checks = [], 0, 0
+    while queue:
+        atom = local[queue.popleft()]
+        firings += 1
+        added = sorted(set(atom.y) - closure)
+        if not added:
+            continue
+        closure.update(added)
+        trace.append(FiringRecord(atom, tuple((v, v) for v in added)))
+        for attr in added:
+            for p in watch.pop(attr, ()):
+                pair_checks += 1
+                unmet[p] -= 1
+                if unmet[p] == 0:
+                    queue.append(p)
+    stats = _stats(premises, len(local), firings, pair_checks)
     if set(conclusion.y) <= closure:
-        return ImplicationVerdict(True, trace=tuple(trace))
+        return ImplicationVerdict(True, trace=tuple(trace), stats=stats)
     # classic two-row witness: rows agree exactly on the closure
     per_sort = _occurring_variables(premises + [conclusion])
     variables = sorted(per_sort.get(sort, ()))
@@ -145,7 +203,7 @@ def _decide_same_sort(premises, conclusion) -> ImplicationVerdict:
     teams += [Team(s, sorted(vs), ()) for s, vs in per_sort.items() if s != sort]
     classes = {v: outside[v] for v in variables}
     return ImplicationVerdict(
-        False, counterexample=Counterexample(Polyteam(teams), classes))
+        False, counterexample=Counterexample(Polyteam(teams), classes), stats=stats)
 
 
 # -- cross-sort conclusions: equivalence saturation ---------------------------
@@ -174,21 +232,51 @@ def _decide_cross_sort(premises, conclusion) -> ImplicationVerdict:
     i, j = conclusion.sort_i, conclusion.sort_j
     oriented = [(a, o) for a in premises if (o := _orient(a, i, j)) is not None]
     uf = _UnionFind()
-    for xk, uk in zip(conclusion.x, conclusion.u):
-        uf.merge(xk, uk)
-    trace = []
-    changed = True
-    while changed:
-        changed = False
-        for original, o in oriented:
-            if any(uf.find(a) != uf.find(c) for a, c in zip(o.x, o.u)):
+    # one entry per antecedent position, so a repeated pair (a, c) counts
+    # once per position it fills; each entry waits on both endpoint classes
+    positions, pending = [], {}
+    unmet = [len(o.x) for _, o in oriented]
+    for p, (_, o) in enumerate(oriented):
+        for a, c in zip(o.x, o.u):
+            pending.setdefault(a, []).append(len(positions))
+            pending.setdefault(c, []).append(len(positions))
+            positions.append((p, a, c))
+    met = bytearray(len(positions))
+    queue = deque(p for p, count in enumerate(unmet) if count == 0)
+    pair_checks = 0
+
+    def merge(a, c) -> bool:
+        nonlocal pair_checks
+        roots = uf.merge(a, c)
+        if roots is None:
+            return False
+        survivor, absorbed = roots
+        for entry in pending.pop(absorbed, ()):
+            pair_checks += 1
+            if met[entry]:
                 continue
-            merges = tuple((b, d) for b, d in zip(o.y, o.v) if uf.merge(b, d))
-            if merges:
-                trace.append(FiringRecord(original, merges))
-                changed = True
+            p, left, right = positions[entry]
+            if uf.find(left) == uf.find(right):
+                met[entry] = 1
+                unmet[p] -= 1
+                if unmet[p] == 0:
+                    queue.append(p)
+            else:
+                pending.setdefault(survivor, []).append(entry)
+        return True
+
+    for xk, uk in zip(conclusion.x, conclusion.u):
+        merge(xk, uk)
+    trace, firings = [], 0
+    while queue:
+        original, o = oriented[queue.popleft()]
+        firings += 1
+        merges = tuple((b, d) for b, d in zip(o.y, o.v) if merge(b, d))
+        if merges:
+            trace.append(FiringRecord(original, merges))
+    stats = _stats(premises, len(oriented), firings, pair_checks)
     if all(uf.find(yk) == uf.find(vk) for yk, vk in zip(conclusion.y, conclusion.v)):
-        return ImplicationVerdict(True, trace=tuple(trace))
+        return ImplicationVerdict(True, trace=tuple(trace), stats=stats)
     per_sort = _occurring_variables(premises + [conclusion])
     vars_i = sorted(per_sort.get(i, ()))
     vars_j = sorted(per_sort.get(j, ()))
@@ -197,7 +285,7 @@ def _decide_cross_sort(premises, conclusion) -> ImplicationVerdict:
              Team(j, vars_j, (Assignment({v: classes[v] for v in vars_j}),))]
     teams += [Team(s, sorted(vs), ()) for s, vs in per_sort.items() if s not in (i, j)]
     return ImplicationVerdict(
-        False, counterexample=Counterexample(Polyteam(teams), classes))
+        False, counterexample=Counterexample(Polyteam(teams), classes), stats=stats)
 
 
 def verify_counterexample(verdict: ImplicationVerdict, premises: Sequence[PolyDep],
@@ -416,9 +504,9 @@ def _replay_cross_sort(conclusion, verdict) -> Derivation:
     def cert(p, q) -> PolyDep:
         """Derive =(x ; p | u ; q) by walking the recorded merge graph."""
         previous = {p: None}
-        frontier = [p]
+        frontier = deque([p])
         while frontier and q not in previous:
-            node = frontier.pop(0)
+            node = frontier.popleft()
             for other, atom in adjacency.get(node, ()):
                 if other not in previous:
                     previous[other] = (node, atom)

@@ -11,6 +11,22 @@ e7), matching the CLI's ``rewrite --rule`` names:
     e6  exclusion           ->  exists/inclusion + single-team exclusion
     e8  independence        ->  all/exists dependence + exclusion + inclusion
 
+Two rules carry a side condition on empty teams, which the rewriting
+functions signal with an EmptyTeamWarning when they rewrite a cross-sort
+atom by one of them:
+
+* e4 is an equivalence on polyteams whose team of the inclusion's right-hand
+  sort j is nonempty.  With that team empty and the sort-i team not, the
+  inclusion fails, but the rewrite holds, since its universal probe ranges
+  over no rows.
+* e6 is an equivalence on polyteams whose team of the exclusion's left-hand
+  sort i is nonempty.  With that team empty and the sort-j team not, the
+  exclusion holds, but the rewrite fails, since the existential mirror at
+  sort i leaves no row to include the sort-j values.
+
+A same-sort atom meets both conditions: when its one team is empty, both
+sides hold.
+
 ``eliminate_global_disjunction`` removes every global disjunction (and every
 multi-sort local disjunction) in favour of single-sort local disjunctions;
 the output is equivalent on structures with at least two elements, which is
@@ -36,6 +52,23 @@ from .syntax import (
 
 class CardinalityWarning(UserWarning):
     """The rewritten formula is equivalent only on domains with >= 2 values."""
+
+
+class EmptyTeamWarning(UserWarning):
+    """The rewritten formula is equivalent only where certain teams are nonempty."""
+
+
+# the side condition of each rule that needs one, as the warning states it
+_EMPTY_TEAM_CONDITIONS = {
+    "e4": "e4 is an equivalence only where the team of each inclusion's "
+          "right-hand sort is nonempty",
+    "e6": "e6 is an equivalence only where the team of each exclusion's "
+          "left-hand sort is nonempty",
+}
+
+
+def _needs_empty_team_warning(atom, rule: str) -> bool:
+    return rule in _EMPTY_TEAM_CONDITIONS and atom.sort_i != atom.sort_j
 
 
 class FreshNameSource:
@@ -179,7 +212,17 @@ RULE_NAMES = tuple(sorted(_ATOM_RULES))
 
 
 def translate_atom(atom, rule: str, fresh: Optional[FreshNameSource] = None) -> Formula:
-    """Rewrite one atom instance by the named rule into an equivalent formula."""
+    """Rewrite one atom instance by the named rule into an equivalent formula.
+
+    Warns with EmptyTeamWarning when the equivalence needs a nonempty team.
+    """
+    result = _translate(atom, rule, fresh)
+    if _needs_empty_team_warning(atom, rule):
+        warnings.warn(_EMPTY_TEAM_CONDITIONS[rule], EmptyTeamWarning, stacklevel=2)
+    return result
+
+
+def _translate(atom, rule: str, fresh: Optional[FreshNameSource]) -> Formula:
     try:
         kind, impl = _ATOM_RULES[rule]
     except KeyError:
@@ -194,15 +237,22 @@ def translate_atom(atom, rule: str, fresh: Optional[FreshNameSource] = None) -> 
 
 def rewrite_formula(phi: Formula, rule: str,
                     fresh: Optional[FreshNameSource] = None) -> Formula:
-    """Apply an atom translation to every atom of the rule's kind."""
+    """Apply an atom translation to every atom of the rule's kind.
+
+    Warns once with EmptyTeamWarning when the equivalence of some rewritten
+    atom needs a nonempty team.
+    """
     kind, _ = _ATOM_RULES.get(rule, (None, None))
     if kind is None:
         raise RewriteError(f"unknown rule {rule!r}; choose from {RULE_NAMES}")
     fresh = fresh or FreshNameSource.for_formula(phi)
+    state = {"conditional": False}
 
     def go(f):
         if isinstance(f, AtomF) and isinstance(f.atom, kind):
-            return translate_atom(f.atom, rule, fresh)
+            if _needs_empty_team_warning(f.atom, rule):
+                state["conditional"] = True
+            return _translate(f.atom, rule, fresh)
         if isinstance(f, And):
             return And(go(f.left), go(f.right))
         if isinstance(f, OrGlobal):
@@ -215,7 +265,10 @@ def rewrite_formula(phi: Formula, rule: str,
             return Forall(f.var, go(f.body))
         return f
 
-    return go(phi)
+    result = go(phi)
+    if state["conditional"]:
+        warnings.warn(_EMPTY_TEAM_CONDITIONS[rule], EmptyTeamWarning, stacklevel=2)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,41 @@ def test_implies_verdicts(capsys, atoms, verdict, code):
     assert capsys.readouterr().out.strip() == verdict
 
 
+@pytest.mark.parametrize("atoms,implied,stats", [
+    ("transitivity.pdep", True, {"premises": 2, "premises_kept": 2,
+                                 "premises_discarded": 0, "firings": 2}),
+    ("not_implied.pdep", False, {"premises": 1, "premises_kept": 1,
+                                 "premises_discarded": 0, "firings": 0}),
+])
+def test_implies_json_reports_stats(capsys, atoms, implied, stats):
+    cli.main(["implies", "--json", "--atoms", str(FIXTURES / "implication" / atoms)])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["implied"] is implied
+    assert set(payload["stats"]) == set(stats) | {"pair_checks"}
+    assert {k: payload["stats"][k] for k in stats} == stats
+
+
+@pytest.mark.parametrize("rule,formula,err", [
+    ("e4", r"pinc(P.x | Q.u) /\ pinc(Q.v | P.y)", "warning: e4 is an equivalence only "
+     "where the team of each inclusion's right-hand sort is nonempty\n"),
+    ("e6", r"pexc(P.x | Q.u) /\ pexc(Q.v | P.y)", "warning: e6 is an equivalence only "
+     "where the team of each exclusion's left-hand sort is nonempty\n"),
+    ("e4", "pinc(P.x | P.y)", ""),
+    ("e6", "pexc(P.x | P.y)", ""),
+    ("e1", "pdep(P.x ; P.y | Q.u ; Q.v)", ""),
+])
+def test_rewrite_reports_empty_team_warning_on_stderr(capsys, tmp_path, rule, formula, err):
+    path = tmp_path / "atoms.ptf"
+    path.write_text(formula, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        code = cli.main(["rewrite", "--formula", str(path), "--rule", rule])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip()
+    assert captured.err == err
+    assert leaked == []
+
+
 @pytest.mark.parametrize("rule", ["elim-or", "decompose"])
 def test_rewrite_reports_cardinality_warning_on_stderr(capsys, tmp_path, rule):
     formula = tmp_path / "split.ptf"

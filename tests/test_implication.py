@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 
 from polyteam.errors import RuleApplicationError, SortedDomainError
 from polyteam.implication import (
-    decide, derive_rule, replay_trace, rule_augmentation, rule_reflexivity,
+    ImplicationVerdict, decide, derive_rule, replay_trace, rule_augmentation, rule_reflexivity,
     rule_symmetry, rule_transitivity, rule_union, rule_weak_transitivity,
     verify_counterexample,
 )
@@ -314,3 +315,226 @@ def test_invalid_atoms_are_rejected():
     with pytest.raises(SortedDomainError):
         decide([PolyDep(S1, (X,), (Y, Z), S2, (U,), (V,))],
                dep((X,), (Y,), (U,), (V,)))
+
+
+# ---------------------------------------------------------------------------
+# differential check against the fixpoint loops decide replaced
+
+def reference_decide(premises, conclusion):
+    """(implied, classes), saturating by rescanning until nothing changes.
+
+    ``classes`` is the counterexample class map decide must emit, or None
+    when the conclusion is implied.
+    """
+    variables = {}
+    for atom in list(premises) + [conclusion]:
+        for sort, tup in atom.tuples():
+            variables.setdefault(sort, set()).update(tup)
+    i, j = conclusion.sort_i, conclusion.sort_j
+    if i == j:
+        closure = set(conclusion.x)
+        changed = True
+        while changed:
+            changed = False
+            for a in premises:
+                if a.sort_i == a.sort_j == i and set(a.x) <= closure \
+                        and not set(a.y) <= closure:
+                    closure |= set(a.y)
+                    changed = True
+        if set(conclusion.y) <= closure:
+            return True, None
+        return False, {v: "c0" if v in closure else "c1" for v in variables[i]}
+    parent = {}
+
+    def find(v):
+        while parent.get(v, v) != v:
+            v = parent[v]
+        return v
+
+    def merge(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+        return ra != rb
+
+    oriented = [a if a.sort_i == i else rule_symmetry(a)
+                for a in premises if {a.sort_i, a.sort_j} == {i, j}]
+    for a, c in zip(conclusion.x, conclusion.u):
+        merge(a, c)
+    changed = True
+    while changed:
+        changed = False
+        for o in oriented:
+            if all(find(a) == find(c) for a, c in zip(o.x, o.u)):
+                for b, d in zip(o.y, o.v):
+                    changed |= merge(b, d)
+    if all(find(b) == find(d) for b, d in zip(conclusion.y, conclusion.v)):
+        return True, None
+    names, classes = {}, {}
+    for v in sorted(variables[i] | variables[j]):
+        classes[v] = names.setdefault(find(v), f"c{len(names)}")
+    return False, classes
+
+
+POOLS = {s: [Variable(s, n) for n in "abc"] for s in (S1, S2, S3)}
+# (j, i) premises need the symmetry rule; S3 premises must be discarded
+PREMISE_SORTS = ((S1, S2), (S2, S1), (S1, S3), (S3, S2), (S1, S1), (S2, S2), (S3, S3))
+
+
+def random_antecedent(rng, si, sj):
+    """Antecedent tuples, often repeating one pair (a, c) at two positions."""
+    n = rng.randint(0, 3)
+    x = tuple(rng.choices(POOLS[si], k=n))
+    u = x if si == sj else tuple(rng.choices(POOLS[sj], k=n))
+    if n >= 2 and rng.random() < 0.4:
+        x, u = x[:-1] + x[:1], u[:-1] + u[:1]
+    return x, u
+
+
+def random_atom(rng, si, sj, antecedent=None):
+    x, u = antecedent or random_antecedent(rng, si, sj)
+    m = rng.randint(1, 2)
+    y = tuple(rng.choices(POOLS[si], k=m))
+    v = y if si == sj else tuple(rng.choices(POOLS[sj], k=m))
+    return PolyDep(si, x, y, sj, u, v)
+
+
+def differential_instance(rng):
+    sigma = [random_atom(rng, *rng.choice(PREMISE_SORTS))
+             for _ in range(rng.randint(0, 7))]
+    si, sj = (S1, S2) if rng.random() < 0.6 else (S1, S1)
+    antecedent = None
+    donors = [a for a in sigma if {a.sort_i, a.sort_j} == {si, sj}]
+    if donors and rng.random() < 0.5:
+        # the conclusion's own antecedent enables a premise
+        donor = rng.choice(donors)
+        antecedent = (donor.x, donor.u) if donor.sort_i == si else (donor.u, donor.x)
+    return sigma, random_atom(rng, si, sj, antecedent)
+
+
+def has_repeated_pair(atom):
+    pairs = list(zip(atom.x, atom.u))
+    return len(set(pairs)) < len(pairs)
+
+
+def test_decide_agrees_with_the_fixpoint_reference(rng):
+    seen = {"implied": 0, "refuted": 0, "repeated pair fired": 0,
+            "constancy fired": 0, "(j,i) fired": 0, "goal antecedent fired": 0,
+            "third sort discarded": 0}
+    for _ in range(1500):
+        sigma, goal = differential_instance(rng)
+        verdict = decide(sigma, goal)
+        implied, classes = reference_decide(sigma, goal)
+        assert verdict.implied == implied, (sigma, goal)
+        if not implied:
+            seen["refuted"] += 1
+            assert verdict.counterexample.classes == classes, (sigma, goal)
+            assert verify_counterexample(verdict, sigma, goal)
+            continue
+        seen["implied"] += 1
+        fired = [record.atom for record in verdict.trace]
+        assert len(fired) == len(set(fired)), (sigma, goal)
+        derivation = replay_trace(sigma, goal, verdict)
+        if goal.y:
+            assert derivation.conclusion == goal
+        seen["repeated pair fired"] += any(map(has_repeated_pair, fired))
+        seen["constancy fired"] += any(not a.x for a in fired)
+        seen["(j,i) fired"] += any(a.sort_i == S2 for a in fired)
+        seen["goal antecedent fired"] += any(
+            a.x and {(a.x, a.u), (a.u, a.x)} & {(goal.x, goal.u)} for a in fired)
+        seen["third sort discarded"] += verdict.stats["premises_discarded"] > 0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_repeated_antecedent_pairs_count_once_per_position():
+    a, b = Variable(S1, "a"), Variable(S1, "b")
+    c, d = Variable(S2, "c"), Variable(S2, "d")
+    sigma = [dep((a, a), (b,), (c, c), (d,)), dep((a, b, a), (Z,), (c, d, c), (W,))]
+    verdict = decide(sigma, dep((a,), (Z,), (c,), (W,)))
+    assert verdict.implied
+    assert [r.atom for r in verdict.trace] == sigma
+    same = [fd("z", "a"), fd("aa", "b"), fd("aba", "c")]
+    assert [r.atom for r in decide(same, fd("z", "c")).trace] == same
+
+
+def test_a_met_position_is_not_counted_again_when_its_class_moves():
+    a1, a2, a3, a4, b = (Variable(S1, n) for n in ("a1", "a2", "a3", "a4", "b"))
+    c1, c2, c3, d = (Variable(S2, n) for n in ("c1", "c2", "c3", "d"))
+    # the goal meets (a1, c1); the class {a1, c1} is then absorbed into the
+    # larger {a3, a4, c3}, while (a2, c2) stays unmet throughout
+    sigma = [dep((a1, a2), (b,), (c1, c2), (d,)),
+             dep((), (a3, a4), (), (c3, c3)),
+             dep((), (a3,), (), (c1,))]
+    goal = dep((a1,), (b,), (c1,), (d,))
+    verdict = decide(sigma, goal)
+    assert not verdict.implied
+    assert verdict.counterexample.classes == reference_decide(sigma, goal)[1]
+
+
+def test_stats_count_the_work():
+    sigma = [dep((X,), (Y,), (U,), (V,)),
+             PolyDep(S2, (V,), (W,), S1, (Y,), (Z,)),
+             PolyDep(S1, (), (X,), S3, (), (K,)),
+             fd("x", "y", sort=S1)]
+    verdict = decide(sigma, dep((X,), (Z,), (U,), (W,)))
+    assert verdict.implied
+    assert {k: verdict.stats[k] for k in ("premises", "premises_kept",
+                                         "premises_discarded", "firings")} == \
+        {"premises": 4, "premises_kept": 2, "premises_discarded": 2, "firings": 2}
+    assert verdict.stats["pair_checks"] >= 2
+    same = decide(sigma, fd("x", "y", sort=S1))
+    assert (same.stats["premises_kept"], same.stats["firings"]) == (1, 1)
+    assert verdict == ImplicationVerdict(True, trace=verdict.trace)
+
+
+# ---------------------------------------------------------------------------
+# scale: saturation must stay near-linear in the number of premises
+
+def shuffled_chain(n, cross_sort, seed=5):
+    """Premises a_k -> a_{k+1} in a fixed shuffle, and the goal a_0 -> a_n."""
+    rng = random.Random(seed)
+    a = [Variable("P", f"a{k}") for k in range(n + 1)]
+    b = [Variable("Q", f"b{k}") for k in range(n + 1)]
+    links = []
+    for k in range(n):
+        if not cross_sort:
+            links.append(PolyDep("P", (a[k],), (a[k + 1],), "P", (a[k],), (a[k + 1],)))
+        elif rng.random() < 0.5:
+            links.append(PolyDep("Q", (b[k],), (b[k + 1],), "P", (a[k],), (a[k + 1],)))
+        else:
+            links.append(PolyDep("P", (a[k],), (a[k + 1],), "Q", (b[k],), (b[k + 1],)))
+    rng.shuffle(links)
+    if cross_sort:
+        return links, PolyDep("P", (a[0],), (a[n],), "Q", (b[0],), (b[n],))
+    return links, PolyDep("P", (a[0],), (a[n],), "P", (a[0],), (a[n],))
+
+
+def star(n, seed=5):
+    """Two chains that grow one class from {a_0, b_0}, in a fixed shuffle.
+
+    Links a_k -> a_{k+1} against b_0 merge a new variable as the first
+    argument, links b_k -> b_{k+1} against a_0 merge the growing class as
+    the first argument, so both sides of each merge take the small class.
+    """
+    m = n // 2
+    a = [Variable("P", f"a{k}") for k in range(m + 1)]
+    b = [Variable("Q", f"b{k}") for k in range(m + 1)]
+    links = [PolyDep("P", (a[k],), (a[k + 1],), "Q", (b[0],), (b[0],)) for k in range(m)]
+    links += [PolyDep("P", (a[0],), (a[0],), "Q", (b[k],), (b[k + 1],)) for k in range(m)]
+    random.Random(seed).shuffle(links)
+    return links, PolyDep("P", (a[0],), (a[m],), "Q", (b[0],), (b[m],))
+
+
+@pytest.mark.parametrize("build,n", [
+    (lambda n: shuffled_chain(n, cross_sort=True), 2000),
+    (lambda n: shuffled_chain(n, cross_sort=False), 5000),
+    (star, 2000),
+], ids=["cross-sort-chain", "same-sort-chain", "cross-sort-star"])
+def test_long_chains_decide_in_near_linear_work(build, n):
+    sigma, goal = build(n)
+    verdict = decide(sigma, goal)
+    assert verdict.implied and len(verdict.trace) == n
+    assert verdict.stats["firings"] == n
+    assert verdict.stats["pair_checks"] <= 4 * n * math.ceil(math.log2(n))
+    derivation = replay_trace(sigma, goal, verdict)
+    assert derivation.conclusion == goal
