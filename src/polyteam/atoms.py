@@ -11,7 +11,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Tuple
 
-from .errors import ParseError, RegistryError, SortedDomainError
+from .errors import ParseError, RegistryError
 from .model import Polyteam, Structure
 from .syntax import GeneralizedAtom, PolyDep, PolyExc, PolyInc, PolyInd
 

@@ -7,9 +7,10 @@ variables) plus an optional JSON structure file::
 
 The working domain is the union of the declared domain, all relation values,
 and all table values.  Exit codes: 0 for true/implied/equivalent, 1 for the
-negative verdict, 2 when a resource cap tripped, 3 for input errors, 4 for
-usage errors.  Verdicts go to stdout (JSON with ``--json``); notices and
-errors go to stderr.
+negative verdict, 2 when a resource cap tripped or the input nests too deep
+or needs too much memory (limit ``depth`` or ``memory``), 3 for input
+errors, 4 for usage errors.  Verdicts go to stdout (JSON with ``--json``);
+notices and errors go to stderr.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from .atoms import AtomRegistry, compile_embedded_dependency, parse_embedded_dep
 from .errors import ParseError, PolyteamError
 from .evaluator import EXHAUSTED, TRUE, EvalConfig, eval_formula
 from .implication import decide, replay_trace
-from .model import Polyteam, Structure, Team, Variable
+from .model import Assignment, Polyteam, Structure, Team, Variable
 from .oracle import equivalent, find_semantic_counterexample
 from .oracle.checks import evaluator_backed
 from .rewrite import (
     RULE_NAMES, FreshNameSource, decompose_by_sort,
     eliminate_global_disjunction, rewrite_formula,
 )
-from .syntax import AtomF, PolyDep, format_formula, free_variables, mentioned_sorts, parse
+from .syntax import AtomF, PolyDep, format_formula, mentioned_sorts, parse
 
 
 class UsageError(Exception):
@@ -69,7 +70,6 @@ def load_team_csv(path, sort) -> Team:
                 raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, "
                                  f"got {len(cells)}")
             rows.add(tuple(c.strip() for c in cells))
-        from .model import Assignment
         return Team(sort, variables,
                     (Assignment(zip(variables, row)) for row in rows))
 
@@ -80,8 +80,13 @@ def load_structure_json(path) -> dict:
             data = json.load(handle)
         except json.JSONDecodeError as err:
             raise ParseError(f"{path}: {err}") from None
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: structure file must hold a JSON object")
+    relations = data.get("relations", {}) if isinstance(data, dict) else None
+    if not isinstance(relations, dict) or \
+            not all(isinstance(ts, list) for ts in relations.values()):
+        raise ParseError(f"{path}: expected an object whose \"relations\" map names to lists")
+    for xs in [data.get("domain", [])] + [t for ts in relations.values() for t in ts]:
+        if not isinstance(xs, list) or any(isinstance(v, (list, dict)) for v in xs):
+            raise ParseError(f"{path}: the domain and relation tuples must be lists of values")
     return data
 
 
@@ -335,6 +340,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
@@ -344,6 +350,14 @@ def main(argv=None) -> int:
     except (PolyteamError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except (RecursionError, MemoryError) as err:
+        # a resource limit, like a tripped cap: never a verdict
+        limit = "depth" if isinstance(err, RecursionError) else "memory"
+        print(f"error: the input exceeds the {limit} limit", file=sys.stderr)
+        if args is not None and args.command == "check" and args.json:
+            _emit({"verdict": EXHAUSTED, "limit": limit, "stats": {"nodes_visited": 0}},
+                  True, "")
+        return 2
 
 
 if __name__ == "__main__":

@@ -30,26 +30,24 @@ approximation.  The properties used are
   blind to x̄, must hold on those rows together.  The right-hand side is
   built once per ∃ node and decided by the disjunction strategies above.
 
-Anything not certified falls back to literal cover/choice enumeration, which
-the configuration caps guard.  ``tests`` cross-validate every strategy
-against the naive oracle evaluator.
+Anything not certified falls back to literal enumeration of ∃ value choices
+or of k-way lax covers for k disjuncts, which the configuration caps guard.
+``tests`` cross-validate every strategy against the naive oracle evaluator.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ResourceExhausted, SortedDomainError
 from .model import Polyteam, Structure, Team, value_key
 from .syntax import (
-    And, AtomF, Eq, Exists, Forall, Formula, GeneralizedAtom, Neq, NegRel,
-    OrGlobal, OrLocal, PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth,
-    all_variables, atom_sorts, check_well_sorted, free_variables,
-    mentioned_sorts,
+    And, AtomF, Connective, Eq, Exists, Forall, Formula, Neq, NegRel, OrGlobal,
+    OrLocal, PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth, all_variables,
+    check_well_sorted, conjoin, exists_chain, free_variables, mentioned_sorts,
 )
 from . import atoms as atom_checks
 
@@ -85,40 +83,18 @@ class EvalOutcome:
         return self.verdict == TRUE
 
 
-def enumerate_covers(team: Team, cap: Optional[int] = None):
-    """All lax covers (Y, Z) with Y ∪ Z = team: 3^|team| pairs, each once."""
+def enumerate_covers(team: Team, cap: Optional[int] = None, parts: int = 2):
+    """All lax covers by ``parts`` subteams, each once: (2^parts - 1)^|team|.
+
+    Each row goes to a nonempty set of the subteams; with two parts, to the
+    left, the right or both, in that order.
+    """
     rows = team.ordered_rows()
     if cap is not None and len(rows) > cap:
         raise ResourceExhausted("split")
-    for routing in itertools.product((0, 1, 2), repeat=len(rows)):
-        left = [r for r, way in zip(rows, routing) if way != 1]
-        right = [r for r, way in zip(rows, routing) if way != 0]
-        yield team.with_rows(left), team.with_rows(right)
-
-
-def _flatten_or(node):
-    """Parts of a maximal same-shape disjunction chain."""
-    if isinstance(node, OrGlobal):
-        parts = []
-        for child in (node.left, node.right):
-            if isinstance(child, OrGlobal):
-                parts.extend(_flatten_or(child))
-            else:
-                parts.append(child)
-        return parts
-    parts = []
-    for child in (node.left, node.right):
-        if isinstance(child, OrLocal) and child.sorts == node.sorts:
-            parts.extend(_flatten_or(child))
-        else:
-            parts.append(child)
-    return parts
-
-
-def _flatten_and(node):
-    if isinstance(node, And):
-        return _flatten_and(node.left) + _flatten_and(node.right)
-    return [node]
+    for routing in itertools.product(range(1, 1 << parts), repeat=len(rows)):
+        yield tuple(team.with_rows([r for r, way in zip(rows, routing) if way >> k & 1])
+                    for k in range(parts))
 
 
 class _Evaluator:
@@ -169,7 +145,7 @@ class _Evaluator:
             else:
                 result = False
         elif isinstance(node, And):
-            result = self.rowwise(node.left, t) and self.rowwise(node.right, t)
+            result = all(self.rowwise(p, t) for p in node.parts)
         elif isinstance(node, Forall):
             result = self.rowwise(node.body, t)
         elif isinstance(node, Exists):
@@ -178,9 +154,8 @@ class _Evaluator:
             # a disjunction splitting only at t with all parts row-decomposable
             # is itself row-decomposable (each row picks its part); any other
             # split couples rows through the shared cover choice
-            parts = _flatten_or(node)
-            split = self.split_sorts(node, parts)
-            result = split in ([], [t]) and all(self.rowwise(p, t) for p in parts)
+            result = self.split_sorts(node) in ([], [t]) and \
+                all(self.rowwise(p, t) for p in node.parts)
         else:
             result = False
         self._rowwise[key] = result
@@ -206,9 +181,8 @@ class _Evaluator:
                 result = a.sort_k != t
             else:
                 result = False
-        elif isinstance(node, (And, OrGlobal, OrLocal)):
-            result = self.downward_closed(node.left, t) and \
-                self.downward_closed(node.right, t)
+        elif isinstance(node, Connective):
+            result = all(self.downward_closed(p, t) for p in node.parts)
         elif isinstance(node, (Exists, Forall)):
             result = self.downward_closed(node.body, t)
         else:
@@ -233,7 +207,10 @@ class _Evaluator:
         if isinstance(node, (Eq, Neq, Rel, NegRel)):
             return self.eval_literal(node, pt)
         if isinstance(node, And):
-            return self.eval(node.left, pt) and self.eval(node.right, pt)
+            for part in node.parts:
+                if not self.eval(part, pt):
+                    return False
+            return True
         if isinstance(node, (OrGlobal, OrLocal)):
             return self.eval_or(node, pt)
         if isinstance(node, Forall):
@@ -257,24 +234,24 @@ class _Evaluator:
 
     # -- disjunction ------------------------------------------------------
 
-    def split_sorts(self, node, parts):
-        touched = frozenset().union(*(self.mentioned(p) for p in parts))
+    def split_sorts(self, node):
+        touched = self.mentioned(node)
         if isinstance(node, OrLocal):
             return sorted(node.sorts & touched)
         return sorted(touched)
 
     def eval_or(self, node, pt: Polyteam) -> bool:
-        parts = _flatten_or(node)
-        split = self.split_sorts(node, parts)
+        split = self.split_sorts(node)
         if not split:
             # no sort is actually split: every part must hold as-is
-            return all(self.eval(p, pt) for p in parts)
+            return all(self.eval(p, pt) for p in node.parts)
         if len(split) == 1:
-            return self.eval_or_single(node, parts, split[0], pt)
+            return self.eval_or_single(node, split[0], pt)
         return self.eval_or_fallback(node, split, pt)
 
-    def eval_or_single(self, node, parts, t, pt: Polyteam) -> bool:
+    def eval_or_single(self, node, t, pt: Polyteam) -> bool:
         team = pt.team(t)
+        parts = node.parts
         opaque = [p for p in parts if not self.rowwise(p, t)]
         if len(opaque) > 1:
             return self.eval_or_fallback(node, [t], pt)
@@ -305,16 +282,19 @@ class _Evaluator:
         return False
 
     def eval_or_fallback(self, node, split, pt: Polyteam) -> bool:
-        def go(idx, left_pt, right_pt):
+        # each row of each split team goes to a nonempty set of the parts
+        parts = node.parts
+
+        def go(idx, pts):
             if idx == len(split):
-                return self.eval(node.left, left_pt) and self.eval(node.right, right_pt)
-            for y, z in enumerate_covers(pt.team(split[idx]),
-                                         self.config.max_split_assignments):
-                if go(idx + 1, left_pt.with_team(y), right_pt.with_team(z)):
+                return all(self.eval(p, q) for p, q in zip(parts, pts))
+            for cover in enumerate_covers(pt.team(split[idx]),
+                                          self.config.max_split_assignments, len(parts)):
+                if go(idx + 1, [q.with_team(y) for q, y in zip(pts, cover)]):
                     return True
             return False
 
-        return go(0, pt, pt)
+        return go(0, [pt] * len(parts))
 
     # -- quantifiers -------------------------------------------------------
 
@@ -385,29 +365,23 @@ class _Evaluator:
             block.append(body.var)
             body = body.body
         plain, others = [], []
-        for c in _flatten_and(body):
+        for c in body.parts if isinstance(body, And) else (body,):
             (plain if self.rowwise(c, t) else others).append(c)
         if len(others) != 1 or not isinstance(others[0], (OrGlobal, OrLocal)):
             return None
-        parts = _flatten_or(others[0])
-        if self.split_sorts(others[0], parts) != [t]:
+        disjunction = others[0]
+        if self.split_sorts(disjunction) != [t]:
             return None
-        opaque = [p for p in parts if not self.rowwise(p, t)]
+        opaque = [p for p in disjunction.parts if not self.rowwise(p, t)]
         if len(opaque) != 1 or not self.downward_closed(opaque[0], t) or \
                 set(block) & all_variables(opaque[0]):
             return None
         at_t = frozenset((t,))
-
-        def chain(*conjuncts):
-            body = functools.reduce(And, conjuncts)
-            for var in reversed(block):
-                body = Exists(var, body)
-            return body
-
-        rowwise_parts = functools.reduce(lambda a, b: OrLocal(at_t, a, b),
-                                         [p for p in parts if self.rowwise(p, t)])
-        got = OrLocal(at_t, chain(*plain, rowwise_parts),
-                      And(opaque[0], chain(*(plain or [Truth()]))))
+        rowwise_parts = [p for p in disjunction.parts if self.rowwise(p, t)]
+        rowwise = rowwise_parts[0] if len(rowwise_parts) == 1 else \
+            OrLocal(at_t, *rowwise_parts)
+        got = OrLocal(at_t, exists_chain(block, conjoin(plain + [rowwise])),
+                      And(opaque[0], exists_chain(block, conjoin(plain))))
         self._blocks[key] = got
         return got
 
@@ -432,7 +406,7 @@ class _Evaluator:
             bound.add(body.var)
             body = body.body
         guards = []
-        for c in _flatten_and(body):
+        for c in body.parts if isinstance(body, And) else (body,):
             if not isinstance(c, AtomF) or not isinstance(c.atom, PolyInc):
                 continue
             a = c.atom

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..errors import SortedDomainError
 from ..model import Polyteam, Team, value_key
@@ -14,7 +14,7 @@ from ..syntax import (
 from .enumeration import (
     enumerate_assignments, enumerate_polyteams, enumerate_structures,
 )
-from .naive import naive_atom, naive_eval, naive_polydep
+from .naive import naive_eval, naive_polydep
 
 
 def _atom_domains(atoms):

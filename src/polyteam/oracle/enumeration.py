@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..model import Assignment, Polyteam, Structure, Team, value_key
 

@@ -107,18 +107,21 @@ def naive_eval(structure: Structure, pt: Polyteam, phi, registry=None) -> bool:
         rel = structure.relation(phi.name)
         return all(s.values_of(phi.args) not in rel for s in pt.team(phi.args[0].sort).rows)
     if isinstance(phi, And):
-        return naive_eval(structure, pt, phi.left, registry) and \
-            naive_eval(structure, pt, phi.right, registry)
+        return all(naive_eval(structure, pt, p, registry) for p in phi.parts)
     if isinstance(phi, (OrGlobal, OrLocal)):
+        # the binary definition, nested to the right: parts[0] against the rest
+        left, rest = phi.parts[0], phi.parts[1:]
         if isinstance(phi, OrGlobal):
-            split = sorted(mentioned_sorts(phi.left) | mentioned_sorts(phi.right))
+            split = sorted(mentioned_sorts(phi))
+            right = rest[0] if len(rest) == 1 else OrGlobal(*rest)
         else:
             split = sorted(phi.sorts)
+            right = rest[0] if len(rest) == 1 else OrLocal(phi.sorts, *rest)
 
         def try_sorts(idx, left_pt, right_pt):
             if idx == len(split):
-                return naive_eval(structure, left_pt, phi.left, registry) and \
-                    naive_eval(structure, right_pt, phi.right, registry)
+                return naive_eval(structure, left_pt, left, registry) and \
+                    naive_eval(structure, right_pt, right, registry)
             sort = split[idx]
             for y, z in _covers(pt.team(sort)):
                 if try_sorts(idx + 1, left_pt.with_team(y), right_pt.with_team(z)):
@@ -161,9 +164,9 @@ def tarski(structure: Structure, assignment, phi) -> bool:
     if isinstance(phi, NegRel):
         return assignment.values_of(phi.args) not in structure.relation(phi.name)
     if isinstance(phi, And):
-        return tarski(structure, assignment, phi.left) and tarski(structure, assignment, phi.right)
+        return all(tarski(structure, assignment, p) for p in phi.parts)
     if isinstance(phi, OrGlobal):
-        return tarski(structure, assignment, phi.left) or tarski(structure, assignment, phi.right)
+        return any(tarski(structure, assignment, p) for p in phi.parts)
     if isinstance(phi, Exists):
         return any(tarski(structure, assignment.extended(phi.var, a), phi.body)
                    for a in structure.domain)

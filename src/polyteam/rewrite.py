@@ -43,10 +43,9 @@ from typing import Optional
 from .errors import RewriteError
 from .model import Sort, Variable
 from .syntax import (
-    And, AtomF, Eq, Exists, Forall, Formula, GeneralizedAtom, Neq, NegRel,
-    OrGlobal, OrLocal, PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth,
-    all_variables, atom_sorts, atom_variables, mentioned_sorts, walk,
-    FRESH_PREFIX,
+    And, AtomF, Eq, Exists, Forall, Formula, Neq, NegRel, OrGlobal, OrLocal,
+    PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth, all_variables, atom_sorts,
+    atom_variables, conjoin, exists_chain, mentioned_sorts, walk, FRESH_PREFIX,
 )
 
 
@@ -94,26 +93,10 @@ class FreshNameSource:
         return tuple(self.fresh(sort) for _ in range(count))
 
 
-def _exists_chain(variables, body: Formula) -> Formula:
-    for var in reversed(variables):
-        body = Exists(var, body)
-    return body
-
-
 def _forall_chain(variables, body: Formula) -> Formula:
     for var in reversed(variables):
         body = Forall(var, body)
     return body
-
-
-def _and_chain(parts) -> Formula:
-    parts = list(parts)
-    if not parts:
-        return Truth()
-    result = parts[0]
-    for p in parts[1:]:
-        result = And(result, p)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +116,7 @@ def _e2(atom: PolyDep, fresh) -> Formula:
                                   atom.sort_j, atom.u + (vk,)))
         conjuncts.append(Forall(z, OrLocal(frozenset((atom.sort_i,)),
                                            Eq(yk, z), exclusion)))
-    return _and_chain(conjuncts)
+    return conjoin(conjuncts)
 
 
 def _e3(atom: PolyInc, fresh) -> Formula:
@@ -161,14 +144,14 @@ def _e5(atom: PolyExc, fresh) -> Formula:
     v = fresh.fresh(atom.sort_j)
     w = fresh.fresh(atom.sort_j)
     dep = AtomF(PolyDep(atom.sort_i, atom.x, (y, z), atom.sort_j, atom.y, (v, w)))
-    return _exists_chain((y, z, v, w), _and_chain((dep, Eq(y, z), Neq(v, w))))
+    return exists_chain((y, z, v, w), conjoin((dep, Eq(y, z), Neq(v, w))))
 
 
 def _e6(atom: PolyExc, fresh) -> Formula:
     mirror = fresh.fresh_tuple(atom.sort_i, len(atom.y))
     inclusion = AtomF(PolyInc(atom.sort_j, atom.y, atom.sort_i, mirror))
     exclusion = AtomF(PolyExc(atom.sort_i, atom.x, atom.sort_i, mirror))
-    return _exists_chain(mirror, And(inclusion, exclusion))
+    return exists_chain(mirror, And(inclusion, exclusion))
 
 
 def _e8(atom: PolyInd, fresh) -> Formula:
@@ -193,9 +176,9 @@ def _e8(atom: PolyInd, fresh) -> Formula:
                                   AtomF(PolyExc(j, atom.a + atom.b, j, pj + rj)),
                                   AtomF(PolyInc(j, pj + qj + rj,
                                                 k, atom.u + atom.v + atom.w))))
-    body = _and_chain((transfer, left_guard, right_guard))
-    inner = _forall_chain(pj + qj + rj, _exists_chain((uj, vj), body))
-    return _forall_chain(pi + qi, _exists_chain((ui, vi), inner))
+    body = conjoin((transfer, left_guard, right_guard))
+    inner = _forall_chain(pj + qj + rj, exists_chain((uj, vj), body))
+    return _forall_chain(pi + qi, exists_chain((ui, vi), inner))
 
 
 _ATOM_RULES = {
@@ -253,12 +236,10 @@ def rewrite_formula(phi: Formula, rule: str,
             if _needs_empty_team_warning(f.atom, rule):
                 state["conditional"] = True
             return _translate(f.atom, rule, fresh)
-        if isinstance(f, And):
-            return And(go(f.left), go(f.right))
-        if isinstance(f, OrGlobal):
-            return OrGlobal(go(f.left), go(f.right))
+        if isinstance(f, (And, OrGlobal)):
+            return type(f)(*map(go, f.parts))
         if isinstance(f, OrLocal):
-            return OrLocal(f.sorts, go(f.left), go(f.right))
+            return OrLocal(f.sorts, *map(go, f.parts))
         if isinstance(f, Exists):
             return Exists(f.var, go(f.body))
         if isinstance(f, Forall):
@@ -303,23 +284,22 @@ def eliminate_global_disjunction(phi: Formula,
         body = And(chain(sorts, zs, 0, left), chain(sorts, zs, 1, right))
         bound = [z for s in sorts for z in zs[s]]
         state["expanded"] = True
-        return _exists_chain(bound, body)
+        return exists_chain(bound, body)
 
     def go(f):
         if isinstance(f, And):
-            return And(go(f.left), go(f.right))
-        if isinstance(f, OrGlobal):
-            left, right = go(f.left), go(f.right)
-            if not scope:
-                return And(left, right)  # no teams are split at all
-            if len(scope) == 1:
-                return OrLocal(scope, left, right)
-            return expand_local(scope, left, right)
-        if isinstance(f, OrLocal):
-            left, right = go(f.left), go(f.right)
-            if len(f.sorts) == 1:
-                return OrLocal(f.sorts, left, right)
-            return expand_local(f.sorts, left, right)
+            return And(*map(go, f.parts))
+        if isinstance(f, (OrGlobal, OrLocal)):
+            sorts = scope if isinstance(f, OrGlobal) else f.sorts
+            if not sorts:
+                return And(*map(go, f.parts))  # no teams are split at all
+            if len(sorts) == 1:
+                return OrLocal(sorts, *map(go, f.parts))
+            # fold the parts pairwise, in the order a left-deep chain unfolds
+            result = go(f.parts[0])
+            for part in f.parts[1:]:
+                result = expand_local(sorts, result, go(part))
+            return result
         if isinstance(f, Exists):
             return Exists(f.var, go(f.body))
         if isinstance(f, Forall):
@@ -371,12 +351,10 @@ def decompose_by_sort(phi: Formula) -> dict:
         if isinstance(f, AtomF):
             return f if _atom_sort(f.atom) == sort else Truth()
         if isinstance(f, And):
-            return And(project(f.left, sort), project(f.right, sort))
+            return And(*(project(p, sort) for p in f.parts))
         if isinstance(f, OrLocal):
-            left, right = project(f.left, sort), project(f.right, sort)
-            if sort in f.sorts:
-                return OrGlobal(left, right)
-            return And(left, right)
+            parts = [project(p, sort) for p in f.parts]
+            return OrGlobal(*parts) if sort in f.sorts else And(*parts)
         if isinstance(f, (Exists, Forall)):
             inner = project(f.body, sort)
             if f.var.sort == sort:

@@ -12,6 +12,11 @@ Concrete syntax summary (whitespace-insensitive, ``#`` starts a comment):
                      pind((xs),(as)/(us) ; (ys)/(vs) ; (bs)/(ws))
                      atom NAME((t1)(t2)...)
 
+The connectives ``And``, ``OrGlobal`` and ``OrLocal`` are n-ary: each
+constructor splices in any part of the node's own shape (for ``OrLocal``,
+the same sorts), so trees are flat and nest only at quantifiers and where
+connectives alternate.
+
 An empty variable tuple may be written ``:S`` to pin its sort explicitly;
 bare empty tuples take their sort from the surrounding atom.  Variable names
 beginning with ``_fr`` are reserved for the rewriter and rejected here.
@@ -19,8 +24,8 @@ beginning with ``_fr`` are reserved for the rewriter and rejected here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from .errors import ParseError
 from .model import Sort, Variable
@@ -165,23 +170,38 @@ class NegRel(Formula):
     args: Tuple[Variable, ...]
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+@dataclass(frozen=True, init=False)
+class Connective(Formula):
+    """At least two parts; the constructor splices in parts of the node's own shape."""
+
+    parts: Tuple[Formula, ...]
+
+    def __init__(self, *parts):
+        flat = []
+        for p in parts:
+            same = type(p) is type(self) and \
+                getattr(p, "sorts", None) == getattr(self, "sorts", None)
+            flat.extend(p.parts if same else (p,))
+        if len(flat) < 2:
+            raise TypeError(f"{type(self).__name__} needs at least two parts")
+        object.__setattr__(self, "parts", tuple(flat))
 
 
-@dataclass(frozen=True)
-class OrGlobal(Formula):
-    left: Formula
-    right: Formula
+class And(Connective):
+    pass
 
 
-@dataclass(frozen=True)
-class OrLocal(Formula):
+class OrGlobal(Connective):
+    pass
+
+
+@dataclass(frozen=True, init=False)
+class OrLocal(Connective):
     sorts: frozenset
-    left: Formula
-    right: Formula
+
+    def __init__(self, sorts, *parts):
+        object.__setattr__(self, "sorts", sorts)
+        super().__init__(*parts)
 
 
 @dataclass(frozen=True)
@@ -201,14 +221,31 @@ class AtomF(Formula):
     atom: object
 
 
+def conjoin(parts) -> Formula:
+    """The conjunction of the parts: ``true`` for none, the part itself for one."""
+    parts = tuple(parts)
+    if not parts:
+        return Truth()
+    return parts[0] if len(parts) == 1 else And(*parts)
+
+
+def exists_chain(variables, body: Formula) -> Formula:
+    """∃v1 ∃v2 … body for the variables v1, v2, … in order."""
+    for var in reversed(variables):
+        body = Exists(var, body)
+    return body
+
+
 def walk(phi: Formula):
     """Yield every node of the formula tree, preorder."""
-    yield phi
-    if isinstance(phi, (And, OrGlobal, OrLocal)):
-        yield from walk(phi.left)
-        yield from walk(phi.right)
-    elif isinstance(phi, (Exists, Forall)):
-        yield from walk(phi.body)
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Connective):
+            stack.extend(reversed(node.parts))
+        elif isinstance(node, (Exists, Forall)):
+            stack.append(node.body)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +261,8 @@ def free_variables(phi: Formula) -> dict:
             return {f.left, f.right}
         if isinstance(f, (Rel, NegRel)):
             return set(f.args)
-        if isinstance(f, (And, OrGlobal, OrLocal)):
-            return go(f.left) | go(f.right)
+        if isinstance(f, Connective):
+            return set().union(*map(go, f.parts))
         if isinstance(f, (Exists, Forall)):
             return go(f.body) - {f.var}
         if isinstance(f, AtomF):
@@ -388,13 +425,14 @@ def format_formula(phi: Formula) -> str:
         return "%s(%s)" % (phi.name, ", ".join(str(a) for a in phi.args))
     if isinstance(phi, NegRel):
         return "!%s(%s)" % (phi.name, ", ".join(str(a) for a in phi.args))
-    if isinstance(phi, And):
-        return f"({format_formula(phi.left)} /\\ {format_formula(phi.right)})"
-    if isinstance(phi, OrGlobal):
-        return f"({format_formula(phi.left)} \\/ {format_formula(phi.right)})"
-    if isinstance(phi, OrLocal):
-        sorts = ",".join(sorted(phi.sorts))
-        return f"({format_formula(phi.left)} \\/_{{{sorts}}} {format_formula(phi.right)})"
+    if isinstance(phi, Connective):
+        if isinstance(phi, And):
+            op = "/\\"
+        elif isinstance(phi, OrGlobal):
+            op = "\\/"
+        else:
+            op = "\\/_{%s}" % ",".join(sorted(phi.sorts))
+        return "(" + f" {op} ".join(map(format_formula, phi.parts)) + ")"
     if isinstance(phi, Exists):
         return f"(E {phi.var} . {format_formula(phi.body)})"
     if isinstance(phi, Forall):
@@ -557,11 +595,11 @@ class _Parser:
         return left
 
     def conjunction(self) -> Formula:
-        left = self.unit()
+        parts = [self.unit()]
         while self.peek().kind == "ANDOP":
             self.next()
-            left = And(left, self.unit())
-        return left
+            parts.append(self.unit())
+        return conjoin(parts)
 
     def unit(self) -> Formula:
         tok = self.peek()

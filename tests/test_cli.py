@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from polyteam import cli
+from polyteam.syntax import And, PolyDep, PolyInd, parse
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HOSPITAL = FIXTURES / "hospital"
@@ -133,3 +134,87 @@ def test_malformed_inputs_exit_3(capsys, tmp_path):
     assert cli.main(["check", "--formula", str(formula),
                      "--structure", str(structure)]) == 3
     assert str(structure) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("structure", [
+    '[1]', '{"relations": []}', '{"relations": {"R": 5}}', '{"domain": 5}',
+    '{"domain": [[1]]}', '{"domain": {"a": 1}}', '{"relations": {"R": [1]}}',
+    '{"relations": {"R": [[{}]]}}',
+])
+def test_malformed_structure_shapes_exit_3(capsys, tmp_path, structure):
+    path = tmp_path / "structure.json"
+    path.write_text(structure, encoding="utf-8")
+    formula = tmp_path / "phi.ptf"
+    formula.write_text("P.x = P.y", encoding="utf-8")
+    assert cli.main(["check", "--formula", str(formula), "--structure", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "lists" in err
+
+
+# ---------------------------------------------------------------------------
+# Depth and scale: a resource limit exits 2 and never reads as a verdict
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def p_team(tmp_path):
+    return write(tmp_path, "P.csv", "x,y\n0,1\n1,1\n")
+
+
+def test_deep_exists_chain_exits_2_with_depth_limit(capsys, tmp_path, p_team):
+    formula = write(tmp_path, "deep.ptf",
+                    "".join(f"E P.z{k} . " for k in range(1500)) + "P.x = P.x")
+    assert check(capsys, formula, [("P", p_team)]) == ("resource_exhausted", 2)
+    code = cli.main(["check", "--json", "--formula", str(formula), "--team", f"P={p_team}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {"verdict": "resource_exhausted", "limit": "depth",
+                                        "stats": {"nodes_visited": 0}}
+    assert captured.err == "error: the input exceeds the depth limit\n"
+
+
+def test_deep_parentheses_exit_2_with_depth_limit(capsys, tmp_path):
+    formula = write(tmp_path, "parens.ptf", "(" * 1500 + "P.x = P.y" + ")" * 1500)
+    assert cli.main(["rewrite", "--rule", "e1", "--formula", str(formula)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the input exceeds the depth limit\n"
+
+
+def test_memory_error_exits_2_with_memory_limit(capsys, monkeypatch, tmp_path, p_team):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "eval_formula", exhausted)
+    formula = write(tmp_path, "phi.ptf", "P.x = P.y")
+    code = cli.main(["check", "--json", "--formula", str(formula), "--team", f"P={p_team}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["limit"] == "memory"
+    assert captured.err == "error: the input exceeds the memory limit\n"
+
+
+def test_flat_conjunction_of_ten_thousand_literals(capsys, tmp_path, p_team):
+    formula = write(tmp_path, "and.ptf", r" /\ ".join(["P.y = P.y"] * 10_000))
+    assert check(capsys, formula, [("P", p_team)]) == ("true", 0)
+
+
+def test_flat_disjunction_of_three_thousand_literals(capsys, tmp_path, p_team):
+    # the row x=0, y=1 needs the last disjunct
+    formula = write(tmp_path, "or.ptf", " \\/ ".join(["P.x = P.y"] * 2999 + ["P.x != P.y"]))
+    assert check(capsys, formula, [("P", p_team)]) == ("true", 0)
+
+
+@pytest.mark.parametrize("rule", ["e1", "elim-or"])
+def test_rewrite_flat_conjunction_of_1200_pdep_atoms(capsys, tmp_path, rule):
+    atoms = [f"pdep(P.x{k % 7} ; P.y | Q.u{k % 5} ; Q.v)" for k in range(1200)]
+    formula = write(tmp_path, "deep.ptf", "\n/\\ ".join(atoms))
+    assert cli.main(["rewrite", "--rule", rule, "--formula", str(formula)]) == 0
+    out = parse(capsys.readouterr().out)
+    assert isinstance(out, And) and len(out.parts) == 1200
+    kind = PolyInd if rule == "e1" else PolyDep
+    assert all(isinstance(p.atom, kind) for p in out.parts)

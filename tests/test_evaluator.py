@@ -84,6 +84,21 @@ def test_enumerate_covers_counts():
     assert all(left.union(right) == two for left, right in covers)
 
 
+def test_enumerate_covers_by_k_parts():
+    rows = [row(x=0, y=0), row(x=1, y=1), row(x=0, y=1)]
+    for n in range(len(rows) + 1):
+        team = team_p(rows[:n])
+        ordered = team.ordered_rows()
+        # two parts: a row goes left, right or to both, in that order
+        pairs = [(team_p([r for r, way in zip(ordered, routing) if way != 1]),
+                  team_p([r for r, way in zip(ordered, routing) if way != 0]))
+                 for routing in itertools.product((0, 1, 2), repeat=n)]
+        assert list(enumerate_covers(team, parts=2)) == pairs
+        triples = list(enumerate_covers(team, parts=3))
+        assert len(triples) == len(set(triples)) == 7 ** n
+        assert all(a.union(b).union(c) == team for a, b, c in triples)
+
+
 def test_global_split_allows_overlap():
     # each row satisfies one disjunct; the cover routes them apart
     pt = Polyteam([team_p([row(x=0, y=0), row(x=0, y=1)])])
@@ -258,6 +273,29 @@ def test_cross_validation_against_naive_evaluator(rng):
         st = rng.choice(structures)
         pt = random_polyteam(rng, {P: (PX, PY), Q: (QU, QV)}, (0, 1))
         assert holds(st, pt, phi) == naive_eval(st, pt, phi)
+
+
+def test_k_part_fallback_matches_naive_oracle():
+    # disjunctions of 3 or 4 parts that split both sorts go to the k-way
+    # cover fallback; the oracle nests them as parts[0] against the rest
+    rng = random.Random(12)
+    sampler = FormulaSampler(tuple(FormulaSampler.LEAVES), connectives=("and", "exists"))
+    structures = list(enumerate_structures({"R": 1}, (0, 1)))
+    ev = _Evaluator(ST, NO_LIMITS, None)
+    formulas = []
+    for _ in range(40):
+        k = rng.choice((3, 3, 4))
+        parts = [AtomF(PolyInc(P, (PX,), Q, (QV,)))]
+        parts += [sampler.formula(rng, rng.randint(0, 1)) for _ in range(k - 1)]
+        rng.shuffle(parts)
+        phi = OrGlobal(*parts) if rng.random() < 0.5 else OrLocal(frozenset((P, Q)), *parts)
+        formulas.append(phi)
+        assert len(phi.parts) == k and ev.split_sorts(phi) == [P, Q]
+        st = rng.choice(structures)
+        for _ in range(3):
+            pt = random_polyteam(rng, {P: (PX, PY), Q: (QU, QV)}, (0, 1),
+                                 max_rows=2 if k == 3 else 1, min_rows=0)
+            assert holds(st, pt, phi) == naive_eval(st, pt, phi), (phi, pt)
 
 
 def test_bulk_evaluator_agrees_with_eval_formula(rng):

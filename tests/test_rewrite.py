@@ -47,7 +47,7 @@ def test_empty_team_warning_is_raised_once_per_call():
         rewrite_formula(phi, "e4")
         rewrite_formula(phi, "e6")
         rewrite_formula(phi, "e3")
-        translate_atom(phi.left.left.atom, "e4")
+        translate_atom(phi.parts[0].atom, "e4")
     assert [w.category for w in caught] == [EmptyTeamWarning] * 3
     assert [str(w.message)[:2] for w in caught] == ["e4", "e6", "e4"]
     assert all(w.filename == __file__ for w in caught)

@@ -7,7 +7,7 @@ from polyteam.model import Variable
 from polyteam.syntax import (
     And, AtomF, Eq, Exists, Forall, Neq, OrGlobal, OrLocal, PolyDep, PolyExc,
     PolyInc, PolyInd, Rel, Truth, check_well_sorted, format_formula,
-    free_variables, mentioned_sorts, parse,
+    free_variables, mentioned_sorts, parse, walk,
 )
 
 from samplers import FormulaSampler, P, PX, PY, Q, QU, QV
@@ -29,7 +29,7 @@ def test_parse_connectives_and_quantifiers():
     phi = roundtrip(r"E P.x . (P.x = P.y /\ (P.x != P.y \/ R(P.x)))")
     assert isinstance(phi, Exists)
     assert isinstance(phi.body, And)
-    assert isinstance(phi.body.right, OrGlobal)
+    assert isinstance(phi.body.parts[-1], OrGlobal)
 
 
 def test_parse_local_disjunction_sorts():
@@ -127,3 +127,35 @@ def test_roundtrip_generated_formulas():
     for _ in range(200):
         phi = sampler.formula(rng, rng.randint(0, 3))
         assert parse(format_formula(phi)) == phi
+
+
+@pytest.mark.parametrize("nested,flat", [
+    (r"P.x = P.y /\ (P.x = P.x /\ Q.u = Q.v)", r"(P.x = P.y /\ P.x = P.x) /\ Q.u = Q.v"),
+    (r"P.x = P.y \/ (P.x = P.x \/ Q.u = Q.v)", r"(P.x = P.y \/ P.x = P.x) \/ Q.u = Q.v"),
+    (r"P.x = P.y \/_{P} (P.x = P.x \/_{P} Q.u = Q.v)",
+     r"(P.x = P.y \/_{P} P.x = P.x) \/_{P} Q.u = Q.v"),
+])
+def test_associative_connectives_parse_to_one_flat_node(nested, flat):
+    phi = roundtrip(nested)
+    assert phi == roundtrip(flat)
+    assert len(phi.parts) == 3
+    assert format_formula(phi).count("(") == 1
+
+
+def test_local_disjunctions_over_other_sorts_stay_nested():
+    phi = roundtrip(r"P.x = P.y \/_{P} (P.x = P.x \/_{P,Q} Q.u = Q.v)")
+    assert len(phi.parts) == 2 and phi.parts[1].sorts == frozenset((P, Q))
+
+
+def test_sampled_connectives_are_flat():
+    sampler = FormulaSampler(tuple(FormulaSampler.LEAVES))
+    rng = random.Random(6)
+    for _ in range(300):
+        for node in walk(sampler.formula(rng, rng.randint(1, 4))):
+            if isinstance(node, (And, OrGlobal, OrLocal)):
+                assert len(node.parts) >= 2
+                assert not any(type(p) is type(node) and
+                               getattr(p, "sorts", None) == getattr(node, "sorts", None)
+                               for p in node.parts), node
+    with pytest.raises(TypeError, match="two parts"):
+        And(Eq(PX, PY))
