@@ -20,18 +20,16 @@ from .syntax import GeneralizedAtom, PolyDep, PolyExc, PolyInc, PolyInd
 # Built-in atom checkers
 
 def check_polydep(structure: Structure, pt: Polyteam, atom: PolyDep) -> bool:
-    xi = pt.team(atom.sort_i)
-    xj = pt.team(atom.sort_j)
     index = {}
-    for key in xj.relation(atom.u + atom.v):
+    for key in pt.team(atom.sort_j).relation(atom.u + atom.v):
         ante, cons = key[:len(atom.u)], key[len(atom.u):]
         index.setdefault(ante, set()).add(cons)
-    for row in xi.rows:
-        seen = index.get(row.values_of(atom.x))
+    for key in pt.team(atom.sort_i).relation(atom.x + atom.y):
+        seen = index.get(key[:len(atom.x)])
         if seen is None:
             continue
-        mine = row.values_of(atom.y)
-        if any(other != mine for other in seen):
+        mine = key[len(atom.x):]
+        if len(seen) > 1 or mine not in seen:
             return False
     return True
 
@@ -48,18 +46,14 @@ def check_polyexc(structure: Structure, pt: Polyteam, atom: PolyExc) -> bool:
 
 
 def check_polyind(structure: Structure, pt: Polyteam, atom: PolyInd) -> bool:
-    xi = pt.team(atom.sort_i)
-    xj = pt.team(atom.sort_j)
-    xk = pt.team(atom.sort_k)
-    witnesses = xk.relation(atom.u + atom.v + atom.w)
+    witnesses = pt.team(atom.sort_k).relation(atom.u + atom.v + atom.w)
     index = {}
-    for key in xj.relation(atom.a + atom.b):
+    for key in pt.team(atom.sort_j).relation(atom.a + atom.b):
         index.setdefault(key[:len(atom.a)], set()).add(key[len(atom.a):])
-    for row in xi.rows:
-        bs = index.get(row.values_of(atom.x))
+    for head in pt.team(atom.sort_i).relation(atom.x + atom.y):
+        bs = index.get(head[:len(atom.x)])
         if not bs:
             continue
-        head = row.values_of(atom.x) + row.values_of(atom.y)
         for b_val in bs:
             if head + b_val not in witnesses:
                 return False

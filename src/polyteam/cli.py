@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import warnings
@@ -26,7 +27,7 @@ from .atoms import AtomRegistry, compile_embedded_dependency, parse_embedded_dep
 from .errors import ParseError, PolyteamError
 from .evaluator import EXHAUSTED, TRUE, EvalConfig, eval_formula
 from .implication import decide, replay_trace
-from .model import Assignment, Polyteam, Structure, Team, Variable
+from .model import Polyteam, Structure, Team, Variable
 from .oracle import equivalent, find_semantic_counterexample
 from .oracle.checks import evaluator_backed
 from .rewrite import (
@@ -69,9 +70,8 @@ def load_team_csv(path, sort) -> Team:
             if len(cells) != len(header):
                 raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, "
                                  f"got {len(cells)}")
-            rows.add(tuple(c.strip() for c in cells))
-        return Team(sort, variables,
-                    (Assignment(zip(variables, row)) for row in rows))
+            rows.add(tuple(map(str.strip, cells)))
+        return Team.from_tuples(sort, variables, rows)
 
 
 def load_structure_json(path) -> dict:
@@ -98,8 +98,7 @@ def assemble_structure(spec: dict, teams) -> Structure:
         for t in relations[name]:
             values.update(t)
     for team in teams:
-        for row in team.rows:
-            values.update(row.values())
+        values.update(itertools.chain.from_iterable(team.tuples))
     if not values:
         raise ParseError("empty domain: declare a domain, relations, or rows")
     return Structure(values, relations)
@@ -146,7 +145,7 @@ def load_atoms_file(path):
 def _team_json(team: Team) -> dict:
     return {
         "domain": [v.name for v in team.domain],
-        "rows": [[row[v] for v in team.domain] for row in team.ordered_rows()],
+        "rows": [list(row) for row in team.ordered_tuples()],
     }
 
 

@@ -89,7 +89,7 @@ def enumerate_covers(team: Team, cap: Optional[int] = None, parts: int = 2):
     Each row goes to a nonempty set of the subteams; with two parts, to the
     left, the right or both, in that order.
     """
-    rows = team.ordered_rows()
+    rows = team.ordered_tuples()
     if cap is not None and len(rows) > cap:
         raise ResourceExhausted("split")
     for routing in itertools.product(range(1, 1 << parts), repeat=len(rows)):
@@ -224,13 +224,16 @@ class _Evaluator:
     def eval_literal(self, node, pt: Polyteam) -> bool:
         if isinstance(node, (Eq, Neq)):
             team = pt.team(node.left.sort)
-            want_equal = isinstance(node, Eq)
-            return all((row[node.left] == row[node.right]) == want_equal
-                       for row in team.rows)
+            pairs = map(team.projector((node.left, node.right)), team.tuples)
+            if isinstance(node, Eq):
+                return all(a == b for a, b in pairs)
+            return all(a != b for a, b in pairs)
         rel = self.structure.relation(node.name)
         team = pt.team(node.args[0].sort)
-        inside = isinstance(node, Rel)
-        return all((row.values_of(node.args) in rel) == inside for row in team.rows)
+        values = map(team.projector(node.args), team.tuples)
+        if isinstance(node, Rel):
+            return rel.issuperset(values)
+        return rel.isdisjoint(values)
 
     # -- disjunction ------------------------------------------------------
 
@@ -259,7 +262,7 @@ class _Evaluator:
         empty = pt.with_team(team.with_rows(()))
         if not all(self.eval(p, empty) for p in rowwise_parts):
             return False
-        rows = team.ordered_rows()
+        rows = team.ordered_tuples()
         accepts = []
         for row in rows:
             single = pt.with_team(team.with_rows((row,)))
@@ -309,37 +312,31 @@ class _Evaluator:
         t = node.var.sort
         team = pt.team(t)
         domain = self.structure.domain
-        new_domain = team.domain_with(node.var)
         if team.is_empty:
-            return self.eval(node.body,
-                             pt.with_team(Team._trusted(t, new_domain, frozenset())))
+            return self.eval(node.body, pt.with_team(team.expanded_all(node.var, ())))
         if len(team) * len(domain) > self.config.max_expanded_team_rows:
             raise ResourceExhausted("expansion")
         if self.rowwise(node.body, t):
-            empty = Team._trusted(t, new_domain, frozenset())
-            if not self.eval(node.body, pt.with_team(empty)):
+            if not self.eval(node.body, pt.with_team(team.expanded_all(node.var, ()))):
                 return False
-            witnesses = self.guarded_witnesses(node, pt)
-            for row in team.ordered_rows():
+            witnesses = self.witness_picker(node, pt)
+            extend = team.extender(node.var)
+            for row in team.ordered_tuples():
                 values = domain if witnesses is None else witnesses(row)
-                if not any(self.eval(node.body,
-                                     pt.with_team(Team._trusted(
-                                         t, new_domain,
-                                         frozenset((row.extended(node.var, a),)))))
+                if not any(self.eval(node.body, pt.with_team(extend(row, a)))
                            for a in values):
                     return False
             return True
         rewritten = self.block_disjunction(node)
         if rewritten is not None:
             return self.eval(rewritten, pt)
-        rows = team.ordered_rows()
+        rows = team.ordered_tuples()
         # per row, a set of values for x: single values suffice when the
         # body is downward-closed at t, else every nonempty subset is tried
         sizes = [1] if self.downward_closed(node.body, t) else range(1, len(domain) + 1)
         choices = [c for size in sizes for c in itertools.combinations(domain, size)]
         for combo in itertools.product(choices, repeat=len(rows)):
-            chosen = Team._trusted(t, new_domain, frozenset(
-                r.extended(node.var, a) for r, values in zip(rows, combo) for a in values))
+            chosen = team.expanded_choice(node.var, dict(zip(rows, combo)).__getitem__)
             if self.eval(node.body, pt.with_team(chosen)):
                 return True
         return False
@@ -422,19 +419,21 @@ class _Evaluator:
         self._guards[id(node)] = got
         return got
 
-    def guarded_witnesses(self, node, pt: Polyteam):
+    def witness_picker(self, node, pt: Polyteam):
         """Per-row candidate values for the row-wise ∃x branch, or None.
 
         On a one-row team {s} the existential chain keeps the team nonempty
         and leaves the sort-j team as it is, so a guard pinc(x̄ | ȳ) can hold
         only if s[a/x](x̄) ∈ rel(X_j, ȳ).  Hash-joining each guard's relation
         on the other variables of x̄ leaves, per row, just the values a every
-        guard admits, in domain order.
+        guard admits, in domain order.  The result maps a row tuple of the
+        sort-t team to those values.
 
         Call it only after B held on the empty sort-t team: that evaluated
         every guard, so the variables of x̄ and ȳ are known to lie in the
         team domains.
         """
+        team = pt.team(node.var.sort)
         indexes = []
         for atom, at_x, at_keys, keys in self.inclusion_guards(node):
             index = {}
@@ -444,20 +443,28 @@ class _Evaluator:
                         any(values[k] != a for k in at_x[1:]):
                     continue
                 index.setdefault(tuple(values[k] for k in at_keys), set()).add(a)
-            indexes.append((keys, index))
+            indexes.append((team.projector(keys), index))
         if not indexes:
             return None
 
         def witnesses(row):
             allowed = None
-            for keys, index in indexes:
-                got = index.get(row.values_of(keys))
+            for project, index in indexes:
+                got = index.get(project(row))
                 if not got:
                     return ()
                 allowed = got if allowed is None else allowed & got
             return sorted(allowed, key=value_key)
 
         return witnesses
+
+    def guarded_witnesses(self, node, pt: Polyteam):
+        """``witness_picker`` read on rows given as Assignments, or None."""
+        pick = self.witness_picker(node, pt)
+        if pick is None:
+            return None
+        domain = pt.team(node.var.sort).domain
+        return lambda row: pick(row.values_of(domain))
 
 
 def eval_formula(structure: Structure, pt: Polyteam, phi: Formula,

@@ -5,6 +5,20 @@ all of a single sort.  A polyteam maps sorts to teams; sorts absent from the
 map denote the singleton team containing only the empty assignment, so that
 reading any sort from a polyteam never fails.  All values here are immutable
 after construction and safe to share across concurrent evaluations.
+
+Layout.  A ``Team`` holds its sort, its canonical domain (the variables in
+sorted order) and ``tuples``: a frozenset of value tuples, each aligned
+position by position with the domain.  Only this module reads a row tuple
+by position; everyone else goes through ``relation`` (rel(X, x̄), kept per
+variable tuple on the team), ``projector``, ``extender`` and the other team
+operations, which all take and give row tuples.
+
+Assignments are built on demand only.  ``Team(sort, domain, rows)`` takes
+Assignments and ``rows``, ``ordered_rows()`` and iteration give them back;
+the naive oracle, implication's counterexamples, the benchmark's answer
+checks and the tests use that API.  The CSV loader builds teams straight
+from value tuples with ``Team.from_tuples``, and the evaluator and the atom
+checkers never see an Assignment.
 """
 
 from __future__ import annotations
@@ -12,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Union
 
 from .errors import InvalidChoiceError, SortedDomainError
@@ -110,45 +125,79 @@ class Assignment(Mapping):
 EMPTY_ASSIGNMENT = Assignment()
 
 
+def _assignment(domain: tuple, row: tuple) -> Assignment:
+    return Assignment._trusted(dict(zip(domain, row)))
+
+
+def _getter(positions: tuple) -> Callable[[tuple], tuple]:
+    """Row tuple -> the tuple of its values at ``positions``, in that order."""
+    if len(positions) == 1:
+        k = positions[0]
+        return lambda row: (row[k],)
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
+
+
 class Team:
     """A set of assignments over a fixed single-sorted variable domain.
 
     The empty team (no rows) is legal for any domain and is distinct from
-    the singleton team containing the empty assignment.
+    the singleton team containing the empty assignment.  Rows are stored as
+    value tuples aligned with ``domain`` (see the module docstring).
     """
 
-    __slots__ = ("sort", "domain", "rows", "_hash")
+    __slots__ = ("sort", "domain", "tuples", "_hash", "_relations", "_rows")
 
     def __init__(self, sort: Sort, domain: Iterable[Variable], rows: Iterable[Assignment] = ()):
-        domain = tuple(sorted(set(domain)))
-        for v in domain:
-            if v.sort != sort:
-                raise SortedDomainError(f"variable {v} in domain of a {sort!r}-team")
-        rows = frozenset(rows)
+        domain = _checked_domain(sort, domain)
         dom_set = set(domain)
+        tuples = set()
         for row in rows:
             if set(row) != dom_set:
                 raise SortedDomainError(
                     f"row domain {sorted(map(str, row))} differs from team domain "
                     f"{[str(v) for v in domain]}"
                 )
-        object.__setattr__(self, "sort", sort)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", hash((sort, domain, rows)))
+            tuples.add(row.values_of(domain))
+        self._fill(sort, domain, frozenset(tuples))
 
     @classmethod
-    def _trusted(cls, sort, domain: tuple, rows: frozenset) -> "Team":
-        """Internal constructor for already-canonical, already-valid parts."""
+    def from_tuples(cls, sort: Sort, variables: Iterable[Variable],
+                    rows: Iterable[tuple]) -> "Team":
+        """A team from value tuples aligned with ``variables``, in any order.
+
+        The variables must be distinct; each row needs one value per
+        variable.  The rows are reordered into the canonical domain order.
+        """
+        variables = tuple(variables)
+        domain = _checked_domain(sort, variables)
+        if len(domain) != len(variables):
+            raise SortedDomainError(f"repeated variables in {[str(v) for v in variables]}")
+        rows = frozenset(rows)
+        if rows and set(map(len, rows)) != {len(domain)}:
+            raise SortedDomainError(f"rows must have {len(domain)} values each")
+        if variables != domain:
+            rows = frozenset(map(_getter(tuple(map(variables.index, domain))), rows))
+        return cls._trusted(sort, domain, rows)
+
+    @classmethod
+    def _trusted(cls, sort, domain: tuple, tuples: frozenset) -> "Team":
+        """Internal constructor for a canonical domain and rows aligned with it."""
         self = object.__new__(cls)
-        object.__setattr__(self, "sort", sort)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", hash((sort, domain, rows)))
+        self._fill(sort, domain, tuples)
         return self
 
-    def with_rows(self, rows) -> "Team":
-        """Same sort and domain, different row set (rows must fit the domain)."""
+    def _fill(self, sort, domain, tuples):
+        object.__setattr__(self, "sort", sort)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "tuples", tuples)
+        object.__setattr__(self, "_hash", hash((sort, domain, tuples)))
+        object.__setattr__(self, "_relations", None)
+        object.__setattr__(self, "_rows", None)
+
+    def with_rows(self, rows: Iterable[tuple]) -> "Team":
+        """Same sort and domain, different row tuples (aligned with the domain)."""
         return Team._trusted(self.sort, self.domain, frozenset(rows))
 
     def __setattr__(self, *_):
@@ -156,28 +205,42 @@ class Team:
 
     def __eq__(self, other):
         if isinstance(other, Team):
-            return (self.sort, self.domain, self.rows) == (other.sort, other.domain, other.rows)
+            return (self.sort, self.domain, self.tuples) == \
+                (other.sort, other.domain, other.tuples)
         return NotImplemented
 
     def __hash__(self):
         return self._hash
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.tuples)
 
     def __iter__(self):
         return iter(self.ordered_rows())
 
     def __repr__(self):
-        return f"Team({self.sort!r}, {[str(v) for v in self.domain]}, {len(self.rows)} rows)"
+        return f"Team({self.sort!r}, {[str(v) for v in self.domain]}, {len(self.tuples)} rows)"
 
     @property
     def is_empty(self) -> bool:
-        return not self.rows
+        return not self.tuples
+
+    @property
+    def rows(self) -> frozenset:
+        """The rows as Assignments, built on first use and kept."""
+        got = self._rows
+        if got is None:
+            got = frozenset(_assignment(self.domain, row) for row in self.tuples)
+            object.__setattr__(self, "_rows", got)
+        return got
+
+    def ordered_tuples(self) -> tuple:
+        """Row tuples in the canonical deterministic order."""
+        return tuple(sorted(self.tuples, key=lambda row: tuple(map(value_key, row))))
 
     def ordered_rows(self) -> tuple:
-        """Rows in the canonical deterministic order."""
-        return tuple(sorted(self.rows, key=lambda r: tuple(map(value_key, r.values_of(self.domain)))))
+        """Rows as Assignments in the canonical deterministic order."""
+        return tuple(_assignment(self.domain, row) for row in self.ordered_tuples())
 
     def domain_with(self, *variables: Variable) -> tuple:
         """The canonical domain tuple extended by the given variables."""
@@ -189,6 +252,49 @@ class Team:
             return self.domain
         return tuple(sorted(self.domain + tuple(extra)))
 
+    def _extension(self, var: Variable):
+        """The domain with var, and (row, a) -> the row tuple of s(a/x) on it."""
+        domain = self.domain_with(var)
+        k = domain.index(var)
+        rest = k + 1 if var in self.domain else k
+        return domain, lambda row, a: row[:k] + (a,) + row[rest:]
+
+    def _positions(self, variables: tuple) -> tuple:
+        """Where each variable sits in a row tuple; all must be in the domain."""
+        try:
+            return tuple(map(self.domain.index, variables))
+        except ValueError:
+            missing = set(variables) - set(self.domain)
+            raise SortedDomainError(
+                f"variables {sorted(map(str, missing))} outside team domain") from None
+
+    def _projection(self, positions: tuple) -> frozenset:
+        if len(positions) == 1:
+            # one-tuples straight from the column, with no Python call per row
+            return frozenset(zip(map(itemgetter(positions[0]), self.tuples)))
+        return frozenset(map(_getter(positions), self.tuples))
+
+    def projector(self, variables: Iterable[Variable]) -> Callable[[tuple], tuple]:
+        """The map s -> s(x̄) from this team's row tuples to value tuples."""
+        return _getter(self._positions(tuple(variables)))
+
+    def relation(self, variables: Iterable[Variable]) -> frozenset:
+        """rel(X, x̄): the set of value tuples s(x̄) for s in the team.
+
+        Teams are immutable, so each result is kept per variable tuple;
+        two threads racing on a new tuple at worst compute it twice.
+        """
+        variables = tuple(variables)
+        cache = self._relations
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_relations", cache)
+        got = cache.get(variables)
+        if got is None:
+            got = self._projection(self._positions(variables))
+            cache[variables] = got
+        return got
+
     def restricted(self, variables: Iterable[Variable]) -> "Team":
         """Projection onto a sub-domain, collapsing duplicate rows."""
         variables = tuple(sorted(set(variables)))
@@ -197,48 +303,59 @@ class Team:
             raise SortedDomainError(
                 f"restriction to {sorted(map(str, missing))} outside team domain"
             )
-        rows = frozenset(row.restricted(variables) for row in self.rows)
-        return Team._trusted(self.sort, variables, rows)
+        return Team._trusted(self.sort, variables,
+                             self._projection(tuple(map(self.domain.index, variables))))
 
     def expanded_all(self, var: Variable, values: Iterable[Value]) -> "Team":
         """X[A/x]: every row extended with every value of A at x."""
         values = tuple(values)
-        new_domain = self.domain_with(var)
-        rows = frozenset(row.extended(var, a) for row in self.rows for a in values)
-        return Team._trusted(self.sort, new_domain, rows)
+        domain, extend = self._extension(var)
+        rows = frozenset(extend(row, a) for row in self.tuples for a in values)
+        return Team._trusted(self.sort, domain, rows)
 
-    def expanded_choice(self, var: Variable, choice: Callable[[Assignment], Iterable[Value]]) -> "Team":
-        """X[F/x]: each row extended with its own nonempty value set F(s)."""
-        new_domain = self.domain_with(var)
+    def expanded_choice(self, var: Variable, choice: Callable[[tuple], Iterable[Value]]) -> "Team":
+        """X[F/x]: each row extended with its own nonempty value set F(s).
+
+        F receives each row as its value tuple, aligned with the domain.
+        """
+        domain, extend = self._extension(var)
         new_rows = set()
-        for row in self.rows:
+        for row in self.tuples:
             values = tuple(choice(row))
             if not values:
-                raise InvalidChoiceError(f"empty choice set at row {row!r}")
-            new_rows.update(row.extended(var, a) for a in values)
-        return Team._trusted(self.sort, new_domain, frozenset(new_rows))
+                raise InvalidChoiceError(
+                    f"empty choice set at row {_assignment(self.domain, row)!r}")
+            new_rows.update(extend(row, a) for a in values)
+        return Team._trusted(self.sort, domain, frozenset(new_rows))
+
+    def extender(self, var: Variable) -> Callable[[tuple, Value], "Team"]:
+        """The one-row extension (s, a) -> {s(a/x)}, for row tuples s of this team."""
+        sort = self.sort
+        domain, extend = self._extension(var)
+        return lambda row, a: Team._trusted(sort, domain, frozenset((extend(row, a),)))
 
     def union(self, other: "Team") -> "Team":
         if self.sort != other.sort or self.domain != other.domain:
             raise SortedDomainError(
                 f"union of teams with different sorts/domains: {self!r} vs {other!r}"
             )
-        return Team(self.sort, self.domain, self.rows | other.rows)
+        return Team._trusted(self.sort, self.domain, self.tuples | other.tuples)
 
     def is_subteam_of(self, other: "Team") -> bool:
         if self.sort != other.sort or self.domain != other.domain:
             raise SortedDomainError(
                 f"subteam check on different sorts/domains: {self!r} vs {other!r}"
             )
-        return self.rows <= other.rows
+        return self.tuples <= other.tuples
 
-    def relation(self, variables: Iterable[Variable]) -> frozenset:
-        """rel(X, x̄): the set of value tuples s(x̄) for s in the team."""
-        variables = tuple(variables)
-        if not set(variables) <= set(self.domain):
-            missing = set(variables) - set(self.domain)
-            raise SortedDomainError(f"variables {sorted(map(str, missing))} outside team domain")
-        return frozenset(row.values_of(variables) for row in self.rows)
+
+def _checked_domain(sort: Sort, variables: Iterable[Variable]) -> tuple:
+    """The canonical domain tuple: sorted, duplicate-free, all of ``sort``."""
+    domain = tuple(sorted(set(variables)))
+    for v in domain:
+        if v.sort != sort:
+            raise SortedDomainError(f"variable {v} in domain of a {sort!r}-team")
+    return domain
 
 
 @lru_cache(maxsize=None)

@@ -579,20 +579,35 @@ class _Parser:
     # -- formulas
 
     def formula(self) -> Formula:
+        # each run of one operator (for \/_{…}, one sort set) becomes one
+        # node, and runs group to the left: a \/ b \/_{P} c is
+        # OrLocal({P}, OrGlobal(a, b), c)
         left = self.conjunction()
-        while self.peek().kind in ("OROP", "ORLOCAL"):
-            tok = self.next()
-            if tok.kind == "OROP":
-                left = OrGlobal(left, self.conjunction())
-            else:
-                self.expect("LBRACE")
-                sorts = {self.expect("IDENT").text}
-                while self.peek().kind == "COMMA":
-                    self.next()
-                    sorts.add(self.expect("IDENT").text)
-                self.expect("RBRACE")
-                left = OrLocal(frozenset(sorts), left, self.conjunction())
+        op = self.disjunction_operator()
+        while op is not None:
+            run, parts = op, [left]
+            while op == run:
+                parts.append(self.conjunction())
+                op = self.disjunction_operator()
+            left = OrGlobal(*parts) if run == "OROP" else OrLocal(run, *parts)
         return left
+
+    def disjunction_operator(self):
+        r"""Consume the next \/ ("OROP") or \/_{…} (its sort set); None if neither."""
+        tok = self.peek()
+        if tok.kind == "OROP":
+            self.next()
+            return "OROP"
+        if tok.kind != "ORLOCAL":
+            return None
+        self.next()
+        self.expect("LBRACE")
+        sorts = {self.expect("IDENT").text}
+        while self.peek().kind == "COMMA":
+            self.next()
+            sorts.add(self.expect("IDENT").text)
+        self.expect("RBRACE")
+        return frozenset(sorts)
 
     def conjunction(self) -> Formula:
         parts = [self.unit()]

@@ -218,3 +218,51 @@ def test_rewrite_flat_conjunction_of_1200_pdep_atoms(capsys, tmp_path, rule):
     assert isinstance(out, And) and len(out.parts) == 1200
     kind = PolyInd if rule == "e1" else PolyDep
     assert all(isinstance(p.atom, kind) for p in out.parts)
+
+
+# ---------------------------------------------------------------------------
+# The CSV loader builds teams from value tuples in the header's column order
+
+def test_loader_maps_unsorted_header_columns_to_their_variables(tmp_path):
+    table = write(tmp_path, "T.csv", "team,employee\nt1,e1\nt2,e2\n")
+    team = cli.load_team_csv(table, "T")
+    employee, team_var = team.domain
+    assert (employee.name, team_var.name) == ("employee", "team")
+    assert [dict((v.name, s[v]) for v in s) for s in team.ordered_rows()] == \
+        [{"team": "t1", "employee": "e1"}, {"team": "t2", "employee": "e2"}]
+    assert team.relation((team_var,)) == {("t1",), ("t2",)}
+
+
+def test_loader_collapses_duplicates_and_skips_blank_lines(tmp_path):
+    table = write(tmp_path, "T.csv", "team,employee\n\nt1, e1\nt1,e1\n\n t2 ,e2\n")
+    team = cli.load_team_csv(table, "T")
+    assert len(team) == 2
+    assert {tuple(s.values()) for s in team.rows} == {("e1", "t1"), ("e2", "t2")}
+
+
+def test_ragged_row_in_an_unsorted_table_exits_3(capsys, tmp_path):
+    table = write(tmp_path, "T.csv", "team,employee\nt1,e1\nt2\n")
+    formula = write(tmp_path, "phi.ptf", "T.team = T.team")
+    assert cli.main(["check", "--formula", str(formula), "--team", str(table)]) == 3
+    assert f"{table}:3: expected 2 cells, got 1" in capsys.readouterr().err
+
+
+def reversed_columns(source, target):
+    lines = source.read_text(encoding="utf-8").splitlines()
+    target.write_text("".join(",".join(reversed(line.split(","))) + "\n" for line in lines),
+                      encoding="utf-8")
+    return target
+
+
+@pytest.mark.parametrize("employees", ["employees.csv", "employees_empty.csv"])
+def test_workforce_verdict_does_not_depend_on_column_order(capsys, tmp_path, employees):
+    names = [("P", "projects.csv"), ("T", "teams.csv"), ("E", employees)]
+    argv = ["check", "--json", "--formula", str(WORKFORCE / "join_atom.ptf")]
+    original = argv + [a for sort, name in names for a in ("--team", f"{sort}={WORKFORCE / name}")]
+    reordered = argv + [a for sort, name in names for a in (
+        "--team", f"{sort}={reversed_columns(WORKFORCE / name, tmp_path / name)}")]
+    code = cli.main(original)
+    expected = capsys.readouterr().out
+    assert (tmp_path / employees).read_text().startswith("project,team,employee")
+    assert cli.main(reordered) == code
+    assert capsys.readouterr().out == expected

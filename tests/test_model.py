@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyteam.errors import InvalidChoiceError, SortedDomainError
 from polyteam.model import (
     Assignment, Polyteam, Structure, Team, Variable, polyteam_restrict,
-    polyteam_union, singleton_empty_team, subteam_of,
+    polyteam_union, singleton_empty_team, subteam_of, value_key,
 )
 
 from samplers import P, PX, PY, Q, QU, assignments
@@ -177,3 +179,94 @@ def test_structure_invariants():
     assert st_.arity("R") == 2
     with pytest.raises(SortedDomainError):
         st_.relation("missing")
+
+
+# ---------------------------------------------------------------------------
+# The columnar team against a reference computed from its Assignment rows
+
+PZ = Variable(P, "z")
+MIXED = (0, 1, 10, 9, "a", "B")
+
+
+def sampled_teams(rng):
+    """Seeded teams over sub-domains of {x, y, z}, the empty team and the default."""
+    yield singleton_empty_team(P)
+    yield Team(P, (PX, PY), ())
+    for _ in range(40):
+        domain = tuple(rng.sample((PX, PY, PZ), rng.randint(0, 3)))
+        pool = assignments(domain, rng.sample(MIXED, 3))
+        yield Team(P, domain, rng.sample(pool, rng.randint(0, min(5, len(pool)))))
+
+
+def reference_order(team):
+    return tuple(sorted(team.rows, key=lambda s: tuple(value_key(s[v]) for v in team.domain)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_columnar_team_matches_the_assignment_reference(seed):
+    rng = random.Random(seed)
+    for team in sampled_teams(rng):
+        rows = team.rows
+        domain = team.domain
+        assert all(isinstance(s, Assignment) and set(s) == set(domain) for s in rows)
+        assert len(rows) == len(team)
+        assert team.ordered_rows() == reference_order(team)
+        assert tuple(team) == team.ordered_rows()
+        # equality and hash: rebuilt from shuffled Assignments, or from tuples
+        # in a shuffled column order
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        again = Team(P, reversed(domain), shuffled)
+        assert again == team and hash(again) == hash(team)
+        columns = list(domain)
+        rng.shuffle(columns)
+        from_tuples = Team.from_tuples(P, columns, [s.values_of(columns) for s in rows])
+        assert from_tuples == team and hash(from_tuples) == hash(team)
+        for size in range(len(domain) + 1):
+            variables = tuple(rng.choice(domain) for _ in range(size)) if domain else ()
+            assert team.relation(variables) == frozenset(s.values_of(variables) for s in rows)
+            kept = tuple(rng.sample(domain, size))
+            assert team.restricted(kept) == Team(P, kept, [s.restricted(kept) for s in rows])
+        values = tuple(rng.sample(MIXED, rng.randint(0, 3)))
+        for var in (PX, PZ):
+            assert team.expanded_all(var, values) == Team(
+                P, set(domain) | {var}, [s.extended(var, a) for s in rows for a in values])
+            picks = {s: rng.sample(MIXED, rng.randint(1, 2)) for s in rows}
+            by_tuple = {s.values_of(domain): vs for s, vs in picks.items()}
+            assert team.expanded_choice(var, by_tuple.__getitem__) == Team(
+                P, set(domain) | {var}, [s.extended(var, a) for s, vs in picks.items()
+                                         for a in vs])
+        chosen = [s for s in rows if rng.random() < 0.5]
+        part = team.with_rows(s.values_of(domain) for s in chosen)
+        assert part == Team(P, domain, chosen)
+        other = Team(P, domain, [s for s in rows if rng.random() < 0.5])
+        assert part.union(other) == Team(P, domain, set(chosen) | other.rows)
+        assert part.is_subteam_of(team)
+
+
+def test_mixed_values_order_by_type_name_then_text():
+    team = Team.from_tuples(P, (PY, PX), [(1, "b"), (10, "b"), (9, "b"), ("B", 1), ("a", 1)])
+    assert [s.values_of((PX, PY)) for s in team.ordered_rows()] == \
+        [(1, "B"), (1, "a"), ("b", 1), ("b", 10), ("b", 9)]
+
+
+def test_from_tuples_rejects_bad_rows():
+    with pytest.raises(SortedDomainError):
+        Team.from_tuples(P, (PX, PY), [(0,)])
+    with pytest.raises(SortedDomainError):
+        Team.from_tuples(P, (PX, PX), [(0, 0)])
+    with pytest.raises(SortedDomainError):
+        Team.from_tuples(P, (PX, QU), [(0, 0)])
+
+
+def test_relation_is_kept_per_team_and_not_inherited_by_slices():
+    team = Team(P, (PX, PY), assignments((PX, PY), (0, 1)))
+    first = team.relation((PX,))
+    assert team.relation((PX,)) is first
+    assert team.relation([PX]) is first
+    assert first == {(0,), (1,)}
+    one_row = team.with_rows([(1, 0)])
+    assert one_row.relation((PX,)) == {(1,)}
+    assert team.relation((PX,)) is first
+    with pytest.raises(SortedDomainError):
+        team.relation((QU,))

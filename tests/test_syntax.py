@@ -159,3 +159,62 @@ def test_sampled_connectives_are_flat():
                                for p in node.parts), node
     with pytest.raises(TypeError, match="two parts"):
         And(Eq(PX, PY))
+
+
+# ---------------------------------------------------------------------------
+# Disjunction chains: one node per run of one operator, grouped to the left
+
+def count_constructions(monkeypatch, cls):
+    """Count the nodes of exactly ``cls`` built while the patch is active."""
+    built = []
+    original = cls.__init__
+
+    def counting(self, *args):
+        if type(self) is cls:
+            built.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("op,cls", [(r" \/ ", OrGlobal), (r" \/_{P} ", OrLocal)])
+def test_flat_disjunction_builds_one_node(monkeypatch, op, cls):
+    text = op.join(f"P.x{k} = P.y" for k in range(500))
+    built = count_constructions(monkeypatch, cls)
+    phi = parse(text)
+    assert len(built) == 1 and built[0] is phi
+    assert len(phi.parts) == 500
+
+
+def test_mixed_disjunction_runs_group_to_the_left():
+    a, b, c = Eq(PX, PY), Neq(PX, PY), Eq(PY, PY)
+    assert parse(r"P.x = P.y \/ P.x != P.y \/_{P} P.y = P.y") == \
+        OrLocal(frozenset((P,)), OrGlobal(a, b), c)
+    assert parse(r"P.x = P.y \/_{P,Q} P.x != P.y \/_{Q,P} P.y = P.y") == \
+        OrLocal(frozenset((P, Q)), a, b, c)
+    assert parse(r"P.x = P.y \/_{P} P.x != P.y \/_{Q} P.y = P.y \/_{P} P.x = P.y") == \
+        OrLocal(frozenset((P,)),
+                OrLocal(frozenset((Q,)), OrLocal(frozenset((P,)), a, b), c), a)
+
+
+def binary_fold(units, operators):
+    """The tree a left-to-right binary fold of the chain builds, one operator at a time."""
+    phi = units[0]
+    for op, unit in zip(operators, units[1:]):
+        phi = OrGlobal(phi, unit) if op is None else OrLocal(op, phi, unit)
+    return phi
+
+
+def test_disjunction_chains_of_sampled_formulas_match_the_binary_fold():
+    sampler = FormulaSampler(tuple(FormulaSampler.LEAVES))
+    choices = [None, frozenset((P,)), frozenset((Q,)), frozenset((P, Q))]
+    rng = random.Random(11)
+    for _ in range(150):
+        units = [sampler.formula(rng, rng.randint(0, 2)) for _ in range(rng.randint(2, 7))]
+        operators = [rng.choice(choices) for _ in units[1:]]
+        text = f"({format_formula(units[0])})"
+        for op, unit in zip(operators, units[1:]):
+            shown = r"\/" if op is None else r"\/_{" + ",".join(rng.sample(sorted(op), len(op))) + "}"
+            text += f" {shown} ({format_formula(unit)})"
+        assert parse(text) == binary_fold(units, operators)
