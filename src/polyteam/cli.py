@@ -130,7 +130,12 @@ def load_atoms_file(path):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        phi = parse(stripped)
+        try:
+            phi = parse(stripped)
+        except ParseError as err:
+            # a stripped line holds no newline: shift the column past its indent
+            col = err.col + len(raw) - len(raw.lstrip())
+            raise ParseError(f"{path}:{lineno}:{col}: {err.reason}") from None
         if not isinstance(phi, AtomF) or not isinstance(phi.atom, PolyDep):
             raise ParseError(f"{path}:{lineno}: expected one pdep atom per line")
         lines.append(phi.atom)

@@ -17,6 +17,7 @@ class ParseError(PolyteamError):
     """Syntax or sort error in a textual formula, atom, or dependency."""
 
     def __init__(self, message, line=None, col=None):
+        self.reason = message
         self.line = line
         self.col = col
         if line is not None:

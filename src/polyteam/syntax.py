@@ -20,10 +20,17 @@ connectives alternate.
 An empty variable tuple may be written ``:S`` to pin its sort explicitly;
 bare empty tuples take their sort from the surrounding atom.  Variable names
 beginning with ``_fr`` are reserved for the rewriter and rejected here.
+
+The scanner is one compiled regex: ``findall`` yields the token texts, and a
+dict lookup gives each text's kind, so the parser reads two parallel lists,
+kinds and texts, by index and builds no object per token.  Line and column
+are found only when a ``ParseError`` is raised, by scanning the text again up
+to the failing token.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -443,78 +450,47 @@ def format_formula(phi: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Scanner
 
-_SYMBOLS = {
+# Each match is one token (group 1) or one comment (group 1 is None); the
+# blanks " \t\r\n" between matches are skipped.  A character that starts no
+# operator, symbol or word is a one-character token, which _scan rejects.
+_TOKEN = re.compile(r"#[^\n]*|(/\\|\\/_?|!=|\w+|[^ \t\r\n])")
+
+_KINDS = {
+    "/\\": "ANDOP", "\\/_": "ORLOCAL", "\\/": "OROP", "!=": "NEQ",
     "(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
     ".": "DOT", ",": "COMMA", ";": "SEMI", "|": "PIPE",
     "=": "EQ", ":": "COLON", "/": "SLASH", "!": "BANG",
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _scan(text: str):
+    """Token kinds and texts as parallel lists, each ending in two EOF entries."""
+    texts = list(filter(None, _TOKEN.findall(text)))
+    kinds = [_KINDS.get(tok, "IDENT") for tok in texts]
+    for index, (kind, tok) in enumerate(zip(kinds, texts)):
+        # \w is isalnum() or "_"; a name must also start with a letter or "_"
+        if kind == "IDENT" and not (tok[0].isalpha() or tok[0] == "_"):
+            raise ParseError(f"unexpected character {tok[0]!r}", *_position(text, index))
+    kinds += ("EOF", "EOF")
+    texts += ("", "")
+    return kinds, texts
 
 
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/\\", i):
-            tokens.append(Token("ANDOP", "/\\", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("\\/_", i):
-            tokens.append(Token("ORLOCAL", "\\/_", line, col))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("\\/", i):
-            tokens.append(Token("OROP", "\\/", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("!=", i):
-            tokens.append(Token("NEQ", "!=", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(_SYMBOLS[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+def _position(text: str, index: int):
+    """Line and column of token ``index``; past the last token, of EOF."""
+    offset = len(text)
+    for match in _TOKEN.finditer(text):
+        if match.group(1):
+            if not index:
+                offset = match.start()
+                break
+            index -= 1
+        elif match.end() == len(text):
+            offset = match.start()  # EOF after a trailing comment sits at its "#"
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
 # ---------------------------------------------------------------------------
@@ -524,48 +500,54 @@ _ATOM_KEYWORDS = {"pdep", "pinc", "pexc", "pind", "atom"}
 
 
 class _Parser:
+    """Recursive descent over the scanned lists; tokens are named by index."""
+
     def __init__(self, text: str, registry=None):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.texts = _scan(text)
         self.pos = 0
         self.registry = registry
 
-    def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead=0) -> str:
+        return self.kinds[self.pos + ahead]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> int:
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def expect(self, kind: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.text!r}", tok.line, tok.col)
-        return tok
+    def expect(self, kind: str) -> str:
+        """Consume a token of the kind and return its text."""
+        index = self.pos
+        self.pos = index + 1
+        if self.kinds[index] != kind:
+            self.error(f"expected {kind}, found {self.texts[index]!r}", index)
+        return self.texts[index]
 
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def error(self, message, index=None):
+        if index is None:
+            index = self.pos
+        raise ParseError(message, *_position(self.text, index))
 
     # -- variables and tuples
 
     def variable(self) -> Variable:
-        sort_tok = self.expect("IDENT")
+        sort = self.expect("IDENT")
         self.expect("DOT")
-        name_tok = self.expect("IDENT")
-        if name_tok.text.startswith(FRESH_PREFIX):
-            self.error(f"variable names starting with {FRESH_PREFIX!r} are reserved", name_tok)
-        return Variable(sort_tok.text, name_tok.text)
+        name = self.expect("IDENT")
+        if name.startswith(FRESH_PREFIX):
+            self.error(f"variable names starting with {FRESH_PREFIX!r} are reserved",
+                       self.pos - 1)
+        return Variable(sort, name)
 
     def bare_tuple(self, stop_kinds):
         """A comma-separated variable list, optionally ``:S`` or empty."""
-        if self.peek().kind == "COLON":
+        if self.peek() == "COLON":
             self.next()
-            return [], self.expect("IDENT").text
-        if self.peek().kind in stop_kinds:
+            return [], self.expect("IDENT")
+        if self.peek() in stop_kinds:
             return [], None
         variables = [self.variable()]
-        while self.peek().kind == "COMMA":
+        while self.peek() == "COMMA":
             self.next()
             variables.append(self.variable())
         return variables, None
@@ -594,62 +576,60 @@ class _Parser:
 
     def disjunction_operator(self):
         r"""Consume the next \/ ("OROP") or \/_{…} (its sort set); None if neither."""
-        tok = self.peek()
-        if tok.kind == "OROP":
+        kind = self.peek()
+        if kind == "OROP":
             self.next()
             return "OROP"
-        if tok.kind != "ORLOCAL":
+        if kind != "ORLOCAL":
             return None
         self.next()
         self.expect("LBRACE")
-        sorts = {self.expect("IDENT").text}
-        while self.peek().kind == "COMMA":
+        sorts = {self.expect("IDENT")}
+        while self.peek() == "COMMA":
             self.next()
-            sorts.add(self.expect("IDENT").text)
+            sorts.add(self.expect("IDENT"))
         self.expect("RBRACE")
         return frozenset(sorts)
 
     def conjunction(self) -> Formula:
         parts = [self.unit()]
-        while self.peek().kind == "ANDOP":
+        while self.peek() == "ANDOP":
             self.next()
             parts.append(self.unit())
         return conjoin(parts)
 
     def unit(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "LPAREN":
+        kind, text = self.peek(), self.texts[self.pos]
+        if kind == "LPAREN":
             self.next()
             inner = self.formula()
             self.expect("RPAREN")
             return inner
-        if tok.kind == "BANG":
+        if kind == "BANG":
             self.next()
             name = self.expect("IDENT")
-            args = self.relation_args()
-            return NegRel(name.text, args)
-        if tok.kind != "IDENT":
-            self.error(f"expected a formula, found {tok.text!r}")
-        if tok.text == "true":
+            return NegRel(name, self.relation_args())
+        if kind != "IDENT":
+            self.error(f"expected a formula, found {text!r}")
+        if text == "true":
             self.next()
             return Truth()
-        if tok.text in ("E", "A") and self.peek(1).kind == "IDENT":
+        if text in ("E", "A") and self.peek(1) == "IDENT":
             self.next()
             var = self.variable()
             self.expect("DOT")
             body = self.formula()
-            return Exists(var, body) if tok.text == "E" else Forall(var, body)
-        if tok.text in _ATOM_KEYWORDS and (tok.text == "atom" or self.peek(1).kind == "LPAREN"):
+            return Exists(var, body) if text == "E" else Forall(var, body)
+        if text in _ATOM_KEYWORDS and (text == "atom" or self.peek(1) == "LPAREN"):
             return self.atom()
-        if self.peek(1).kind == "LPAREN":
-            name = self.next()
-            args = self.relation_args()
-            return Rel(name.text, args)
+        if self.peek(1) == "LPAREN":
+            self.next()
+            return Rel(text, self.relation_args())
         left = self.variable()
         op = self.next()
-        if op.kind == "EQ":
+        if self.kinds[op] == "EQ":
             return Eq(left, self.variable())
-        if op.kind == "NEQ":
+        if self.kinds[op] == "NEQ":
             return Neq(left, self.variable())
         self.error(f"expected '=' or '!=' after {left}", op)
 
@@ -661,15 +641,16 @@ class _Parser:
             self.error("relation literals need at least one variable")
         return tuple(args)
 
-    # -- atoms
+    # -- atoms (``key`` is the index of the keyword token)
 
     def atom(self) -> Formula:
         key = self.next()
-        if key.text == "pdep":
+        word = self.texts[key]
+        if word == "pdep":
             return self.pdep_atom(key)
-        if key.text in ("pinc", "pexc"):
+        if word in ("pinc", "pexc"):
             return self.binary_atom(key)
-        if key.text == "pind":
+        if word == "pind":
             return self.pind_atom(key)
         return self.generalized_atom(key)
 
@@ -717,8 +698,8 @@ class _Parser:
         sj = self._group_sort(key, (y,), (my,))
         filled = self._fill_sorts([si, sj])
         if filled is None:
-            self.error(f"{key.text} atom with no determinable sorts", key)
-        cls = PolyInc if key.text == "pinc" else PolyExc
+            self.error(f"{self.texts[key]} atom with no determinable sorts", key)
+        cls = PolyInc if self.texts[key] == "pinc" else PolyExc
         atom = cls(filled[0], tuple(x), filled[1], tuple(y))
         self._validate(atom, key)
         return AtomF(atom)
@@ -751,24 +732,24 @@ class _Parser:
         return AtomF(atom)
 
     def generalized_atom(self, key) -> Formula:
+        at = self.pos
         name = self.expect("IDENT")
         self.expect("LPAREN")
         args = []
-        while self.peek().kind == "LPAREN":
+        while self.peek() == "LPAREN":
             variables, sort = self.paren_tuple()
             if sort is not None or not variables:
-                self.error(f"atom {name.text}: argument tuples must list variables", name)
+                self.error(f"atom {name}: argument tuples must list variables", at)
             args.append(tuple(variables))
         self.expect("RPAREN")
-        atom = GeneralizedAtom(name.text, tuple(args))
-        if self.registry is None or name.text not in self.registry:
-            self.error(f"unknown generalized atom {name.text!r}", name)
+        atom = GeneralizedAtom(name, tuple(args))
+        if self.registry is None or name not in self.registry:
+            self.error(f"unknown generalized atom {name!r}", at)
         self._validate(atom, key)
-        q = self.registry[name.text]
+        q = self.registry[name]
         arities = tuple(len(t) for t in atom.args)
         if arities != tuple(q.type):
-            self.error(f"atom {name.text}: arities {arities} do not match type {tuple(q.type)}",
-                       name)
+            self.error(f"atom {name}: arities {arities} do not match type {tuple(q.type)}", at)
         return AtomF(atom)
 
     def _validate(self, atom, key):
@@ -781,7 +762,6 @@ def parse(text: str, registry=None) -> Formula:
     """Parse a formula; raises ParseError with line:column on bad input."""
     parser = _Parser(text, registry)
     phi = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
+    if parser.peek() != "EOF":
+        parser.error(f"trailing input starting at {parser.texts[parser.pos]!r}")
     return phi

@@ -266,3 +266,16 @@ def test_workforce_verdict_does_not_depend_on_column_order(capsys, tmp_path, emp
     assert (tmp_path / employees).read_text().startswith("project,team,employee")
     assert cli.main(reordered) == code
     assert capsys.readouterr().out == expected
+
+
+# ---------------------------------------------------------------------------
+# Atoms files: parse errors name the file, its line and the raw column
+
+@pytest.mark.parametrize("line,message", [
+    ("  pdep(P.x ; P.y | Q.y ; $)", "3:26: unexpected character '$'"),
+    ("\t  pdep(P.x ; P.y | Q.u Q.v)", "3:25: expected SEMI, found 'Q'"),
+])
+def test_atoms_file_parse_errors_point_into_the_file(capsys, tmp_path, line, message):
+    atoms = write(tmp_path, "bad.pdep", f"# premises\npdep(P.x ; P.y | Q.u ; Q.v)\n{line}\n")
+    assert cli.main(["implies", "--atoms", str(atoms)]) == 3
+    assert capsys.readouterr().err == f"error: {atoms}:{message}\n"

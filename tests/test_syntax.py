@@ -218,3 +218,27 @@ def test_disjunction_chains_of_sampled_formulas_match_the_binary_fold():
             shown = r"\/" if op is None else r"\/_{" + ",".join(rng.sample(sorted(op), len(op))) + "}"
             text += f" {shown} ({format_formula(unit)})"
         assert parse(text) == binary_fold(units, operators)
+
+
+# ---------------------------------------------------------------------------
+# Golden error positions
+
+GOLDEN_ERRORS = [
+    ("P.x = P.y /\\\n  Q.u = Q.v /\\\n  Q.u $ Q.v", 3, 7, "unexpected character '$'"),
+    ("P.x = 9x.y", 1, 7, "unexpected character '9'"),
+    ("P.x = P.y\tP.z", 1, 11, "trailing input starting at 'P'"),
+    ("P.x = P.y /\\\n", 2, 1, "expected a formula, found ''"),
+    ("P.x = P.y /\\  # no newline", 1, 15, "expected a formula, found ''"),
+    ("P.x = P.y /\\\n  P._fr0 = P.x", 2, 5,
+     "variable names starting with '_fr' are reserved"),
+    ("P.x = P.y /\\ atom nope((P.x))", 1, 19, "unknown generalized atom 'nope'"),
+    ("P.x = P.y /\\\n  P.x ; P.y", 2, 7, "expected '=' or '!=' after P.x"),
+]
+
+
+@pytest.mark.parametrize("text,line,col,message", GOLDEN_ERRORS)
+def test_parse_error_positions(text, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == f"{line}:{col}: {message}"
