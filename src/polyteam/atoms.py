@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Tuple
 
 from .errors import ParseError, RegistryError
-from .model import Polyteam, Structure
+from .model import Polyteam, Structure, value_key
 from .syntax import GeneralizedAtom, PolyDep, PolyExc, PolyInc, PolyInd
 
 
@@ -142,8 +142,7 @@ def spot_check_isomorphism_invariance(q: GeneralizedQuantifier, domain, relation
         rng.shuffle(image)
         pi = dict(zip(domain, image))
         renamed = tuple(frozenset(tuple(pi[v] for v in t) for t in rel) for rel in relations)
-        if bool(q.evaluator(tuple(sorted(image, key=lambda v: (type(v).__name__, str(v)))),
-                            renamed)) != baseline:
+        if bool(q.evaluator(tuple(sorted(image, key=value_key)), renamed)) != baseline:
             violations.append(pi)
     return violations
 
@@ -273,8 +272,7 @@ def compile_embedded_dependency(ed: EmbeddedDependency, name: str = "ed",
 
     def evaluator(domain, relations):
         rels = dict(zip(names, relations))
-        active = sorted({v for rel in relations for t in rel for v in t},
-                        key=lambda v: (type(v).__name__, str(v)))
+        active = sorted({v for rel in relations for t in rel for v in t}, key=value_key)
         if widen_existentials:
             witness_pool = list(domain)
         else:

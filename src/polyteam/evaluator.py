@@ -30,6 +30,12 @@ approximation.  The properties used are
   blind to x̄, must hold on those rows together.  The right-hand side is
   built once per ∃ node and decided by the disjunction strategies above.
 
+Row decomposition and downward closure form one lattice: ``closure(node, t)``
+gives each subformula a level OPAQUE < DOWNWARD < ROWWISE at sort t, so
+row-wise implies downward-closed by construction.  Closure levels, mentioned
+sorts, inclusion guards and block rewrites share one memo whose entries hold
+their nodes, so no id it keys on can be reused while the entry lives.
+
 Anything not certified falls back to literal enumeration of ∃ value choices
 or of k-way lax covers for k disjuncts, which the configuration caps guard.
 ``tests`` cross-validate every strategy against the naive oracle evaluator.
@@ -97,6 +103,22 @@ def enumerate_covers(team: Team, cap: Optional[int] = None, parts: int = 2):
                     for k in range(parts))
 
 
+OPAQUE, DOWNWARD, ROWWISE = 0, 1, 2
+
+
+def atom_closure(atom, t) -> int:
+    """The closure level at sort t of a dependency atom that mentions t."""
+    if isinstance(atom, (PolyDep, PolyExc)):
+        return DOWNWARD if atom.sort_i == t and atom.sort_j == t else ROWWISE
+    if isinstance(atom, PolyInc):
+        return OPAQUE if atom.sort_j == t else ROWWISE
+    if isinstance(atom, PolyInd):
+        if atom.sort_k == t:
+            return OPAQUE
+        return DOWNWARD if atom.sort_i == t and atom.sort_j == t else ROWWISE
+    return OPAQUE
+
+
 class _Evaluator:
     def __init__(self, structure: Structure, config: EvalConfig, registry):
         self.structure = structure
@@ -107,88 +129,47 @@ class _Evaluator:
         self.deadline = None
         if config.timeout is not None:
             self.deadline = time.monotonic() + config.timeout
-        self._mentioned = {}
-        self._rowwise = {}
-        self._downward = {}
-        self._guards = {}
-        self._blocks = {}
+        # key -> (node, answer); keys are id(node) for ``mentioned``,
+        # (id(node), t) for ``closure`` and (name, id(node)) for the others
+        self.memo = {}
 
     # -- cached structural queries ---------------------------------------
 
+    def _store(self, key, node, answer):
+        self.memo[key] = (node, answer)
+        return answer
+
     def mentioned(self, node) -> frozenset:
-        got = self._mentioned.get(id(node))
-        if got is None:
-            got = mentioned_sorts(node)
-            self._mentioned[id(node)] = got
-        return got
-
-    def rowwise(self, node, t) -> bool:
-        """Truth over the sort-t team is a conjunction of per-row facts."""
-        key = (id(node), t)
-        got = self._rowwise.get(key)
+        got = self.memo.get(id(node))
         if got is not None:
-            return got
-        if t not in self.mentioned(node):
-            result = True
-        elif isinstance(node, (Truth, Eq, Neq, Rel, NegRel)):
-            result = True
-        elif isinstance(node, AtomF):
-            a = node.atom
-            if isinstance(a, PolyDep):
-                result = not (a.sort_i == t and a.sort_j == t)
-            elif isinstance(a, PolyInc):
-                result = a.sort_j != t
-            elif isinstance(a, PolyExc):
-                result = not (a.sort_i == t and a.sort_j == t)
-            elif isinstance(a, PolyInd):
-                result = a.sort_k != t and not (a.sort_i == t and a.sort_j == t)
-            else:
-                result = False
-        elif isinstance(node, And):
-            result = all(self.rowwise(p, t) for p in node.parts)
-        elif isinstance(node, Forall):
-            result = self.rowwise(node.body, t)
-        elif isinstance(node, Exists):
-            result = node.var.sort == t and self.rowwise(node.body, t)
-        elif isinstance(node, (OrGlobal, OrLocal)):
-            # a disjunction splitting only at t with all parts row-decomposable
-            # is itself row-decomposable (each row picks its part); any other
-            # split couples rows through the shared cover choice
-            result = self.split_sorts(node) in ([], [t]) and \
-                all(self.rowwise(p, t) for p in node.parts)
-        else:
-            result = False
-        self._rowwise[key] = result
-        return result
+            return got[1]
+        return self._store(id(node), node, mentioned_sorts(node))
 
-    def downward_closed(self, node, t) -> bool:
-        """Shrinking the sort-t team preserves satisfaction."""
+    def closure(self, node, t) -> int:
+        """The node's closure level at sort t: OPAQUE, DOWNWARD or ROWWISE."""
         key = (id(node), t)
-        got = self._downward.get(key)
+        got = self.memo.get(key)
         if got is not None:
-            return got
-        if t not in self.mentioned(node):
-            result = True
-        elif isinstance(node, (Truth, Eq, Neq, Rel, NegRel)):
-            result = True
+            return got[1]
+        if t not in self.mentioned(node) or isinstance(node, (Truth, Eq, Neq, Rel, NegRel)):
+            level = ROWWISE
         elif isinstance(node, AtomF):
-            a = node.atom
-            if isinstance(a, (PolyDep, PolyExc)):
-                result = True
-            elif isinstance(a, PolyInc):
-                result = a.sort_j != t
-            elif isinstance(a, PolyInd):
-                result = a.sort_k != t
-            else:
-                result = False
+            level = atom_closure(node.atom, t)
         elif isinstance(node, Connective):
-            result = all(self.downward_closed(p, t) for p in node.parts)
-        elif isinstance(node, (Exists, Forall)):
-            result = self.downward_closed(node.body, t)
+            level = min(self.closure(p, t) for p in node.parts)
+            # a disjunction splitting only at t lets each row pick its part;
+            # any other split couples rows through the shared cover choice
+            if not isinstance(node, And) and self.split_sorts(node) not in ([], [t]):
+                level = min(level, DOWNWARD)
+        elif isinstance(node, Forall):
+            level = self.closure(node.body, t)
+        elif isinstance(node, Exists):
+            level = self.closure(node.body, t)
+            if node.var.sort != t:
+                level = min(level, DOWNWARD)
         else:
-            result = False
-        self._downward[key] = result
-        return result
+            level = OPAQUE
+        return self._store(key, node, level)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -245,20 +226,17 @@ class _Evaluator:
 
     def eval_or(self, node, pt: Polyteam) -> bool:
         split = self.split_sorts(node)
-        if not split:
-            # no sort is actually split: every part must hold as-is
-            return all(self.eval(p, pt) for p in node.parts)
         if len(split) == 1:
             return self.eval_or_single(node, split[0], pt)
         return self.eval_or_fallback(node, split, pt)
 
     def eval_or_single(self, node, t, pt: Polyteam) -> bool:
         team = pt.team(t)
-        parts = node.parts
-        opaque = [p for p in parts if not self.rowwise(p, t)]
+        rowwise_parts, opaque = [], []
+        for p in node.parts:
+            (rowwise_parts if self.closure(p, t) == ROWWISE else opaque).append(p)
         if len(opaque) > 1:
             return self.eval_or_fallback(node, [t], pt)
-        rowwise_parts = [p for p in parts if self.rowwise(p, t)]
         empty = pt.with_team(team.with_rows(()))
         if not all(self.eval(p, empty) for p in rowwise_parts):
             return False
@@ -271,7 +249,7 @@ class _Evaluator:
             return all(accepts)
         blocker = opaque[0]
         required = tuple(r for r, ok in zip(rows, accepts) if not ok)
-        if self.downward_closed(blocker, t):
+        if self.closure(blocker, t) == DOWNWARD:
             # any workable opaque slice shrinks to exactly the required rows
             return self.eval(blocker, pt.with_team(team.with_rows(required)))
         optional = tuple(r for r, ok in zip(rows, accepts) if ok)
@@ -285,7 +263,8 @@ class _Evaluator:
         return False
 
     def eval_or_fallback(self, node, split, pt: Polyteam) -> bool:
-        # each row of each split team goes to a nonempty set of the parts
+        # each row of each split team goes to a nonempty set of the parts;
+        # with no split sort, every part must hold on pt as it is
         parts = node.parts
 
         def go(idx, pts):
@@ -316,7 +295,8 @@ class _Evaluator:
             return self.eval(node.body, pt.with_team(team.expanded_all(node.var, ())))
         if len(team) * len(domain) > self.config.max_expanded_team_rows:
             raise ResourceExhausted("expansion")
-        if self.rowwise(node.body, t):
+        level = self.closure(node.body, t)
+        if level == ROWWISE:
             if not self.eval(node.body, pt.with_team(team.expanded_all(node.var, ()))):
                 return False
             witnesses = self.witness_picker(node, pt)
@@ -333,7 +313,7 @@ class _Evaluator:
         rows = team.ordered_tuples()
         # per row, a set of values for x: single values suffice when the
         # body is downward-closed at t, else every nonempty subset is tried
-        sizes = [1] if self.downward_closed(node.body, t) else range(1, len(domain) + 1)
+        sizes = [1] if level == DOWNWARD else range(1, len(domain) + 1)
         choices = [c for size in sizes for c in itertools.combinations(domain, size)]
         for combo in itertools.product(choices, repeat=len(rows)):
             chosen = team.expanded_choice(node.var, dict(zip(rows, combo)).__getitem__)
@@ -351,10 +331,10 @@ class _Evaluator:
         downward-closed at t and shares no variable with x̄.  Built once per
         node; None when a side condition fails.
         """
-        key = id(node)
-        if key in self._blocks:
-            return self._blocks[key]
-        self._blocks[key] = None
+        key = ("block", id(node))
+        got = self.memo.get(key)
+        if got is not None:
+            return got[1]
         t = node.var.sort
         block = []
         body = node
@@ -363,24 +343,24 @@ class _Evaluator:
             body = body.body
         plain, others = [], []
         for c in body.parts if isinstance(body, And) else (body,):
-            (plain if self.rowwise(c, t) else others).append(c)
+            (plain if self.closure(c, t) == ROWWISE else others).append(c)
         if len(others) != 1 or not isinstance(others[0], (OrGlobal, OrLocal)):
-            return None
+            return self._store(key, node, None)
         disjunction = others[0]
         if self.split_sorts(disjunction) != [t]:
-            return None
-        opaque = [p for p in disjunction.parts if not self.rowwise(p, t)]
-        if len(opaque) != 1 or not self.downward_closed(opaque[0], t) or \
+            return self._store(key, node, None)
+        rowwise_parts, opaque = [], []
+        for p in disjunction.parts:
+            (rowwise_parts if self.closure(p, t) == ROWWISE else opaque).append(p)
+        if len(opaque) != 1 or self.closure(opaque[0], t) == OPAQUE or \
                 set(block) & all_variables(opaque[0]):
-            return None
+            return self._store(key, node, None)
         at_t = frozenset((t,))
-        rowwise_parts = [p for p in disjunction.parts if self.rowwise(p, t)]
         rowwise = rowwise_parts[0] if len(rowwise_parts) == 1 else \
             OrLocal(at_t, *rowwise_parts)
-        got = OrLocal(at_t, exists_chain(block, conjoin(plain + [rowwise])),
-                      And(opaque[0], exists_chain(block, conjoin(plain))))
-        self._blocks[key] = got
-        return got
+        return self._store(key, node, OrLocal(
+            at_t, exists_chain(block, conjoin(plain + [rowwise])),
+            And(opaque[0], exists_chain(block, conjoin(plain)))))
 
     def inclusion_guards(self, node):
         """Conjuncts pinc(x̄ | ȳ) of ∃x B that every single-row witness must meet.
@@ -392,9 +372,10 @@ class _Evaluator:
         Each guard is (atom, positions of x in x̄, positions of the other
         variables of x̄, those variables).
         """
-        got = self._guards.get(id(node))
+        key = ("guards", id(node))
+        got = self.memo.get(key)
         if got is not None:
-            return got
+            return got[1]
         x = node.var
         t = x.sort
         bound = set()
@@ -415,9 +396,7 @@ class _Evaluator:
                 continue
             at_x = tuple(k for k, v in enumerate(a.x) if v == x)
             guards.append((a, at_x, at_keys, keys))
-        got = tuple(guards)
-        self._guards[id(node)] = got
-        return got
+        return self._store(key, node, tuple(guards))
 
     def witness_picker(self, node, pt: Polyteam):
         """Per-row candidate values for the row-wise ∃x branch, or None.
@@ -458,14 +437,6 @@ class _Evaluator:
 
         return witnesses
 
-    def guarded_witnesses(self, node, pt: Polyteam):
-        """``witness_picker`` read on rows given as Assignments, or None."""
-        pick = self.witness_picker(node, pt)
-        if pick is None:
-            return None
-        domain = pt.team(node.var.sort).domain
-        return lambda row: pick(row.values_of(domain))
-
 
 def eval_formula(structure: Structure, pt: Polyteam, phi: Formula,
                  config: Optional[EvalConfig] = None, registry=None) -> EvalOutcome:
@@ -505,28 +476,25 @@ def eval_sentence(structure: Structure, phi: Formula,
 
 
 class BulkEvaluator:
-    """Many evaluations against one structure, sharing caches across queries.
+    """Many evaluations against one structure, sharing one memo across queries.
 
-    The structural analysis of each formula (mentioned sorts, row-wise and
-    downward-closed classifications, inclusion guards, existential-block
+    The structural analysis of each formula (mentioned sorts, closure levels
+    OPAQUE < DOWNWARD < ROWWISE per sort, inclusion guards, existential-block
     rewrites) is computed once and reused for every polyteam it is
-    evaluated on; verdicts themselves are not cached.  Raises
+    evaluated on; verdicts themselves are not cached.  The memo holds every
+    node it has an entry for, so an id it keys on is never reused.  Raises
     ResourceExhausted instead of returning a third verdict.
     """
 
     def __init__(self, structure: Structure, config: Optional[EvalConfig] = None,
                  registry=None):
         self._engine = _Evaluator(structure, config or EvalConfig(timeout=None), registry)
-        self._checked = set()
-        # caches key on node identity, so every formula seen must stay alive
-        # or a recycled id would resurrect another node's cache entries
-        self._keep = []
+        self._checked = {}
 
     def holds(self, pt: Polyteam, phi: Formula) -> bool:
         if id(phi) not in self._checked:
             problems = check_well_sorted(phi, self._engine.registry)
             if problems:
                 raise SortedDomainError("ill-sorted formula: " + "; ".join(problems))
-            self._checked.add(id(phi))
-            self._keep.append(phi)
+            self._checked[id(phi)] = phi
         return self._engine.eval(phi, pt)

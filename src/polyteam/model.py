@@ -369,7 +369,9 @@ class Polyteam(Mapping):
 
     Teams equal to the singleton-empty-assignment default are normalized
     away, implementing the identification of a polyteam with its finitely
-    many non-default components.
+    many non-default components.  The store keeps insertion order and the
+    hash is computed on first use; ``sorts()``, iteration and ``repr`` list
+    the sorts in sorted order.
     """
 
     __slots__ = ("_teams", "_hash")
@@ -389,8 +391,8 @@ class Polyteam(Mapping):
                 raise SortedDomainError(f"duplicate team for sort {team.sort!r}")
             if team != singleton_empty_team(team.sort):
                 store[team.sort] = team
-        object.__setattr__(self, "_teams", dict(sorted(store.items())))
-        object.__setattr__(self, "_hash", hash(tuple(self._teams.items())))
+        object.__setattr__(self, "_teams", store)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Polyteam is immutable")
@@ -399,7 +401,7 @@ class Polyteam(Mapping):
         return self._teams[sort]
 
     def __iter__(self):
-        return iter(self._teams)
+        return iter(self.sorts())
 
     def __len__(self):
         return len(self._teams)
@@ -410,13 +412,15 @@ class Polyteam(Mapping):
         return NotImplemented
 
     def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(frozenset(self._teams.items())))
         return self._hash
 
     def __repr__(self):
-        return f"Polyteam({list(self._teams.values())!r})"
+        return f"Polyteam({[self._teams[s] for s in self.sorts()]!r})"
 
     def sorts(self) -> tuple:
-        return tuple(self._teams)
+        return tuple(sorted(self._teams))
 
     def team(self, sort: Sort) -> Team:
         """Team at a sort; absent sorts yield the singleton-empty default."""
@@ -432,8 +436,8 @@ class Polyteam(Mapping):
         else:
             store[team.sort] = team
         self2 = object.__new__(Polyteam)
-        object.__setattr__(self2, "_teams", dict(sorted(store.items())))
-        object.__setattr__(self2, "_hash", hash(tuple(self2._teams.items())))
+        object.__setattr__(self2, "_teams", store)
+        object.__setattr__(self2, "_hash", None)
         return self2
 
 

@@ -319,7 +319,7 @@ def eliminate_global_disjunction(phi: Formula,
 def _atom_sort(atom):
     sorts = atom_sorts(atom)
     if len(sorts) != 1:
-        raise RewriteError(f"cross-sort atom blocks the decomposition: {sorts}")
+        raise RewriteError(f"cross-sort atom blocks the decomposition: {sorted(sorts)}")
     return next(iter(sorts))
 
 

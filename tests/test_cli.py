@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import polyteam
 from polyteam import cli
 from polyteam.syntax import And, PolyDep, PolyInd, parse
 
@@ -13,7 +17,8 @@ EXCHANGE = FIXTURES / "exchange"
 WORKFORCE = FIXTURES / "workforce"
 
 
-def check(capsys, formula, teams, structure=None):
+def check_golden(capsys, formula, teams, structure=None):
+    """Verdict, exit code and nodes_visited, which pins the evaluator's work."""
     argv = ["check", "--json", "--formula", str(formula)]
     if structure is not None:
         argv += ["--structure", str(structure)]
@@ -21,7 +26,21 @@ def check(capsys, formula, teams, structure=None):
         argv += ["--team", f"{sort}={path}"]
     code = cli.main(argv)
     payload = json.loads(capsys.readouterr().out)
-    return payload["verdict"], code
+    return payload["verdict"], code, payload["stats"]["nodes_visited"]
+
+
+def check(capsys, formula, teams, structure=None):
+    return check_golden(capsys, formula, teams, structure)[:2]
+
+
+HOSPITAL_NODES = {
+    ("phi0.ptf", "test.csv", "results.csv"): 82,
+    ("phi1.ptf", "test.csv", "results.csv"): 94,
+    ("phi0.ptf", "test.csv", "results_mutated.csv"): 82,
+    ("phi1.ptf", "test.csv", "results_mutated.csv"): 112,
+    ("phi0.ptf", "test_missing.csv", "results.csv"): 59,
+}
+EXCHANGE_NODES = {"employees_seed.csv": 3096, "employees_empty.csv": 9}
 
 
 @pytest.mark.parametrize("formula,test,results,verdict", [
@@ -34,8 +53,9 @@ def check(capsys, formula, teams, structure=None):
 def test_hospital_verdicts(capsys, formula, test, results, verdict):
     teams = [("Case", HOSPITAL / "case.csv"), ("Test", HOSPITAL / test),
              ("Results", HOSPITAL / results)]
-    got = check(capsys, HOSPITAL / formula, teams, HOSPITAL / "structure.json")
-    assert got == (verdict, 0 if verdict == "true" else 1)
+    got = check_golden(capsys, HOSPITAL / formula, teams, HOSPITAL / "structure.json")
+    assert got == (verdict, 0 if verdict == "true" else 1,
+                   HOSPITAL_NODES[formula, test, results])
 
 
 @pytest.mark.parametrize("employees,verdict", [
@@ -44,8 +64,8 @@ def test_hospital_verdicts(capsys, formula, test, results, verdict):
 ])
 def test_exchange_verdicts(capsys, employees, verdict):
     teams = [("P", EXCHANGE / "projects.csv"), ("E", EXCHANGE / employees)]
-    got = check(capsys, EXCHANGE / "solution_exists.ptf", teams)
-    assert got == (verdict, 0 if verdict == "true" else 1)
+    got = check_golden(capsys, EXCHANGE / "solution_exists.ptf", teams)
+    assert got == (verdict, 0 if verdict == "true" else 1, EXCHANGE_NODES[employees])
 
 
 @pytest.mark.parametrize("employees,verdict", [
@@ -55,8 +75,8 @@ def test_exchange_verdicts(capsys, employees, verdict):
 def test_workforce_verdicts(capsys, employees, verdict):
     teams = [("P", WORKFORCE / "projects.csv"), ("T", WORKFORCE / "teams.csv"),
              ("E", WORKFORCE / employees)]
-    got = check(capsys, WORKFORCE / "join_atom.ptf", teams)
-    assert got == (verdict, 0 if verdict == "true" else 1)
+    got = check_golden(capsys, WORKFORCE / "join_atom.ptf", teams)
+    assert got == (verdict, 0 if verdict == "true" else 1, 1)
 
 
 @pytest.mark.parametrize("atoms,verdict,code", [
@@ -114,6 +134,18 @@ def test_rewrite_reports_cardinality_warning_on_stderr(capsys, tmp_path, rule):
     assert code == 0
     assert err == "warning: the split encoding needs at least two domain elements\n"
     assert leaked == []
+
+
+def test_decompose_error_does_not_depend_on_the_hash_seed():
+    argv = [sys.executable, "-m", "polyteam", "rewrite", "--rule", "decompose",
+            "--formula", str(WORKFORCE / "join_atom.ptf")]
+    src = str(Path(polyteam.__file__).parent.parent)
+    runs = [subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+            for seed in ("1", "3")]
+    assert [r.returncode for r in runs] == [3, 3]
+    assert runs[0].stderr == runs[1].stderr == \
+        "error: cross-sort atom blocks the decomposition: ['E', 'P', 'T']\n"
 
 
 def test_usage_errors_exit_4(capsys):

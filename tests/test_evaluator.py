@@ -5,8 +5,8 @@ import pytest
 
 from polyteam.errors import SortedDomainError
 from polyteam.evaluator import (
-    EXHAUSTED, FALSE, TRUE, BulkEvaluator, EvalConfig, EvalOutcome, _Evaluator,
-    enumerate_covers, eval_formula, eval_sentence,
+    DOWNWARD, EXHAUSTED, FALSE, OPAQUE, ROWWISE, TRUE, BulkEvaluator, EvalConfig,
+    EvalOutcome, _Evaluator, enumerate_covers, eval_formula, eval_sentence,
 )
 from polyteam.model import (
     Assignment, Polyteam, Structure, Team, Variable, polyteam_restrict,
@@ -17,7 +17,7 @@ from polyteam.oracle import (
 )
 from polyteam.syntax import (
     And, AtomF, Eq, Exists, Forall, Neq, NegRel, OrGlobal, OrLocal, PolyDep,
-    PolyExc, PolyInc, Rel, Truth, free_variables, parse, walk,
+    PolyExc, PolyInc, PolyInd, Rel, Truth, free_variables, mentioned_sorts, parse, walk,
 )
 
 from samplers import (
@@ -282,14 +282,12 @@ def test_k_part_fallback_matches_naive_oracle():
     sampler = FormulaSampler(tuple(FormulaSampler.LEAVES), connectives=("and", "exists"))
     structures = list(enumerate_structures({"R": 1}, (0, 1)))
     ev = _Evaluator(ST, NO_LIMITS, None)
-    formulas = []
     for _ in range(40):
         k = rng.choice((3, 3, 4))
         parts = [AtomF(PolyInc(P, (PX,), Q, (QV,)))]
         parts += [sampler.formula(rng, rng.randint(0, 1)) for _ in range(k - 1)]
         rng.shuffle(parts)
         phi = OrGlobal(*parts) if rng.random() < 0.5 else OrLocal(frozenset((P, Q)), *parts)
-        formulas.append(phi)
         assert len(phi.parts) == k and ev.split_sorts(phi) == [P, Q]
         st = rng.choice(structures)
         for _ in range(3):
@@ -364,17 +362,12 @@ def test_guard_witnesses_are_the_join_values():
                                 row(u=0, v=1)])
     pt = Polyteam([p_team, q_team])
 
-    # the evaluator's caches key on id(node): keep every parsed formula alive
-    # so that no later parse can reuse the id of a freed one
-    formulas = []
-
     def guarded(text):
-        formulas.append(parse(text))
-        return ev.guarded_witnesses(formulas[-1], pt)
+        return ev.witness_picker(parse(text), pt)
 
     def picks(text):
         witnesses = guarded(text)
-        return [list(witnesses(r)) for r in p_team.ordered_rows()]
+        return [list(witnesses(r)) for r in p_team.ordered_tuples()]
 
     # repeated x keeps only the diagonal tuple (0, 0)
     assert picks(r"E P.x . pinc(P.x, P.x | Q.u, Q.v)") == [[0], [0]]
@@ -455,13 +448,81 @@ def test_existential_block_matches_naive_oracle(block, values, rows, count):
         agree_with_naive(phi, [rng.choice(structures)], rows, rows, values)
 
 
-def test_rowwise_implies_downward_closed(rng):
-    # the block rewrite hands ∃x̄C to the downward-closed slice branch
+# ---------------------------------------------------------------------------
+# The closure lattice against the two classifiers it replaced
+
+def reference_split_sorts(node):
+    touched = mentioned_sorts(node)
+    if isinstance(node, OrLocal):
+        return sorted(node.sorts & touched)
+    return sorted(touched)
+
+
+def reference_rowwise(node, t):
+    """Truth over the sort-t team is a conjunction of per-row facts."""
+    if t not in mentioned_sorts(node):
+        return True
+    if isinstance(node, (Truth, Eq, Neq, Rel, NegRel)):
+        return True
+    if isinstance(node, AtomF):
+        a = node.atom
+        if isinstance(a, PolyDep):
+            return not (a.sort_i == t and a.sort_j == t)
+        if isinstance(a, PolyInc):
+            return a.sort_j != t
+        if isinstance(a, PolyExc):
+            return not (a.sort_i == t and a.sort_j == t)
+        if isinstance(a, PolyInd):
+            return a.sort_k != t and not (a.sort_i == t and a.sort_j == t)
+        return False
+    if isinstance(node, And):
+        return all(reference_rowwise(p, t) for p in node.parts)
+    if isinstance(node, Forall):
+        return reference_rowwise(node.body, t)
+    if isinstance(node, Exists):
+        return node.var.sort == t and reference_rowwise(node.body, t)
+    if isinstance(node, (OrGlobal, OrLocal)):
+        return reference_split_sorts(node) in ([], [t]) and \
+            all(reference_rowwise(p, t) for p in node.parts)
+    return False
+
+
+def reference_downward_closed(node, t):
+    """Shrinking the sort-t team preserves satisfaction."""
+    if t not in mentioned_sorts(node):
+        return True
+    if isinstance(node, (Truth, Eq, Neq, Rel, NegRel)):
+        return True
+    if isinstance(node, AtomF):
+        a = node.atom
+        if isinstance(a, (PolyDep, PolyExc)):
+            return True
+        if isinstance(a, PolyInc):
+            return a.sort_j != t
+        if isinstance(a, PolyInd):
+            return a.sort_k != t
+        return False
+    if isinstance(node, (And, OrGlobal, OrLocal)):
+        return all(reference_downward_closed(p, t) for p in node.parts)
+    if isinstance(node, (Exists, Forall)):
+        return reference_downward_closed(node.body, t)
+    return False
+
+
+def test_closure_matches_reference_classifiers(rng):
     sampler = FormulaSampler(tuple(FormulaSampler.LEAVES))
     ev = _Evaluator(ST, NO_LIMITS, None)
-    formulas = []
-    for _ in range(300):
-        formulas.append(sampler.formula(rng, rng.randint(0, 3)))
-        for node in walk(formulas[-1]):
+    levels = {(True, True): ROWWISE, (False, True): DOWNWARD, (False, False): OPAQUE}
+    z = {P: (PX,), Q: (QU,)}
+    # every sort pattern of every atom kind, beside the sampler's leaves
+    atoms = [AtomF(kind(i, z[i], j, z[j])) for kind in (PolyInc, PolyExc)
+             for i, j in itertools.product((P, Q), repeat=2)]
+    atoms += [AtomF(PolyDep(i, z[i], z[i], j, z[j], z[j]))
+              for i, j in itertools.product((P, Q), repeat=2)]
+    atoms += [AtomF(PolyInd(i, (), z[i], j, (), z[j], k, (), z[k], z[k]))
+              for i, j, k in itertools.product((P, Q), repeat=3)]
+    for phi in atoms + [sampler.formula(rng, rng.randint(0, 3)) for _ in range(300)]:
+        for node in walk(phi):
             for t in (P, Q):
-                assert not ev.rowwise(node, t) or ev.downward_closed(node, t), (node, t)
+                expected = levels[reference_rowwise(node, t), reference_downward_closed(node, t)]
+                assert ev.closure(node, t) == expected, (node, t)
