@@ -6,12 +6,17 @@ map denote the singleton team containing only the empty assignment, so that
 reading any sort from a polyteam never fails.  All values here are immutable
 after construction and safe to share across concurrent evaluations.
 
-Layout.  A ``Team`` holds its sort, its canonical domain (the variables in
-sorted order) and ``tuples``: a frozenset of value tuples, each aligned
-position by position with the domain.  Only this module reads a row tuple
-by position; everyone else goes through ``relation`` (rel(X, x̄), kept per
-variable tuple on the team), ``projector``, ``extender`` and the other team
-operations, which all take and give row tuples.
+Layout.  A ``Variable`` is a NamedTuple, equal to (and hashing like) its
+``(sort, name)`` pair and ordered by it, so the dict probes, ``tuple.index``
+calls and sorts that every team operation makes on variables run in C.  A
+``Team`` holds its sort, its canonical domain (the variables in sorted
+order) and ``tuples``: a frozenset of value tuples, each aligned position by
+position with the domain.  Only this module reads a row tuple by position;
+everyone else goes through ``relation`` (rel(X, x̄)), ``projector``,
+``extender`` and the other team operations, which all take and give row
+tuples.  Teams are immutable, so each keeps three caches, filled on first
+use and never inherited by a team derived from it: ``relation`` per
+variable tuple, ``rows`` (the Assignments) and ``ordered_tuples``.
 
 Assignments are built on demand only.  ``Team(sort, domain, rows)`` takes
 Assignments and ``rows``, ``ordered_rows()`` and iteration give them back;
@@ -24,10 +29,9 @@ checkers never see an Assignment.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import InvalidChoiceError, SortedDomainError
 
@@ -40,9 +44,14 @@ def value_key(v: Value):
     return (type(v).__name__, str(v))
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
-    """A named variable of a given sort; equal iff sort and name agree."""
+class Variable(NamedTuple):
+    """A named variable of a given sort, equal to its ``(sort, name)`` pair.
+
+    Equality, hashing and the ``(sort, name)`` order are the tuple's own,
+    done in C.  A bare variable iterates as its two strings, which no team
+    domain holds, so a team operation given one where a tuple of variables
+    belongs raises ``SortedDomainError``.
+    """
 
     sort: Sort
     name: str
@@ -147,7 +156,7 @@ class Team:
     value tuples aligned with ``domain`` (see the module docstring).
     """
 
-    __slots__ = ("sort", "domain", "tuples", "_hash", "_relations", "_rows")
+    __slots__ = ("sort", "domain", "tuples", "_hash", "_relations", "_rows", "_ordered")
 
     def __init__(self, sort: Sort, domain: Iterable[Variable], rows: Iterable[Assignment] = ()):
         domain = _checked_domain(sort, domain)
@@ -195,6 +204,7 @@ class Team:
         object.__setattr__(self, "_hash", hash((sort, domain, tuples)))
         object.__setattr__(self, "_relations", None)
         object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_ordered", None)
 
     def with_rows(self, rows: Iterable[tuple]) -> "Team":
         """Same sort and domain, different row tuples (aligned with the domain)."""
@@ -235,8 +245,12 @@ class Team:
         return got
 
     def ordered_tuples(self) -> tuple:
-        """Row tuples in the canonical deterministic order."""
-        return tuple(sorted(self.tuples, key=lambda row: tuple(map(value_key, row))))
+        """Row tuples in the canonical deterministic order, sorted on first use and kept."""
+        got = self._ordered
+        if got is None:
+            got = tuple(sorted(self.tuples, key=lambda row: tuple(map(value_key, row))))
+            object.__setattr__(self, "_ordered", got)
+        return got
 
     def ordered_rows(self) -> tuple:
         """Rows as Assignments in the canonical deterministic order."""
@@ -353,6 +367,8 @@ def _checked_domain(sort: Sort, variables: Iterable[Variable]) -> tuple:
     """The canonical domain tuple: sorted, duplicate-free, all of ``sort``."""
     domain = tuple(sorted(set(variables)))
     for v in domain:
+        if not isinstance(v, Variable):
+            raise SortedDomainError(f"{v!r} in domain of a {sort!r}-team is not a variable")
         if v.sort != sort:
             raise SortedDomainError(f"variable {v} in domain of a {sort!r}-team")
     return domain

@@ -209,6 +209,14 @@ def test_deep_exists_chain_exits_2_with_depth_limit(capsys, tmp_path, p_team):
     assert captured.err == "error: the input exceeds the depth limit\n"
 
 
+def test_150_deep_exists_chain_answers_with_pinned_work(capsys, tmp_path, p_team):
+    # every level compares and hashes variables; about 0.9 s when that runs in C
+    formula = write(tmp_path, "chain.ptf",
+                    "".join(f"E P.z{k} . " for k in range(1, 151))
+                    + r"(P.z1 = P.z1 /\ P.z2 = P.z2)")
+    assert check_golden(capsys, formula, [("P", p_team)]) == ("true", 0, 23403)
+
+
 def test_deep_parentheses_exit_2_with_depth_limit(capsys, tmp_path):
     formula = write(tmp_path, "parens.ptf", "(" * 1500 + "P.x = P.y" + ")" * 1500)
     assert cli.main(["rewrite", "--rule", "e1", "--formula", str(formula)]) == 2

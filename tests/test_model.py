@@ -20,6 +20,29 @@ def test_variable_identity():
     assert Variable(P, "x") == PX
     assert Variable(Q, "x") != PX
     assert str(PX) == "P.x"
+    assert f"{PX}" == "P.x"
+    assert repr(PX) == "Variable(sort='P', name='x')"
+    assert hash(Variable(P, "x")) == hash(PX)
+    assert len({Variable(P, "x"), PX}) == 1
+    # ordered by (sort, name): the sort first, then the name
+    assert sorted([QU, PY, Variable(Q, "a"), PX, Variable("A", "z")]) == \
+        [Variable("A", "z"), PX, PY, Variable(Q, "a"), QU]
+    with pytest.raises(AttributeError):
+        PX.name = "y"
+    with pytest.raises(AttributeError):
+        PX.sort = Q
+
+
+def test_a_bare_variable_is_not_a_variable_tuple():
+    # a Variable iterates as its two strings, which no team domain holds
+    team = Team(P, (PX, PY), assignments((PX, PY), (0, 1)))
+    for operation in (team.relation, team.projector, team.restricted,
+                      team.ordered_rows()[0].values_of,
+                      lambda bare: Team(P, bare),
+                      lambda bare: Team.from_tuples(P, bare, [])):
+        with pytest.raises(SortedDomainError):
+            operation(PX)
+    assert team.relation((PX,)) == {(0,), (1,)}
 
 
 def test_assignment_is_single_sorted():
@@ -248,6 +271,17 @@ def test_mixed_values_order_by_type_name_then_text():
     team = Team.from_tuples(P, (PY, PX), [(1, "b"), (10, "b"), (9, "b"), ("B", 1), ("a", 1)])
     assert [s.values_of((PX, PY)) for s in team.ordered_rows()] == \
         [(1, "B"), (1, "a"), ("b", 1), ("b", 10), ("b", 9)]
+
+
+def test_ordered_tuples_sort_once_and_are_not_inherited_by_slices():
+    team = Team.from_tuples(P, (PY, PX), [(1, "b"), (10, "b"), (9, "b"), ("B", 1), ("a", 1)])
+    first = team.ordered_tuples()
+    assert team.ordered_tuples() is first
+    assert list(first) == sorted(team.tuples, key=lambda row: tuple(map(value_key, row)))
+    one_row = team.with_rows(first[:1])
+    assert one_row.ordered_tuples() == first[:1]
+    assert one_row.ordered_tuples() is not first
+    assert team.with_rows(team.tuples).ordered_tuples() is not first
 
 
 def test_from_tuples_rejects_bad_rows():
