@@ -33,8 +33,24 @@ approximation.  The properties used are
 Row decomposition and downward closure form one lattice: ``closure(node, t)``
 gives each subformula a level OPAQUE < DOWNWARD < ROWWISE at sort t, so
 row-wise implies downward-closed by construction.  Closure levels, mentioned
-sorts, inclusion guards and block rewrites share one memo whose entries hold
-their nodes, so no id it keys on can be reused while the entry lives.
+sorts, inclusion guards, block rewrites and literal projectors share one
+memo whose entries hold their nodes, so no id it keys on can be reused while
+the entry lives.
+
+Session row verdicts.  Two loops decide one row at a time: the row-wise
+parts of a disjunction that splits only sort t, and the body of a row-wise
+∃ at t.  By locality, a row's verdict depends only on the node, the row with
+its domain, and the teams at the other sorts the node mentions; the
+structure is fixed.  A ``BulkEvaluator`` session keeps these verdicts per
+context (id(node), the sort-t domain, then (domain, tuples) of the team at
+each other mentioned sort, in sorted order), so a slice that later
+polyteams rebuild against the same teams is decided once.  Keys hold team
+contents, not ``Team`` objects: equal teams rebuilt for another polyteam
+share an entry, and no team's caches are pinned.  The stored verdicts and
+the rows of the teams in the keys count against ``max_expanded_team_rows``,
+and the store empties itself before it would pass that.  A row whose
+evaluation raises is never stored.  A single ``eval_formula`` keeps no
+verdicts: it seldom decides the same slice twice.
 
 Anything not certified falls back to literal enumeration of ∃ value choices
 or of k-way lax covers for k disjuncts, which the configuration caps guard.
@@ -202,19 +218,37 @@ class _Evaluator:
             return atom_checks.check_atom(self.structure, pt, node.atom, self.registry)
         raise TypeError(f"not a formula node: {node!r}")
 
+    def getter(self, node, team: Team):
+        """The literal's row projector on teams with this domain, built once."""
+        key = ("getter", id(node), team.domain)
+        got = self.memo.get(key)
+        if got is not None:
+            return got[1]
+        variables = (node.left, node.right) if isinstance(node, (Eq, Neq)) else node.args
+        return self._store(key, node, team.projector(variables))
+
     def eval_literal(self, node, pt: Polyteam) -> bool:
         if isinstance(node, (Eq, Neq)):
             team = pt.team(node.left.sort)
-            pairs = map(team.projector((node.left, node.right)), team.tuples)
+            pairs = map(self.getter(node, team), team.tuples)
             if isinstance(node, Eq):
                 return all(a == b for a, b in pairs)
             return all(a != b for a, b in pairs)
         rel = self.structure.relation(node.name)
         team = pt.team(node.args[0].sort)
-        values = map(team.projector(node.args), team.tuples)
+        values = map(self.getter(node, team), team.tuples)
         if isinstance(node, Rel):
             return rel.issuperset(values)
         return rel.isdisjoint(values)
+
+    def row_verdicts(self, node, t, pt: Polyteam) -> dict:
+        """Where the row loops of ``node`` at sort t keep their one-row verdicts.
+
+        Maps a row tuple of the sort-t team to the loop's verdict on the
+        one-row slice.  A single evaluation keeps none: it seldom decides
+        the same slice twice.
+        """
+        return {}
 
     # -- disjunction ------------------------------------------------------
 
@@ -241,10 +275,14 @@ class _Evaluator:
         if not all(self.eval(p, empty) for p in rowwise_parts):
             return False
         rows = team.ordered_tuples()
+        verdicts = self.row_verdicts(node, t, pt)
         accepts = []
         for row in rows:
-            single = pt.with_team(team.with_rows((row,)))
-            accepts.append(any(self.eval(p, single) for p in rowwise_parts))
+            ok = verdicts.get(row)
+            if ok is None:
+                single = pt.with_team(team.with_rows((row,)))
+                ok = verdicts[row] = any(self.eval(p, single) for p in rowwise_parts)
+            accepts.append(ok)
         if not opaque:
             return all(accepts)
         blocker = opaque[0]
@@ -299,12 +337,18 @@ class _Evaluator:
         if level == ROWWISE:
             if not self.eval(node.body, pt.with_team(team.expanded_all(node.var, ()))):
                 return False
-            witnesses = self.witness_picker(node, pt)
-            extend = team.extender(node.var)
+            verdicts = self.row_verdicts(node, t, pt)
+            extend = None
             for row in team.ordered_tuples():
-                values = domain if witnesses is None else witnesses(row)
-                if not any(self.eval(node.body, pt.with_team(extend(row, a)))
-                           for a in values):
+                ok = verdicts.get(row)
+                if ok is None:
+                    if extend is None:
+                        witnesses = self.witness_picker(node, pt)
+                        extend = team.extender(node.var)
+                    values = domain if witnesses is None else witnesses(row)
+                    ok = verdicts[row] = any(
+                        self.eval(node.body, pt.with_team(extend(row, a))) for a in values)
+                if not ok:
                     return False
             return True
         rewritten = self.block_disjunction(node)
@@ -475,20 +519,70 @@ def eval_sentence(structure: Structure, phi: Formula,
     return eval_formula(structure, Polyteam(), phi, config, registry)
 
 
+class _SessionEvaluator(_Evaluator):
+    """The engine of a BulkEvaluator: one-row verdicts kept across queries."""
+
+    def __init__(self, structure: Structure, config: EvalConfig, registry):
+        super().__init__(structure, config, registry)
+        # context -> (verdicts, their count and the rows reserved at the last hand-out)
+        self.contexts = {}
+        # a bound on the rows the contexts hold: the rows of their keys, and
+        # per context its count plus reserve from the last hand-out
+        self.rows_held = 0
+
+    def row_verdicts(self, node, t, pt: Polyteam) -> dict:
+        key = ("others", id(node), t)
+        got = self.memo.get(key)
+        others = got[1] if got is not None else \
+            self._store(key, node, tuple(sorted(self.mentioned(node) - {t})))
+        team = pt.team(t)
+        context = [id(node), team.domain]
+        cost = 0
+        for s in others:
+            other = pt.team(s)
+            context.append((other.domain, other.tuples))
+            cost += len(other.tuples)
+        context = tuple(context)
+        # a loop stores at most one verdict per row of the sort-t team
+        reserve = len(team.tuples)
+        cap = self.config.max_expanded_team_rows
+        if cost + reserve > cap:
+            return {}
+        entry = self.contexts.get(context)
+        if entry is None:
+            verdicts = {}
+            held = self.rows_held + cost
+        else:
+            # settle the last hand-out: what its loop stored replaces its reserve
+            verdicts, counted, reserved = entry
+            held = self.rows_held + len(verdicts) - counted - reserved
+        if held + reserve > cap:
+            self.contexts.clear()
+            verdicts = {}
+            held = cost
+        self.contexts[context] = (verdicts, len(verdicts), reserve)
+        self.rows_held = held + reserve
+        return verdicts
+
+
 class BulkEvaluator:
     """Many evaluations against one structure, sharing one memo across queries.
 
     The structural analysis of each formula (mentioned sorts, closure levels
     OPAQUE < DOWNWARD < ROWWISE per sort, inclusion guards, existential-block
     rewrites) is computed once and reused for every polyteam it is
-    evaluated on; verdicts themselves are not cached.  The memo holds every
-    node it has an entry for, so an id it keys on is never reused.  Raises
-    ResourceExhausted instead of returning a third verdict.
+    evaluated on.  The memo holds every node it has an entry for, so an id
+    it keys on is never reused.  The session also keeps the one-row verdicts
+    of its row loops (see the module docstring), so a slice that a later
+    polyteam rebuilds against the same teams at the other mentioned sorts
+    is decided once.  Raises ResourceExhausted instead of returning a third
+    verdict.
     """
 
     def __init__(self, structure: Structure, config: Optional[EvalConfig] = None,
                  registry=None):
-        self._engine = _Evaluator(structure, config or EvalConfig(timeout=None), registry)
+        self._engine = _SessionEvaluator(structure, config or EvalConfig(timeout=None),
+                                         registry)
         self._checked = {}
 
     def holds(self, pt: Polyteam, phi: Formula) -> bool:

@@ -16,7 +16,9 @@ everyone else goes through ``relation`` (rel(X, x̄)), ``projector``,
 ``extender`` and the other team operations, which all take and give row
 tuples.  Teams are immutable, so each keeps three caches, filled on first
 use and never inherited by a team derived from it: ``relation`` per
-variable tuple, ``rows`` (the Assignments) and ``ordered_tuples``.
+variable tuple, ``rows`` (the Assignments) and ``ordered_tuples``.  Its
+hash, too, is computed on first use: the evaluator builds many one-row
+slices and hashes almost none of them.
 
 Assignments are built on demand only.  ``Team(sort, domain, rows)`` takes
 Assignments and ``rows``, ``ordered_rows()`` and iteration give them back;
@@ -201,7 +203,7 @@ class Team:
         object.__setattr__(self, "sort", sort)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "tuples", tuples)
-        object.__setattr__(self, "_hash", hash((sort, domain, tuples)))
+        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_relations", None)
         object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_ordered", None)
@@ -220,7 +222,11 @@ class Team:
         return NotImplemented
 
     def __hash__(self):
-        return self._hash
+        got = self._hash
+        if got is None:
+            got = hash((self.sort, self.domain, self.tuples))
+            object.__setattr__(self, "_hash", got)
+        return got
 
     def __len__(self):
         return len(self.tuples)
@@ -405,7 +411,7 @@ class Polyteam(Mapping):
         for team in items:
             if team.sort in store:
                 raise SortedDomainError(f"duplicate team for sort {team.sort!r}")
-            if team != singleton_empty_team(team.sort):
+            if team.domain or not team.tuples:
                 store[team.sort] = team
         object.__setattr__(self, "_teams", store)
         object.__setattr__(self, "_hash", None)
@@ -447,7 +453,8 @@ class Polyteam(Mapping):
 
     def with_team(self, team: Team) -> "Polyteam":
         store = dict(self._teams)
-        if team == singleton_empty_team(team.sort):
+        if not team.domain and team.tuples:
+            # the only nonempty team with no columns is the default
             store.pop(team.sort, None)
         else:
             store[team.sort] = team

@@ -123,18 +123,21 @@ def evaluator_backed(config=None, registry=None):
     The naive default is the independent ground truth; this backend exists
     for equivalence sweeps whose search spaces the naive evaluator cannot
     finish (the evaluator itself is cross-validated against the naive one on
-    random formulas elsewhere).  Evaluation sessions are cached per structure
-    so the structural analysis of each formula carries across instances.
+    random formulas elsewhere).  One evaluation session serves each structure
+    in turn, so the structural analysis of each formula and the session's
+    row verdicts carry across its polyteams.  ``equivalent`` is done with a
+    structure once it moves to the next, so only the current session is
+    kept.
     """
     from ..evaluator import BulkEvaluator
 
-    sessions = {}
+    current, session = None, None
 
     def evaluate(structure, pt, phi):
-        key = id(structure)
-        if key not in sessions:
-            sessions[key] = BulkEvaluator(structure, config, registry)
-        return sessions[key].holds(pt, phi)
+        nonlocal current, session
+        if structure is not current:
+            current, session = structure, BulkEvaluator(structure, config, registry)
+        return session.holds(pt, phi)
 
     return evaluate
 

@@ -319,3 +319,33 @@ def test_atoms_file_parse_errors_point_into_the_file(capsys, tmp_path, line, mes
     atoms = write(tmp_path, "bad.pdep", f"# premises\npdep(P.x ; P.y | Q.u ; Q.v)\n{line}\n")
     assert cli.main(["implies", "--atoms", str(atoms)]) == 3
     assert capsys.readouterr().err == f"error: {atoms}:{message}\n"
+
+
+# ---------------------------------------------------------------------------
+# Bounded equivalence: the evaluator-backed sweep prints what the naive one does
+
+EQUIV_PAIRS = {
+    "e2": ("pdep(P.x ; P.y | Q.u ; Q.v)",
+           r"A P.a . (P.y = P.a \/_{P} pexc(P.x, P.a | Q.u, Q.v))"),
+    "elim-or": (
+        r"pexc(P.x | Q.u) \/ Q.u = Q.v",
+        r"E P.a . E P.b . E Q.c . E Q.d . ("
+        r"(P.a = P.b \/_{P} (P.a != P.b /\ (Q.c = Q.d \/_{Q}"
+        r" (Q.c != Q.d /\ pexc(P.x | Q.u)))))"
+        r" /\ (P.a != P.b \/_{P} (P.a = P.b /\ (Q.c != Q.d \/_{Q}"
+        r" (Q.c = Q.d /\ Q.u = Q.v)))))"),
+    # empty teams separate these two, so a witness is printed
+    "e4": ("pinc(P.x | Q.u)", r"A Q.a . (pexc(P.x | Q.a) \/_{Q} pinc(Q.a | Q.u))"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(EQUIV_PAIRS))
+def test_evaluator_backed_equiv_prints_what_the_naive_one_does(capsys, tmp_path, pair):
+    left, right = EQUIV_PAIRS[pair]
+    argv = ["oracle", "equiv", "--json", "--values", "0,1", "--max-rows", "2",
+            "--min-rows", "0", "--left", str(write(tmp_path, "left.ptf", left)),
+            "--right", str(write(tmp_path, "right.ptf", right))]
+    naive = cli.main(argv), capsys.readouterr().out
+    backed = cli.main(argv + ["--use-evaluator"]), capsys.readouterr().out
+    assert backed == naive
+    assert naive[0] == (1 if pair == "e4" else 0)

@@ -13,8 +13,10 @@ from polyteam.model import (
     polyteam_union, subteam_of,
 )
 from polyteam.oracle import (
-    enumerate_polyteams, enumerate_structures, enumerate_teams, naive_eval, tarski,
+    enumerate_polyteams, enumerate_structures, enumerate_teams, equivalent, naive_eval,
+    tarski,
 )
+from polyteam.oracle.checks import evaluator_backed
 from polyteam.syntax import (
     And, AtomF, Eq, Exists, Forall, Neq, NegRel, OrGlobal, OrLocal, PolyDep,
     PolyExc, PolyInc, PolyInd, Rel, Truth, free_variables, mentioned_sorts, parse, walk,
@@ -303,6 +305,89 @@ def test_bulk_evaluator_agrees_with_eval_formula(rng):
         phi = sampler.formula(rng, 2)
         pt = random_polyteam(rng, {P: (PX, PY), Q: (QU, QV)}, (0, 1))
         assert bulk.holds(pt, phi) == holds(ST, pt, phi)
+
+
+def memo_rows(bulk):
+    """Rows the session's verdict store holds: verdicts plus key team rows."""
+    contexts = bulk._engine.contexts
+    return sum(len(verdicts) for verdicts, _, _ in contexts.values()) + \
+        sum(len(tuples) for key in contexts for _, tuples in key[2:])
+
+
+def sweep_session(rng, cap):
+    """One session over every small polyteam, in the order ``equivalent`` uses.
+
+    Gives the session's nodes, the nodes fresh evaluations take, the largest
+    count of rows its verdict store held, and whether it ever emptied.
+    """
+    sampler = FormulaSampler(tuple(FormulaSampler.LEAVES))
+    st = Structure((0, 1), {"R": [(0,)]})
+    bulk = BulkEvaluator(st, EvalConfig(max_expanded_team_rows=cap, timeout=None))
+    polyteams = list(enumerate_polyteams({P: (PX, PY), Q: (QU, QV)}, (0, 1), 2))
+    fresh_nodes, most, emptied = 0, 0, False
+    for _ in range(12):
+        phi = sampler.formula(rng, rng.randint(1, 3))
+        for pt in polyteams:
+            before = len(bulk._engine.contexts)
+            assert bulk.holds(pt, phi) == naive_eval(st, pt, phi), (phi, pt)
+            emptied |= len(bulk._engine.contexts) < before
+            most = max(most, memo_rows(bulk))
+            fresh_nodes += eval_formula(st, pt, phi, NO_LIMITS).nodes_visited
+    return bulk._engine.nodes, fresh_nodes, most, emptied
+
+
+def test_session_row_verdicts_agree_with_naive_oracle(rng):
+    nodes, fresh_nodes, most, _ = sweep_session(rng, EvalConfig().max_expanded_team_rows)
+    assert most > 0 and nodes < fresh_nodes
+
+
+def test_session_row_verdicts_stay_within_the_row_cap():
+    # 16 rows still admit every expansion of a depth-3 formula over 2-row teams
+    cap = 16
+    nodes, fresh_nodes, most, emptied = sweep_session(random.Random(5), cap)
+    assert 0 < most <= cap and emptied and nodes < fresh_nodes
+
+
+PW, PZ = Variable(P, "w"), Variable(P, "z")
+
+
+@pytest.mark.parametrize("phi", [
+    OrLocal(frozenset((P,)), Rel("R", (PX,)), Neq(PX, PX)),
+    Exists(PZ, And(Eq(PZ, PX), Rel("R", (PZ,)))),
+])
+def test_session_row_verdicts_are_kept_per_team_domain(phi):
+    # the same row tuple reads x = 0 on domain (x, y) and x = 1 on (w, x)
+    bulk = BulkEvaluator(Structure((0, 1), {"R": [(0,)]}))
+    xy = Polyteam([Team.from_tuples(P, (PX, PY), [(0, 1)])])
+    wx = Polyteam([Team.from_tuples(P, (PW, PX), [(0, 1)])])
+    assert bulk.holds(xy, phi) and not bulk.holds(wx, phi) and bulk.holds(xy, phi)
+
+
+def test_literal_getter_is_kept_per_team_domain():
+    ev = _Evaluator(Structure((0, 1), {"R": [(1,)]}), NO_LIMITS, None)
+    eq, rel = Eq(PX, PY), Rel("R", (PY,))
+    narrow = Polyteam([Team.from_tuples(P, (PX, PY), [(1, 1)])])
+    wide = Polyteam([Team.from_tuples(P, (PW, PX, PY), [(0, 1, 1)])])
+    wide_false = Polyteam([Team.from_tuples(P, (PW, PX, PY), [(1, 1, 0)])])
+    for _ in range(2):
+        assert ev.eval(eq, narrow) and ev.eval(rel, narrow)
+        assert ev.eval(eq, wide) and ev.eval(rel, wide)
+        assert not ev.eval(eq, wide_false) and not ev.eval(rel, wide_false)
+
+
+@pytest.mark.parametrize("left,right", [
+    (Rel("R", (PX,)), Rel("R", (PX,))),
+    (OrLocal(frozenset((P,)), Rel("R", (PX,)), NegRel("R", (PX,))), Truth()),
+    (Rel("R", (PX,)), Exists(PY, And(Rel("R", (PY,)), Eq(PX, PY)))),
+    (AtomF(PolyInc(P, (PX,), Q, (QU,))), Forall(QV, NegRel("R", (QU,)))),
+])
+def test_evaluator_backed_equivalence_agrees_with_naive(left, right):
+    naive = equivalent(left, right)
+    backed = equivalent(left, right, evaluate=evaluator_backed())
+    assert naive[0] == backed[0]
+    if naive[1] is not None:
+        assert naive[1][0].relations == backed[1][0].relations
+        assert naive[1][1:] == backed[1][1:]
 
 
 # ---------------------------------------------------------------------------

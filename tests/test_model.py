@@ -120,6 +120,29 @@ def test_polyteam_normalizes_default_teams():
     assert pt == Polyteam()
 
 
+def test_equal_teams_hash_equally_however_built():
+    rows = assignments((PX, PY), (0, 1))[:3]
+    built = Team(P, (PY, PX), rows)
+    from_tuples = Team.from_tuples(P, (PY, PX), [s.values_of((PY, PX)) for s in rows])
+    sliced = Team(P, (PX, PY), assignments((PX, PY), (0, 1))).with_rows(
+        s.values_of((PX, PY)) for s in rows)
+    assert built == from_tuples == sliced
+    assert len({hash(built), hash(from_tuples), hash(sliced)}) == 1
+    assert hash(sliced) == hash(sliced.with_rows(sliced.tuples))
+    assert {built: 1}[sliced] == 1
+
+
+def test_with_team_of_the_default_drops_the_sort():
+    pt = Polyteam([team_of(assignments((PX, PY), (0, 1))), Team(Q, (QU,), ())])
+    rebuilt_default = Team(P, (), (Assignment(),))
+    assert pt.with_team(rebuilt_default).sorts() == (Q,)
+    assert pt.with_team(rebuilt_default) == Polyteam([Team(Q, (QU,), ())])
+    assert Polyteam([rebuilt_default]) == Polyteam()
+    # no columns but no rows either: the empty team is kept
+    assert pt.with_team(Team(P, (), ())).team(P) == Team(P, (), ())
+    assert pt.with_team(singleton_empty_team(Q)).sorts() == (P,)
+
+
 def test_subteam_reflexive_and_on_empty():
     rows = assignments((PX, PY), (0, 1))
     pt = Polyteam([team_of(rows[:2])])
