@@ -39,18 +39,21 @@ the entry lives.
 
 Session row verdicts.  Two loops decide one row at a time: the row-wise
 parts of a disjunction that splits only sort t, and the body of a row-wise
-∃ at t.  By locality, a row's verdict depends only on the node, the row with
-its domain, and the teams at the other sorts the node mentions; the
-structure is fixed.  A ``BulkEvaluator`` session keeps these verdicts per
-context (id(node), the sort-t domain, then (domain, tuples) of the team at
-each other mentioned sort, in sorted order), so a slice that later
-polyteams rebuild against the same teams is decided once.  Keys hold team
+∃ at t.  Each first probes the same parts, or the body, on the sort-t team
+with no rows.  By locality, a row's verdict depends only on the node, the
+row with its domain, and the teams at the other sorts the node mentions;
+the probe's outcome depends on the same, less the row.  The structure is
+fixed.  A ``BulkEvaluator`` session keeps these verdicts per context
+(id(node), the sort-t domain, then (domain, tuples) of the team at each
+other mentioned sort, in sorted order), the probe under the key ``PROBE``
+among the rows, so a slice that later polyteams rebuild against the same
+teams is decided once and the probe runs once per context.  Keys hold team
 contents, not ``Team`` objects: equal teams rebuilt for another polyteam
 share an entry, and no team's caches are pinned.  The stored verdicts and
 the rows of the teams in the keys count against ``max_expanded_team_rows``,
-and the store empties itself before it would pass that.  A row whose
-evaluation raises is never stored.  A single ``eval_formula`` keeps no
-verdicts: it seldom decides the same slice twice.
+and the store empties itself before it would pass that.  A row or probe
+whose evaluation raises is never stored.  A single ``eval_formula`` keeps
+no verdicts: it seldom decides the same slice twice.
 
 Anything not certified falls back to literal enumeration of ∃ value choices
 or of k-way lax covers for k disjuncts, which the configuration caps guard.
@@ -120,6 +123,10 @@ def enumerate_covers(team: Team, cap: Optional[int] = None, parts: int = 2):
 
 
 OPAQUE, DOWNWARD, ROWWISE = 0, 1, 2
+
+# the key under which a row loop keeps its empty-team probe among its row
+# verdicts; row keys are tuples, so it meets none of them
+PROBE = object()
 
 
 def atom_closure(atom, t) -> int:
@@ -245,8 +252,9 @@ class _Evaluator:
         """Where the row loops of ``node`` at sort t keep their one-row verdicts.
 
         Maps a row tuple of the sort-t team to the loop's verdict on the
-        one-row slice.  A single evaluation keeps none: it seldom decides
-        the same slice twice.
+        one-row slice, and ``PROBE`` to the outcome of the loop's probe on
+        the empty sort-t team, which depends on the same context.  A single
+        evaluation keeps none: it seldom decides the same slice twice.
         """
         return {}
 
@@ -271,11 +279,14 @@ class _Evaluator:
             (rowwise_parts if self.closure(p, t) == ROWWISE else opaque).append(p)
         if len(opaque) > 1:
             return self.eval_or_fallback(node, [t], pt)
-        empty = pt.with_team(team.with_rows(()))
-        if not all(self.eval(p, empty) for p in rowwise_parts):
+        verdicts = self.row_verdicts(node, t, pt)
+        probe = verdicts.get(PROBE)
+        if probe is None:
+            empty = pt.with_team(team.with_rows(()))
+            probe = verdicts[PROBE] = all(self.eval(p, empty) for p in rowwise_parts)
+        if not probe:
             return False
         rows = team.ordered_tuples()
-        verdicts = self.row_verdicts(node, t, pt)
         accepts = []
         for row in rows:
             ok = verdicts.get(row)
@@ -335,9 +346,13 @@ class _Evaluator:
             raise ResourceExhausted("expansion")
         level = self.closure(node.body, t)
         if level == ROWWISE:
-            if not self.eval(node.body, pt.with_team(team.expanded_all(node.var, ()))):
-                return False
             verdicts = self.row_verdicts(node, t, pt)
+            probe = verdicts.get(PROBE)
+            if probe is None:
+                empty = pt.with_team(team.expanded_all(node.var, ()))
+                probe = verdicts[PROBE] = self.eval(node.body, empty)
+            if not probe:
+                return False
             extend = None
             for row in team.ordered_tuples():
                 ok = verdicts.get(row)
@@ -452,9 +467,11 @@ class _Evaluator:
         guard admits, in domain order.  The result maps a row tuple of the
         sort-t team to those values.
 
-        Call it only after B held on the empty sort-t team: that evaluated
-        every guard, so the variables of x̄ and ȳ are known to lie in the
-        team domains.
+        Call it only after B held on the empty sort-t team, or a session
+        holds that probe as true for this context (the same sort-t domain
+        and teams at the other sorts B mentions): that evaluated every
+        guard, so the variables of x̄ and ȳ are known to lie in the team
+        domains.
         """
         team = pt.team(node.var.sort)
         indexes = []
@@ -543,8 +560,9 @@ class _SessionEvaluator(_Evaluator):
             context.append((other.domain, other.tuples))
             cost += len(other.tuples)
         context = tuple(context)
-        # a loop stores at most one verdict per row of the sort-t team
-        reserve = len(team.tuples)
+        # a loop stores at most one verdict per row of the sort-t team, and
+        # its empty-team probe
+        reserve = len(team.tuples) + 1
         cap = self.config.max_expanded_team_rows
         if cost + reserve > cap:
             return {}
@@ -573,10 +591,11 @@ class BulkEvaluator:
     rewrites) is computed once and reused for every polyteam it is
     evaluated on.  The memo holds every node it has an entry for, so an id
     it keys on is never reused.  The session also keeps the one-row verdicts
-    of its row loops (see the module docstring), so a slice that a later
+    of its row loops, and each loop's empty-team probe as one more verdict
+    of the same context (see the module docstring), so a slice that a later
     polyteam rebuilds against the same teams at the other mentioned sorts
-    is decided once.  Raises ResourceExhausted instead of returning a third
-    verdict.
+    is decided once, and so is the probe.  Raises ResourceExhausted instead
+    of returning a third verdict.
     """
 
     def __init__(self, structure: Structure, config: Optional[EvalConfig] = None,

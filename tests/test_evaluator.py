@@ -5,8 +5,8 @@ import pytest
 
 from polyteam.errors import SortedDomainError
 from polyteam.evaluator import (
-    DOWNWARD, EXHAUSTED, FALSE, OPAQUE, ROWWISE, TRUE, BulkEvaluator, EvalConfig,
-    EvalOutcome, _Evaluator, enumerate_covers, eval_formula, eval_sentence,
+    DOWNWARD, EXHAUSTED, FALSE, OPAQUE, PROBE, ROWWISE, TRUE, BulkEvaluator,
+    EvalConfig, EvalOutcome, _Evaluator, enumerate_covers, eval_formula, eval_sentence,
 )
 from polyteam.model import (
     Assignment, Polyteam, Structure, Team, Variable, polyteam_restrict,
@@ -25,6 +25,7 @@ from polyteam.syntax import (
 from samplers import (
     P, PX, PY, Q, QU, QV, FormulaSampler, assignments, random_polyteam,
 )
+from test_cli import EQUIV_PAIRS
 
 ST = Structure((0, 1))
 NO_LIMITS = EvalConfig(timeout=None)
@@ -361,6 +362,71 @@ def test_session_row_verdicts_are_kept_per_team_domain(phi):
     xy = Polyteam([Team.from_tuples(P, (PX, PY), [(0, 1)])])
     wx = Polyteam([Team.from_tuples(P, (PW, PX), [(0, 1)])])
     assert bulk.holds(xy, phi) and not bulk.holds(wx, phi) and bulk.holds(xy, phi)
+
+
+ST_R = Structure((0, 1), {"R": [(0,)]})
+# the probe of each row loop reads the Q team, so it flips between contexts
+PROBE_FLIPS = {
+    "split": r"(P.x = P.y /\ Q.u = Q.v) \/_{P} R(P.x)",
+    "exists": r"E P.z . (P.z = P.x /\ Q.u = Q.v)",
+    "nested": r"E P.z . ((P.z = P.x /\ Q.u = Q.v) \/_{P} R(P.z))",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBE_FLIPS))
+def test_session_probe_verdicts_agree_with_naive_oracle(case):
+    phi = parse(PROBE_FLIPS[case])
+    bulk = BulkEvaluator(ST_R)
+    for pt in enumerate_polyteams({P: (PX, PY), Q: (QU, QV)}, (0, 1), 2, min_rows=0):
+        assert bulk.holds(pt, phi) == naive_eval(ST_R, pt, phi), pt
+    probes = {verdicts[PROBE] for verdicts, _, _ in bulk._engine.contexts.values()}
+    assert probes == {False, True}
+
+
+def two_row_p_one_row_q():
+    return Polyteam([Team.from_tuples(P, (PX, PY), [(0, 0), (1, 1)]),
+                     Team.from_tuples(Q, (QU, QV), [(0, 0)])])
+
+
+@pytest.mark.parametrize("case", ["split", "exists"])
+def test_session_repeat_visits_one_node(case):
+    # the first call stores the probe and each row; the second finds them all
+    phi, pt = parse(PROBE_FLIPS[case]), two_row_p_one_row_q()
+    bulk = BulkEvaluator(ST_R)
+    assert bulk.holds(pt, phi)
+    before = bulk._engine.nodes
+    assert bulk.holds(pt, phi)
+    assert bulk._engine.nodes - before == 1
+
+
+def test_session_context_without_room_for_its_probe_is_not_kept():
+    phi, pt = parse(PROBE_FLIPS["split"]), two_row_p_one_row_q()
+    # 1 Q row in the key and 2 P rows: the probe's slot is one too many
+    bulk = BulkEvaluator(ST_R, EvalConfig(max_expanded_team_rows=3, timeout=None))
+    verdicts = bulk._engine.row_verdicts(phi, P, pt)
+    assert verdicts == {} and not bulk._engine.contexts
+    assert bulk.holds(pt, phi) == naive_eval(ST_R, pt, phi)
+    assert not bulk._engine.contexts
+    roomy = BulkEvaluator(ST_R, EvalConfig(max_expanded_team_rows=4, timeout=None))
+    assert roomy.holds(pt, phi) == naive_eval(ST_R, pt, phi)
+    assert memo_rows(roomy) == 4
+
+
+@pytest.mark.parametrize("pair,nodes", [("e2", 517), ("elim-or", 1359)])
+def test_sweep_shaped_session_work_is_pinned(pair, nodes):
+    # one session over an equivalence sweep, as ``oracle equiv
+    # --use-evaluator`` runs it; the count moves only if the session's work
+    # does.  Neither side names a relation, so the sweep has one structure
+    left, right = (parse(text) for text in EQUIV_PAIRS[pair])
+    sessions = []
+
+    def evaluate(structure, pt, phi):
+        if not sessions:
+            sessions.append(BulkEvaluator(structure))
+        return sessions[0].holds(pt, phi)
+
+    assert equivalent(left, right, values=(0, 1), max_rows=2, evaluate=evaluate)[0]
+    assert sessions[0]._engine.nodes == nodes
 
 
 def test_literal_getter_is_kept_per_team_domain():
