@@ -5,6 +5,9 @@ variables) plus an optional JSON structure file::
 
     {"domain": ["a", "b"], "relations": {"R": [["a", "b"]]}}
 
+Every input file is read as UTF-8; one leading byte-order mark, as
+spreadsheet "CSV UTF-8" exports write, is dropped.
+
 The working domain is the union of the declared domain, all relation values,
 and all table values.  Exit codes: 0 for true/implied/equivalent, 1 for the
 negative verdict, 2 when a resource cap tripped or the input nests too deep
@@ -37,6 +40,10 @@ from .rewrite import (
 from .syntax import AtomF, PolyDep, format_formula, mentioned_sorts, parse
 
 
+# UTF-8 that drops one leading byte-order mark; see the module docstring
+INPUT_ENCODING = "utf-8-sig"
+
+
 class UsageError(Exception):
     pass
 
@@ -51,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
 def load_team_csv(path, sort) -> Team:
     """A CSV table as a team: header names the variables, rows the values."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding=INPUT_ENCODING) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -75,7 +82,7 @@ def load_team_csv(path, sort) -> Team:
 
 
 def load_structure_json(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding=INPUT_ENCODING) as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as err:
@@ -117,7 +124,7 @@ def load_registry(atom_args) -> AtomRegistry:
         name, _, path = arg.partition("=")
         if not path:
             raise UsageError(f"--atom needs NAME=FILE, got {arg!r}")
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding=INPUT_ENCODING)
         ed = parse_embedded_dependency(text)
         quantifiers.append(compile_embedded_dependency(ed, name=name))
     return AtomRegistry(quantifiers)
@@ -126,7 +133,7 @@ def load_registry(atom_args) -> AtomRegistry:
 def load_atoms_file(path):
     """Premise atoms, one per line; the final line is the conclusion."""
     lines = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding=INPUT_ENCODING).splitlines(), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -172,7 +179,7 @@ def run_check(args) -> int:
         teams.append(load_team_csv(path, sort))
     structure_spec = load_structure_json(args.structure) if args.structure else {}
     structure = assemble_structure(structure_spec, teams)
-    phi = parse(Path(args.formula).read_text(encoding="utf-8"), registry)
+    phi = parse(Path(args.formula).read_text(encoding=INPUT_ENCODING), registry)
     provided = {t.sort for t in teams}
     for sort in sorted(mentioned_sorts(phi) - provided):
         print(f"notice: no table for sort {sort!r}; "
@@ -229,7 +236,7 @@ def run_implies(args) -> int:
 
 
 def run_rewrite(args) -> int:
-    phi = parse(Path(args.formula).read_text(encoding="utf-8"))
+    phi = parse(Path(args.formula).read_text(encoding=INPUT_ENCODING))
     fresh = FreshNameSource.for_formula(phi)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -250,8 +257,8 @@ def run_rewrite(args) -> int:
 def run_oracle(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if args.oracle_command == "equiv":
-        left = parse(Path(args.left).read_text(encoding="utf-8"))
-        right = parse(Path(args.right).read_text(encoding="utf-8"))
+        left = parse(Path(args.left).read_text(encoding=INPUT_ENCODING))
+        right = parse(Path(args.right).read_text(encoding=INPUT_ENCODING))
         evaluate = evaluator_backed() if args.use_evaluator else None
         ok, witness = equivalent(left, right, values=values, max_rows=args.max_rows,
                                  min_rows=args.min_rows, evaluate=evaluate)

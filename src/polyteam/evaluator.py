@@ -9,14 +9,19 @@ approximation.  The properties used are
 * row decomposition - a subformula whose truth over the team at sort t is a
   conjunction of per-row facts (literals, dependence/exclusion atoms with one
   side at t, flat first-order parts, ...) lets covers and value choices be
-  decided row by row;
+  decided row by row.  A disjunction splitting only t decides a row's
+  pinc(x̄ | ȳ) part with sort_i = t ≠ sort_j as s(x̄) ∈ rel(X_j, ȳ), and
+  a pexc part with one side at t as the row's side not lying in the other
+  side's relation, with no one-row slice;
 * inclusion guards - when ∃x B at sort t is decided row by row, a top-level
-  conjunct pinc(x̄ | ȳ) of B (read past B's leading chain of sort-t
-  existentials, up to any rebinding of x) with sort_i = t, sort_j ≠ t, x in
-  x̄, and every other variable of x̄ in the team and unbound by the chain
-  admits a row's value a only if s[a/x](x̄) ∈ rel(X_j, ȳ): lax ∃ keeps the
-  one-row team nonempty and leaves X_j as it is.  Candidate values come
-  from a hash join of the row against each guard's relation;
+  conjunct of B (read past B's leading chain of sort-t existentials, up to
+  any rebinding of x) that is pinc(x̄ | ȳ) with sort_i = t, sort_j ≠ t, or a
+  relation literal R(x̄), with x in x̄ and every other variable of x̄ in the
+  team and unbound by the chain, admits a row's value a only if s[a/x](x̄)
+  lies in rel(X_j, ȳ), or in R^M: lax ∃ keeps the one-row team nonempty and
+  leaves X_j as it is, and R(x̄) is flat.  Candidate values come from a hash
+  join of the row against each guard's relation; the structure is fixed, so
+  the index of a relation guard is built once per evaluator;
 * downward closure at sort t - shrinking the sort-t team preserves truth,
   so existential value sets can be searched as single values per row and an
   opaque-but-downward-closed disjunct takes exactly the rows no row-wise
@@ -33,9 +38,10 @@ approximation.  The properties used are
 Row decomposition and downward closure form one lattice: ``closure(node, t)``
 gives each subformula a level OPAQUE < DOWNWARD < ROWWISE at sort t, so
 row-wise implies downward-closed by construction.  Closure levels, mentioned
-sorts, inclusion guards, block rewrites and literal projectors share one
-memo whose entries hold their nodes, so no id it keys on can be reused while
-the entry lives.
+sorts, inclusion guards, relation-guard indexes, block rewrites and literal
+projectors share one memo whose entries hold their nodes, so no id it keys
+on can be reused while the entry lives.  A session keeps the memo across
+``holds`` calls.
 
 Session row verdicts.  Two loops decide one row at a time: the row-wise
 parts of a disjunction that splits only sort t, and the body of a row-wise
@@ -153,7 +159,7 @@ class _Evaluator:
         if config.timeout is not None:
             self.deadline = time.monotonic() + config.timeout
         # key -> (node, answer); keys are id(node) for ``mentioned``,
-        # (id(node), t) for ``closure`` and (name, id(node)) for the others
+        # (id(node), t) for ``closure`` and (name, id(node), ...) for the others
         self.memo = {}
 
     # -- cached structural queries ---------------------------------------
@@ -273,6 +279,13 @@ class _Evaluator:
         return self.eval_or_fallback(node, split, pt)
 
     def eval_or_single(self, node, t, pt: Polyteam) -> bool:
+        """A disjunction that splits only sort t, decided row by row.
+
+        Each row goes to the first row-wise part that accepts its one-row
+        slice; a ``row_lookup`` part decides that by set membership, every
+        other part on the slice.  The rows no row-wise part accepts go to
+        the one opaque part, if any, with any accepted rows it still needs.
+        """
         team = pt.team(t)
         rowwise_parts, opaque = [], []
         for p in node.parts:
@@ -288,11 +301,23 @@ class _Evaluator:
             return False
         rows = team.ordered_tuples()
         accepts = []
+        lookups = None
         for row in rows:
             ok = verdicts.get(row)
             if ok is None:
-                single = pt.with_team(team.with_rows((row,)))
-                ok = verdicts[row] = any(self.eval(p, single) for p in rowwise_parts)
+                if lookups is None:
+                    lookups = [self.row_lookup(p, t, pt) for p in rowwise_parts]
+                single = None
+                for p, lookup in zip(rowwise_parts, lookups):
+                    if lookup is not None:
+                        ok = lookup(row)
+                    else:
+                        if single is None:
+                            single = pt.with_team(team.with_rows((row,)))
+                        ok = self.eval(p, single)
+                    if ok:
+                        break
+                verdicts[row] = ok
             accepts.append(ok)
         if not opaque:
             return all(accepts)
@@ -310,6 +335,29 @@ class _Evaluator:
                 if self.eval(blocker, pt.with_team(team.with_rows(slice_rows))):
                     return True
         return False
+
+    def row_lookup(self, part, t, pt: Polyteam):
+        """A test of one sort-t row tuple that decides ``part`` on its slice, or None.
+
+        On a one-row team {s} at t, pinc(x̄ | ȳ) with sort_i = t ≠ sort_j
+        holds iff s(x̄) ∈ rel(X_j, ȳ), and pexc(x̄ | ȳ) with one side at t
+        iff the row's side is not in the other side's relation.  Call it
+        only after the parts held on the empty sort-t team (or a session
+        holds that probe as true for this context): that read both sides,
+        so their variables lie in the team domains.
+        """
+        atom = part.atom if isinstance(part, AtomF) else None
+        if isinstance(atom, PolyInc) and atom.sort_i == t != atom.sort_j:
+            project = pt.team(t).projector(atom.x)
+            rel = pt.team(atom.sort_j).relation(atom.y)
+            return lambda row: project(row) in rel
+        if isinstance(atom, PolyExc) and (atom.sort_i == t) != (atom.sort_j == t):
+            mine, other, theirs = (atom.x, atom.sort_j, atom.y) if atom.sort_i == t \
+                else (atom.y, atom.sort_i, atom.x)
+            project = pt.team(t).projector(mine)
+            rel = pt.team(other).relation(theirs)
+            return lambda row: project(row) not in rel
+        return None
 
     def eval_or_fallback(self, node, split, pt: Polyteam) -> bool:
         # each row of each split team goes to a nonempty set of the parts;
@@ -422,14 +470,16 @@ class _Evaluator:
             And(opaque[0], exists_chain(block, conjoin(plain)))))
 
     def inclusion_guards(self, node):
-        """Conjuncts pinc(x̄ | ȳ) of ∃x B that every single-row witness must meet.
+        """Conjuncts of ∃x B that every single-row witness must meet.
 
         B is read past its leading chain of same-sort existentials (stopping
-        where the chain rebinds x) as a flat conjunction.  A conjunct
-        pinc(x̄ | ȳ) guards x when it includes the block sort t into another
-        sort, x occurs in x̄, and the chain binds no other variable of x̄.
-        Each guard is (atom, positions of x in x̄, positions of the other
-        variables of x̄, those variables).
+        where the chain rebinds x) as a flat conjunction.  A conjunct guards
+        x when it is pinc(x̄ | ȳ) including the block sort t into another
+        sort, or a relation literal R(x̄): on one row, R(x̄) is the inclusion
+        of the row's tuple in R^M.  Either way x occurs in x̄ and the chain
+        binds no other variable of x̄.  Each guard is (the atom or the
+        literal, positions of x in x̄, positions of the other variables of
+        x̄, those variables).
         """
         key = ("guards", id(node))
         got = self.memo.get(key)
@@ -444,45 +494,73 @@ class _Evaluator:
             body = body.body
         guards = []
         for c in body.parts if isinstance(body, And) else (body,):
-            if not isinstance(c, AtomF) or not isinstance(c.atom, PolyInc):
+            if isinstance(c, Rel):
+                guard, xs = c, c.args
+            elif isinstance(c, AtomF) and isinstance(c.atom, PolyInc) and \
+                    c.atom.sort_i == t != c.atom.sort_j:
+                guard, xs = c.atom, c.atom.x
+            else:
                 continue
-            a = c.atom
-            if a.sort_i != t or a.sort_j == t or x not in a.x:
+            if x not in xs:
                 continue
-            at_keys = tuple(k for k, v in enumerate(a.x) if v != x)
-            keys = tuple(a.x[k] for k in at_keys)
+            at_keys = tuple(k for k, v in enumerate(xs) if v != x)
+            keys = tuple(xs[k] for k in at_keys)
             if bound.intersection(keys):
                 continue
-            at_x = tuple(k for k, v in enumerate(a.x) if v == x)
-            guards.append((a, at_x, at_keys, keys))
+            at_x = tuple(k for k, v in enumerate(xs) if v == x)
+            guards.append((guard, at_x, at_keys, keys))
         return self._store(key, node, tuple(guards))
+
+    def join_index(self, tuples, at_x, at_keys) -> dict:
+        """Key values -> the domain values a that some tuple has at every x position."""
+        index = {}
+        for values in tuples:
+            a = values[at_x[0]]
+            if a not in self.domain_set or any(values[k] != a for k in at_x[1:]):
+                continue
+            index.setdefault(tuple(values[k] for k in at_keys), set()).add(a)
+        return index
+
+    def relation_index(self, rel: Rel, at_x, at_keys) -> dict:
+        """``join_index`` of R^M for the guard R(x̄), built once per evaluator.
+
+        Only tuples of length |x̄| count: under another arity the literal
+        fails on every nonempty team, so it admits no value.
+        """
+        # the positions of x fix the others: at_keys is every position not in at_x
+        key = ("relation index", id(rel), at_x)
+        got = self.memo.get(key)
+        if got is not None:
+            return got[1]
+        width = len(rel.args)
+        tuples = [v for v in self.structure.relation(rel.name) if len(v) == width]
+        return self._store(key, rel, self.join_index(tuples, at_x, at_keys))
 
     def witness_picker(self, node, pt: Polyteam):
         """Per-row candidate values for the row-wise ∃x branch, or None.
 
         On a one-row team {s} the existential chain keeps the team nonempty
         and leaves the sort-j team as it is, so a guard pinc(x̄ | ȳ) can hold
-        only if s[a/x](x̄) ∈ rel(X_j, ȳ).  Hash-joining each guard's relation
-        on the other variables of x̄ leaves, per row, just the values a every
-        guard admits, in domain order.  The result maps a row tuple of the
-        sort-t team to those values.
+        only if s[a/x](x̄) ∈ rel(X_j, ȳ), and a guard R(x̄) only if
+        s[a/x](x̄) ∈ R^M.  Hash-joining each guard's relation on the other
+        variables of x̄ leaves, per row, just the values a every guard
+        admits, in domain order.  The result maps a row tuple of the sort-t
+        team to those values.
 
         Call it only after B held on the empty sort-t team, or a session
         holds that probe as true for this context (the same sort-t domain
         and teams at the other sorts B mentions): that evaluated every
         guard, so the variables of x̄ and ȳ are known to lie in the team
-        domains.
+        domains and each R to name a relation of the structure.
         """
         team = pt.team(node.var.sort)
         indexes = []
-        for atom, at_x, at_keys, keys in self.inclusion_guards(node):
-            index = {}
-            for values in pt.team(atom.sort_j).relation(atom.y):
-                a = values[at_x[0]]
-                if a not in self.domain_set or \
-                        any(values[k] != a for k in at_x[1:]):
-                    continue
-                index.setdefault(tuple(values[k] for k in at_keys), set()).add(a)
+        for guard, at_x, at_keys, keys in self.inclusion_guards(node):
+            if isinstance(guard, Rel):
+                index = self.relation_index(guard, at_x, at_keys)
+            else:
+                index = self.join_index(pt.team(guard.sort_j).relation(guard.y),
+                                        at_x, at_keys)
             indexes.append((team.projector(keys), index))
         if not indexes:
             return None

@@ -412,7 +412,7 @@ def test_session_context_without_room_for_its_probe_is_not_kept():
     assert memo_rows(roomy) == 4
 
 
-@pytest.mark.parametrize("pair,nodes", [("e2", 517), ("elim-or", 1359)])
+@pytest.mark.parametrize("pair,nodes", [("e2", 473), ("elim-or", 1359)])
 def test_sweep_shaped_session_work_is_pinned(pair, nodes):
     # one session over an equivalence sweep, as ``oracle equiv
     # --use-evaluator`` runs it; the count moves only if the session's work
@@ -555,6 +555,176 @@ def test_guarded_exists_cross_validation(rng):
         st = rng.choice(structures)
         pt = random_polyteam(rng, {P: (PX, PY), Q: (QU, QV)}, (0, 1))
         assert holds(st, pt, phi) == naive_eval(st, pt, phi)
+
+
+# ---------------------------------------------------------------------------
+# Relation guards: a top-level R(x̄) of the ∃ body also narrows the witnesses
+
+# R is unary and R2 binary in every structure below
+REL_GUARD_CASES = {
+    "plain": (r"E P.x . R(P.x)", 1),
+    # keyed on P.y, which the row fixes
+    "keyed": (r"E P.x . R2(P.y, P.x)", 1),
+    # x twice in x̄: only tuples with equal values at both positions count
+    "repeated": (r"E P.x . R2(P.x, P.x)", 1),
+    # P.y is rebound by the chain: its row value says nothing
+    "bound-later": (r"E P.x . E P.y . R2(P.y, P.x)", 0),
+    "in-disjunction": (r"E P.x . (P.x = P.y \/ R(P.x))", 0),
+    "beside-pinc": (r"E P.x . (R2(P.y, P.x) /\ pinc(P.x | Q.u))", 2),
+    # a unary R read as binary fails on every nonempty team
+    "arity-mismatch": (r"E P.x . R(P.y, P.x)", 1),
+}
+REL_STRUCTURES = [Structure(VALUES3, {"R": r, "R2": r2}) for r, r2 in [
+    ([], []),
+    ([(0,), (2,)], [(0, 1), (0, 2), (1, 0), (2, 2)]),
+    ([(1,)], [(0, 0), (1, 2), (2, 1)]),
+]]
+
+
+@pytest.mark.parametrize("case", sorted(REL_GUARD_CASES))
+def test_relation_guard_side_conditions(case):
+    text, count = REL_GUARD_CASES[case]
+    ev = _Evaluator(REL_STRUCTURES[1], NO_LIMITS, None)
+    assert len(ev.inclusion_guards(parse(text))) == count
+
+
+@pytest.mark.parametrize("case", sorted(REL_GUARD_CASES))
+def test_relation_guard_matches_naive_oracle(case):
+    phi = parse(REL_GUARD_CASES[case][0])
+    # a nested chain multiplies the naive search; one P row is enough
+    agree_with_naive(phi, REL_STRUCTURES, p_rows=1 if case == "bound-later" else 2)
+
+
+def test_relation_guard_with_arity_mismatch_holds_only_on_the_empty_team():
+    phi = parse(REL_GUARD_CASES["arity-mismatch"][0])
+    q_team = Team(Q, (QU, QV), [row(u=0, v=0)])
+    for st in REL_STRUCTURES:
+        for p_rows in ([], [Assignment({PY: 0})], [Assignment({PY: 1})]):
+            pt = Polyteam([Team(P, (PY,), p_rows), q_team])
+            assert holds(st, pt, phi) == (not p_rows) == naive_eval(st, pt, phi)
+
+
+def test_relation_guard_witnesses_are_the_join_values():
+    ev = _Evaluator(REL_STRUCTURES[1], NO_LIMITS, None)
+    p_team = Team(P, (PY,), [Assignment({PY: 0}), Assignment({PY: 1})])
+    q_team = Team(Q, (QU, QV), [row(u=0, v=2), row(u=1, v=2)])
+    pt = Polyteam([p_team, q_team])
+
+    def picks(text):
+        witnesses = ev.witness_picker(parse(text), pt)
+        return [list(witnesses(r)) for r in p_team.ordered_tuples()]
+
+    assert picks(r"E P.x . R(P.x)") == [[0, 2], [0, 2]]
+    # y=0 joins (0, 1) and (0, 2); y=1 joins (1, 0)
+    assert picks(r"E P.x . R2(P.y, P.x)") == [[1, 2], [0]]
+    assert picks(r"E P.x . R2(P.x, P.x)") == [[2], [2]]
+    # the pinc guard allows u in {0, 1}: the candidate sets intersect
+    assert picks(r"E P.x . (R2(P.y, P.x) /\ pinc(P.x | Q.u))") == [[1], [0]]
+    assert picks(r"E P.x . R(P.y, P.x)") == [[], []]
+    assert ev.witness_picker(parse(r"E P.x . E P.y . R2(P.y, P.x)"), pt) is None
+
+
+def test_relation_guard_index_is_kept_per_position_of_x():
+    # one literal node guards ∃x at its second position and ∃y at its first
+    ev = _Evaluator(REL_STRUCTURES[1], NO_LIMITS, None)
+    r2 = Rel("R2", (PY, PX))
+    team = Team.from_tuples(P, (PX, PY), [(0, 0), (1, 1)])
+    pt = Polyteam([team])
+    rows = team.ordered_tuples()
+    by_x = ev.witness_picker(Exists(PX, r2), pt)
+    by_y = ev.witness_picker(Exists(PY, r2), pt)
+    assert [list(by_x(r)) for r in rows] == [[1, 2], [0]]
+    assert [list(by_y(r)) for r in rows] == [[1], [0]]
+
+
+def test_relation_guard_index_is_built_once_per_session():
+    calls = []
+
+    class CountingStructure(Structure):
+        def relation(self, name):
+            calls.append(name)
+            return super().relation(name)
+
+    st = CountingStructure(VALUES3, {"R2": [(0, 1), (2, 2)]})
+    phi = parse(r"E P.x . R2(P.y, P.x)")
+    # the first call runs the probe (one call) and builds the index (one
+    # call) before it tries the witness; the second finds both kept, and
+    # its row joins nothing, so it tries no witness
+    seen, unseen = (Polyteam([Team(P, (PY,), [Assignment({PY: y})])]) for y in (0, 1))
+    bulk = BulkEvaluator(st)
+    assert bulk.holds(seen, phi) and calls == ["R2"] * 3
+    del calls[:]
+    assert not bulk.holds(unseen, phi) and calls == []
+    assert not holds(st, unseen, phi) and calls == ["R2"] * 2
+
+
+# ---------------------------------------------------------------------------
+# Row lookups: cross-sort pinc/pexc parts of a P-split disjunction decided by
+# set membership, beside parts that still go to a one-row slice
+
+ROW_LOOKUP_CASES = {
+    "lookups-and-slice": r"pinc(P.x | Q.u) \/_{P} pexc(P.y | Q.u) \/_{P} P.x = P.y",
+    "reversed-pexc": r"pexc(Q.u | P.x) \/_{P} P.x = P.y \/_{P} pinc(P.y, P.x | Q.u, Q.v)",
+    "same-sort-blocker": r"pexc(Q.u | P.x) \/_{P} pinc(P.x | Q.v) \/_{P} pexc(P.x | P.y)",
+    "forall": r"A P.z . (pinc(P.z | Q.u) \/_{P} pexc(Q.u | P.x) \/_{P} P.z = P.y)",
+    "forall-blocker": r"A P.z . (pexc(P.z, P.x | Q.u, Q.v) \/_{P} pexc(P.y | P.z))",
+    "forall-all-lookups": r"A P.z . (pexc(P.y | Q.u) \/_{P} pinc(P.z | Q.v))",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_LOOKUP_CASES))
+def test_row_lookups_agree_with_naive_oracle(case):
+    phi = parse(ROW_LOOKUP_CASES[case])
+    bulk = BulkEvaluator(ST)
+    answers = set()
+    for pt in enumerate_polyteams({P: (PX, PY), Q: (QU, QV)}, (0, 1), 2, min_rows=0):
+        expected = naive_eval(ST, pt, phi)
+        assert holds(ST, pt, phi) == expected, pt
+        assert bulk.holds(pt, phi) == expected, pt
+        answers.add(expected)
+    assert answers == {False, True}
+
+
+def test_row_lookups_visit_no_node():
+    # the disjunction and its probe of both parts on the empty P team, for
+    # any number of P rows
+    phi = parse(r"pinc(P.x | Q.u) \/_{P} pexc(P.y | Q.u)")
+    q_team = Team(Q, (QU, QV), [row(u=0, v=0), row(u=1, v=0)])
+    for rows in ([(0, 2)], [(0, 2), (1, 2), (2, 2)]):
+        pt = Polyteam([Team.from_tuples(P, (PX, PY), rows), q_team])
+        outcome = eval_formula(ST3, pt, phi, NO_LIMITS)
+        assert (outcome.verdict, outcome.nodes_visited) == (TRUE, 3)
+
+
+def test_relation_guards_and_row_lookups_cross_validation():
+    rng = random.Random(14)
+    sampler = FormulaSampler(("eq", "neq", "rel", "pdep", "pinc", "pexc", "exc_uni"))
+    conjuncts = (Rel("R2", (PY, PX)), Rel("R", (PX, PY)),
+                 AtomF(PolyExc(Q, (QU,), P, (PX,))))
+    lookups = (AtomF(PolyExc(Q, (QU,), P, (PX,))), AtomF(PolyInc(P, (PX,), Q, (QU,))),
+               AtomF(PolyExc(P, (PY,), Q, (QV,))))
+    at_p = frozenset((P,))
+    structures = [Structure((0, 1), {"R": r, "R2": r2}) for r, r2 in [
+        ([], []), ([(0,)], [(0, 1), (1, 1)]), ([(0,), (1,)], []), ([], [(1, 0)])]]
+    sessions = {st: BulkEvaluator(st) for st in structures}
+    for _ in range(300):
+        rest = sampler.formula(rng, rng.randint(0, 2))
+        extra = rng.choice(conjuncts)
+        body = And(extra, rest) if rng.random() < 0.5 else And(rest, extra)
+        wrap = rng.randrange(3)
+        if wrap == 0:
+            phi = Exists(PX, body)
+        else:
+            other = rng.choice(lookups + (sampler.formula(rng, 1),))
+            parts = (body, other) if rng.random() < 0.5 else (other, body)
+            phi = OrLocal(at_p, *parts)
+            if wrap == 1:
+                phi = Forall(PX, phi)
+        st = rng.choice(structures)
+        pt = random_polyteam(rng, {P: (PX, PY), Q: (QU, QV)}, (0, 1))
+        expected = naive_eval(st, pt, phi)
+        assert holds(st, pt, phi) == expected, (phi, st, pt)
+        assert sessions[st].holds(pt, phi) == expected, (phi, st, pt)
 
 
 # ---------------------------------------------------------------------------
