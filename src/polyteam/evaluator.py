@@ -22,6 +22,13 @@ approximation.  The properties used are
   leaves X_j as it is, and R(x̄) is flat.  Candidate values come from a hash
   join of the row against each guard's relation; the structure is fixed, so
   the index of a relation guard is built once per evaluator;
+* inclusion demands - when the value sets for ∃x B at sort t are searched
+  outright, a pinc(w̄ | ȳ) in B with sort_j = t and x = y_k, reached through
+  conjunctions, quantifiers binding neither x nor w_k, and every part of
+  each disjunction on the way, holds only if X_i(w_k) ⊆ X_t(x): lax
+  quantifiers keep every row, and a disjunction's parts cover each team.
+  Choices whose values miss such a w_k value are skipped, so the search
+  cost no longer hangs on where the needed values fall in domain order;
 * downward closure at sort t - shrinking the sort-t team preserves truth,
   so existential value sets can be searched as single values per row and an
   opaque-but-downward-closed disjunct takes exactly the rows no row-wise
@@ -38,10 +45,10 @@ approximation.  The properties used are
 Row decomposition and downward closure form one lattice: ``closure(node, t)``
 gives each subformula a level OPAQUE < DOWNWARD < ROWWISE at sort t, so
 row-wise implies downward-closed by construction.  Closure levels, mentioned
-sorts, inclusion guards, relation-guard indexes, block rewrites and literal
-projectors share one memo whose entries hold their nodes, so no id it keys
-on can be reused while the entry lives.  A session keeps the memo across
-``holds`` calls.
+sorts, inclusion guards and demands, relation-guard indexes, block rewrites
+and literal projectors share one memo whose entries hold their nodes, so no
+id it keys on can be reused while the entry lives.  A session keeps the memo
+across ``holds`` calls.
 
 Session row verdicts.  Two loops decide one row at a time: the row-wise
 parts of a disjunction that splits only sort t, and the body of a row-wise
@@ -418,11 +425,21 @@ class _Evaluator:
         if rewritten is not None:
             return self.eval(rewritten, pt)
         rows = team.ordered_tuples()
+        # the values that every choice must cover, by ``inclusion_demands``
+        needed = set()
+        for w in self.inclusion_demands(node):
+            other = pt.team(w.sort)
+            if w in other.domain:
+                needed.update(v for v, in other.relation((w,)))
+        if not needed <= self.domain_set:
+            return False
         # per row, a set of values for x: single values suffice when the
         # body is downward-closed at t, else every nonempty subset is tried
         sizes = [1] if level == DOWNWARD else range(1, len(domain) + 1)
         choices = [c for size in sizes for c in itertools.combinations(domain, size)]
         for combo in itertools.product(choices, repeat=len(rows)):
+            if needed and not needed.issubset(itertools.chain.from_iterable(combo)):
+                continue
             chosen = team.expanded_choice(node.var, dict(zip(rows, combo)).__getitem__)
             if self.eval(node.body, pt.with_team(chosen)):
                 return True
@@ -510,6 +527,37 @@ class _Evaluator:
             at_x = tuple(k for k, v in enumerate(xs) if v == x)
             guards.append((guard, at_x, at_keys, keys))
         return self._store(key, node, tuple(guards))
+
+    def inclusion_demands(self, node) -> frozenset:
+        """Variables w whose values any workable choice for ∃x B must cover.
+
+        A conjunct pinc(w̄ | ȳ) of B with sort_j = t and x = y_k, where w_k
+        is free in ∃x B, holds only if X_i(w_k) ⊆ X_t(x).  Lax ∃ and ∀ keep
+        every row, so both value sets survive the quantifiers inside B that
+        bind neither; a disjunction splits each team into parts that cover
+        it, so what every part demands, the whole demands.  Built once per
+        node.
+        """
+        key = ("demands", id(node))
+        got = self.memo.get(key)
+        if got is not None:
+            return got[1]
+        x = node.var
+
+        def demands(f) -> frozenset:
+            if isinstance(f, AtomF):
+                a = f.atom
+                if isinstance(a, PolyInc) and a.sort_j == x.sort:
+                    return frozenset(w for w, y in zip(a.x, a.y) if y == x != w)
+            elif isinstance(f, And):
+                return frozenset().union(*map(demands, f.parts))
+            elif isinstance(f, (OrGlobal, OrLocal)):
+                return frozenset.intersection(*map(demands, f.parts))
+            elif isinstance(f, (Exists, Forall)) and f.var != x:
+                return demands(f.body) - {f.var}
+            return frozenset()
+
+        return self._store(key, node, demands(node.body))
 
     def join_index(self, tuples, at_x, at_keys) -> dict:
         """Key values -> the domain values a that some tuple has at every x position."""

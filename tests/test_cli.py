@@ -40,7 +40,7 @@ HOSPITAL_NODES = {
     ("phi1.ptf", "test.csv", "results_mutated.csv"): 56,
     ("phi0.ptf", "test_missing.csv", "results.csv"): 43,
 }
-EXCHANGE_NODES = {"employees_seed.csv": 2068, "employees_empty.csv": 7}
+EXCHANGE_NODES = {"employees_seed.csv": 16, "employees_empty.csv": 7}
 
 
 @pytest.mark.parametrize("formula,test,results,verdict", [

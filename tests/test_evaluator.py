@@ -728,6 +728,99 @@ def test_relation_guards_and_row_lookups_cross_validation():
 
 
 # ---------------------------------------------------------------------------
+# Inclusion demands: a pinc into the ∃ sort fixes values every choice must cover
+
+DEMAND_CASES = {
+    # each case with no demand pins x elsewhere, so a wrong demand flips a verdict
+    "plain": (r"E P.x . (pinc(Q.u | P.x) /\ P.x = P.y)", {QU}),
+    "keyed": (r"E P.x . pinc(Q.u, Q.v | P.y, P.x)", {QV}),
+    "same-sort": (r"E P.x . (pinc(P.y | P.x) /\ P.x != P.y)", {PY}),
+    # the ∃ rebinds x itself: the atom says nothing of the old x's values
+    "self": (r"E P.x . (pinc(P.x | P.x) /\ P.x = P.y /\ Q.u = Q.v)", set()),
+    "every-part": (r"E P.x . (pinc(Q.u | P.x) \/_{Q} pinc(Q.u, Q.v | P.x, P.y))", {QU}),
+    "one-part": (r"E P.x . ((pinc(Q.u | P.x) \/_{Q} Q.u = Q.v) /\ P.x = P.y)", set()),
+    "global-split": (r"E P.x . (pinc(Q.u | P.x) \/ (pinc(Q.v | P.x) /\ pinc(Q.u | P.x)))",
+                     {QU}),
+    "past-chain": (r"E P.x . E P.z . (pinc(Q.v, Q.u | P.z, P.x) /\ P.z = P.y)", {QU}),
+    "rebound-source": (r"E P.x . ((E Q.u . pinc(Q.u | P.x)) /\ P.x = P.y)", set()),
+    "shadowed": (r"E P.x . ((A P.x . pinc(Q.u | P.x)) /\ P.x = P.y)", set()),
+    # x on the included side is a guard, not a demand
+    "guard": (r"E P.x . (pinc(P.x | Q.u) /\ P.x = P.y)", set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEMAND_CASES))
+def test_inclusion_demand_side_conditions(case):
+    text, demands = DEMAND_CASES[case]
+    ev = _Evaluator(ST3, NO_LIMITS, None)
+    assert ev.inclusion_demands(parse(text)) == demands
+
+
+@pytest.mark.parametrize("case", sorted(DEMAND_CASES))
+def test_inclusion_demand_matches_naive_oracle(case):
+    # P keeps a column x that the ∃ rebinds
+    phi = parse(DEMAND_CASES[case][0])
+    bulk = BulkEvaluator(ST)
+    answers = set()
+    for pt in enumerate_polyteams({P: (PX, PY), Q: (QU, QV)}, (0, 1), 2, min_rows=0):
+        expected = naive_eval(ST, pt, phi)
+        assert holds(ST, pt, phi) == expected, pt
+        assert bulk.holds(pt, phi) == expected, pt
+        answers.add(expected)
+    assert answers == {False, True}
+
+
+def test_inclusion_demand_keeps_search_independent_of_value_names():
+    # the first value in domain order used to send the search through every
+    # choice for the inner chain before it tried the employee
+    phi = parse(r"E E.x1 . E E.x2 . E E.x3 . ("
+                r"(pinc(P.employee, P.name | E.x1, E.x2) \/_{P} "
+                r"pinc(P.employee, P.name | E.x1, E.x3))"
+                r" /\ pdep(E.x1 ; E.x2, E.x3 | E.x1 ; E.x2, E.x3))")
+    p_vars = tuple(Variable("P", n) for n in ("name", "employee", "position"))
+    e_vars = tuple(Variable("E", n) for n in ("name", "project_1", "project_2"))
+    employees = Team.from_tuples("E", e_vars, [("e42", "p86", "p86")])
+    for position in ("dev", "ops", "qa"):
+        projects = Team.from_tuples("P", p_vars, [("p86", "e42", position)])
+        st = Structure(("p86", "e42", position))
+        outcome = eval_formula(st, Polyteam([projects, employees]), phi, NO_LIMITS)
+        assert outcome.verdict == TRUE and outcome.nodes_visited <= 16, position
+
+
+def test_inclusion_demand_outside_the_domain_fails_at_once():
+    phi = parse(DEMAND_CASES["plain"][0])
+    pt = Polyteam([Team(P, (PY,), [row(y=0)]), Team(Q, (QU, QV), [row(u=5, v=0)])])
+    outcome = eval_formula(ST3, pt, phi, NO_LIMITS)
+    assert (outcome.verdict, outcome.nodes_visited) == (FALSE, 1)
+    assert naive_eval(ST3, pt, phi) is False
+
+
+def test_inclusion_demands_cross_validation():
+    rng = random.Random(15)
+    sampler = FormulaSampler(("eq", "neq", "rel", "pdep", "pinc", "pexc"))
+    at_q = frozenset((Q,))
+    demanding = (AtomF(PolyInc(Q, (QU,), P, (PX,))),
+                 AtomF(PolyInc(Q, (QV, QU), P, (PY, PX))),
+                 AtomF(PolyInc(P, (PY,), P, (PX,))),
+                 OrLocal(at_q, AtomF(PolyInc(Q, (QU,), P, (PX,))),
+                         AtomF(PolyInc(Q, (QU, QV), P, (PX, PY)))))
+    structures = list(enumerate_structures({"R": 1}, (0, 1)))
+    sessions = {st: BulkEvaluator(st) for st in structures}
+    for _ in range(200):
+        rest = sampler.formula(rng, rng.randint(0, 2))
+        extra = rng.choice(demanding)
+        body = And(extra, rest) if rng.random() < 0.5 else And(rest, extra)
+        if rng.random() < 0.3:
+            body = Exists(PY, body)
+        phi = Exists(PX, body)
+        st = rng.choice(structures)
+        pt = random_polyteam(rng, {P: (PX, PY), Q: (QU, QV)}, (0, 1))
+        expected = naive_eval(st, pt, phi)
+        assert holds(st, pt, phi) == expected, (phi, st, pt)
+        assert sessions[st].holds(pt, phi) == expected, (phi, st, pt)
+
+
+# ---------------------------------------------------------------------------
 # Existential blocks ∃x̄(C ∧ (D ∨_P O)), decided as ∃x̄(C ∧ D) ∨_P (O ∧ ∃x̄C)
 
 # C conjuncts and D parts are row-wise at P; {z} is a block variable
