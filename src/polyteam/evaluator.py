@@ -50,23 +50,23 @@ and literal projectors share one memo whose entries hold their nodes, so no
 id it keys on can be reused while the entry lives.  A session keeps the memo
 across ``holds`` calls.
 
-Session row verdicts.  Two loops decide one row at a time: the row-wise
-parts of a disjunction that splits only sort t, and the body of a row-wise
-∃ at t.  Each first probes the same parts, or the body, on the sort-t team
-with no rows.  By locality, a row's verdict depends only on the node, the
-row with its domain, and the teams at the other sorts the node mentions;
-the probe's outcome depends on the same, less the row.  The structure is
-fixed.  A ``BulkEvaluator`` session keeps these verdicts per context
-(id(node), the sort-t domain, then (domain, tuples) of the team at each
-other mentioned sort, in sorted order), the probe under the key ``PROBE``
-among the rows, so a slice that later polyteams rebuild against the same
-teams is decided once and the probe runs once per context.  Keys hold team
-contents, not ``Team`` objects: equal teams rebuilt for another polyteam
-share an entry, and no team's caches are pinned.  The stored verdicts and
-the rows of the teams in the keys count against ``max_expanded_team_rows``,
-and the store empties itself before it would pass that.  A row or probe
-whose evaluation raises is never stored.  A single ``eval_formula`` keeps
-no verdicts: it seldom decides the same slice twice.
+Row verdicts.  One loop, ``row_loop``, decides one row at a time, for the
+row-wise parts of a disjunction that splits only sort t and for the body of
+an ∃ at t that is row-wise there or meets an empty team.  It first probes
+the parts, or the body, on the sort-t team with no rows.  By locality, a
+row's verdict depends only on the node, the row with its domain, and the
+teams at the other sorts the node mentions; the probe's outcome depends on
+the same, less the row.  The structure is fixed.  So the evaluator keeps the
+verdicts per context (id(node), the sort-t domain, then (domain, tuples) of
+the team at each other mentioned sort, in sorted order), the probe under the
+key ``PROBE`` among the rows, for its lifetime: one ``eval_formula`` call,
+or a ``BulkEvaluator`` session.  A slice rebuilt against the same teams is
+decided once, and each level of a chain ∃z1…∃zk probes once, not per call.
+Keys hold team contents, not ``Team`` objects: equal teams rebuilt for
+another polyteam share an entry, and no team's caches are pinned.  The
+stored verdicts and the rows of the teams in the keys count against
+``max_expanded_team_rows``, and the store empties itself before it would
+pass that.  A row or probe that raises is never stored.
 
 Anything not certified falls back to literal enumeration of ∃ value choices
 or of k-way lax covers for k disjuncts, which the configuration caps guard.
@@ -168,6 +168,11 @@ class _Evaluator:
         # key -> (node, answer); keys are id(node) for ``mentioned``,
         # (id(node), t) for ``closure`` and (name, id(node), ...) for the others
         self.memo = {}
+        # context -> (verdicts, their count and the rows reserved at the last hand-out)
+        self.contexts = {}
+        # a bound on the rows the contexts hold: the rows of their keys, and
+        # per context its count plus reserve from the last hand-out
+        self.rows_held = 0
 
     # -- cached structural queries ---------------------------------------
 
@@ -208,6 +213,24 @@ class _Evaluator:
         return self._store(key, node, level)
 
     # -- bookkeeping ------------------------------------------------------
+
+    def check_input(self, phi, pt: Polyteam):
+        """Reject an ill-sorted phi or a free variable outside its team's domain."""
+        key = ("free", id(phi))
+        got = self.memo.get(key)
+        if got is not None:
+            free = got[1]
+        else:
+            problems = check_well_sorted(phi, self.registry)
+            if problems:
+                raise SortedDomainError("ill-sorted formula: " + "; ".join(problems))
+            free = self._store(key, phi, tuple(free_variables(phi).items()))
+        for sort, variables in free:
+            if not variables.issubset(pt.team(sort).domain):
+                missing = variables.difference(pt.team(sort).domain)
+                raise SortedDomainError(
+                    f"free variables {sorted(map(str, missing))} missing from the "
+                    f"{sort!r} team domain")
 
     def tick(self):
         self.nodes += 1
@@ -262,14 +285,79 @@ class _Evaluator:
         return rel.isdisjoint(values)
 
     def row_verdicts(self, node, t, pt: Polyteam) -> dict:
-        """Where the row loops of ``node`` at sort t keep their one-row verdicts.
+        """Where the row loop of ``node`` at sort t keeps its one-row verdicts.
 
-        Maps a row tuple of the sort-t team to the loop's verdict on the
-        one-row slice, and ``PROBE`` to the outcome of the loop's probe on
-        the empty sort-t team, which depends on the same context.  A single
-        evaluation keeps none: it seldom decides the same slice twice.
+        Maps each row tuple of the sort-t team to its one-row verdict, and
+        ``PROBE`` to the probe's outcome on the empty team of the same context.
         """
-        return {}
+        key = ("others", id(node), t)
+        got = self.memo.get(key)
+        others = got[1] if got is not None else \
+            self._store(key, node, tuple(sorted(self.mentioned(node) - {t})))
+        team = pt.team(t)
+        context = [id(node), team.domain]
+        cost = 0
+        for s in others:
+            other = pt.team(s)
+            context.append((other.domain, other.tuples))
+            cost += len(other.tuples)
+        context = tuple(context)
+        # a loop stores at most one verdict per row of the sort-t team, and
+        # its empty-team probe
+        reserve = len(team.tuples) + 1
+        cap = self.config.max_expanded_team_rows
+        if cost + reserve > cap:
+            return {}
+        entry = self.contexts.get(context)
+        if entry is None:
+            verdicts = {}
+            held = self.rows_held + cost
+        else:
+            # settle the last hand-out: what its loop stored replaces its reserve
+            verdicts, counted, reserved = entry
+            held = self.rows_held + len(verdicts) - counted - reserved
+        if held + reserve > cap:
+            self.contexts.clear()
+            verdicts = {}
+            held = cost
+        self.contexts[context] = (verdicts, len(verdicts), reserve)
+        self.rows_held = held + reserve
+        return verdicts
+
+    def row_loop(self, node, t, pt: Polyteam, parts, decider, accepts=None) -> bool:
+        """Whether ``parts`` hold on no sort-t rows, and then each row passes.
+
+        The probe's team has no rows, and for ∃x the column x.  At the first
+        row with no kept verdict, after the probe held, ``decider(node, t, pt,
+        parts)`` builds the row test.  The loop stops at the first row that
+        fails, unless given ``accepts``: then each row's verdict goes there,
+        in ``ordered_tuples`` order.  Per level it stacks itself and the test.
+        """
+        verdicts = self.row_verdicts(node, t, pt)
+        ok = verdicts.get(PROBE)
+        if ok is None:
+            team = pt.team(t)
+            probe = pt.with_team(team.expanded_all(node.var, ()) if isinstance(node, Exists)
+                                 else team.with_rows(()))
+            for p in parts:
+                ok = self.eval(p, probe)
+                if not ok:
+                    break
+            verdicts[PROBE] = ok
+        if not ok:
+            return False
+        decide = None
+        for row in pt.team(t).ordered_tuples():
+            ok = verdicts.get(row)
+            if ok is None:
+                if decide is None:
+                    decide = decider(node, t, pt, parts)
+                ok = verdicts[row] = decide(row)
+            if accepts is not None:
+                accepts.append(ok)
+            elif not ok:
+                return False
+        return True
 
     # -- disjunction ------------------------------------------------------
 
@@ -280,54 +368,27 @@ class _Evaluator:
         return sorted(touched)
 
     def eval_or(self, node, pt: Polyteam) -> bool:
-        split = self.split_sorts(node)
-        if len(split) == 1:
-            return self.eval_or_single(node, split[0], pt)
-        return self.eval_or_fallback(node, split, pt)
+        """A disjunction; one that splits only sort t is decided row by row.
 
-    def eval_or_single(self, node, t, pt: Polyteam) -> bool:
-        """A disjunction that splits only sort t, decided row by row.
-
-        Each row goes to the first row-wise part that accepts its one-row
-        slice; a ``row_lookup`` part decides that by set membership, every
-        other part on the slice.  The rows no row-wise part accepts go to
-        the one opaque part, if any, with any accepted rows it still needs.
+        Each row goes to the first row-wise part whose ``row_lookup`` test
+        accepts it.  The rows no row-wise part accepts go to the one opaque
+        part, if any, with any accepted rows it still needs.
         """
+        split = self.split_sorts(node)
+        if len(split) != 1:
+            return self.eval_or_fallback(node, split, pt)
+        t = split[0]
         team = pt.team(t)
         rowwise_parts, opaque = [], []
         for p in node.parts:
             (rowwise_parts if self.closure(p, t) == ROWWISE else opaque).append(p)
         if len(opaque) > 1:
-            return self.eval_or_fallback(node, [t], pt)
-        verdicts = self.row_verdicts(node, t, pt)
-        probe = verdicts.get(PROBE)
-        if probe is None:
-            empty = pt.with_team(team.with_rows(()))
-            probe = verdicts[PROBE] = all(self.eval(p, empty) for p in rowwise_parts)
-        if not probe:
-            return False
+            return self.eval_or_fallback(node, split, pt)
+        accepts = [] if opaque else None
+        held = self.row_loop(node, t, pt, rowwise_parts, self.or_decider, accepts)
+        if not held or not opaque:
+            return held
         rows = team.ordered_tuples()
-        accepts = []
-        lookups = None
-        for row in rows:
-            ok = verdicts.get(row)
-            if ok is None:
-                if lookups is None:
-                    lookups = [self.row_lookup(p, t, pt) for p in rowwise_parts]
-                single = None
-                for p, lookup in zip(rowwise_parts, lookups):
-                    if lookup is not None:
-                        ok = lookup(row)
-                    else:
-                        if single is None:
-                            single = pt.with_team(team.with_rows((row,)))
-                        ok = self.eval(p, single)
-                    if ok:
-                        break
-                verdicts[row] = ok
-            accepts.append(ok)
-        if not opaque:
-            return all(accepts)
         blocker = opaque[0]
         required = tuple(r for r, ok in zip(rows, accepts) if not ok)
         if self.closure(blocker, t) == DOWNWARD:
@@ -343,15 +404,28 @@ class _Evaluator:
                     return True
         return False
 
+    def or_decider(self, node, t, pt: Polyteam, parts):
+        """A row passes when some row-wise part's ``row_lookup`` test accepts it."""
+        tests = [self.row_lookup(p, t, pt) for p in parts]
+
+        def decide(row):
+            for test in tests:
+                if test(row):
+                    return True
+            return False
+
+        return decide
+
     def row_lookup(self, part, t, pt: Polyteam):
-        """A test of one sort-t row tuple that decides ``part`` on its slice, or None.
+        """A test of one sort-t row tuple that decides ``part`` on its slice.
 
         On a one-row team {s} at t, pinc(x̄ | ȳ) with sort_i = t ≠ sort_j
         holds iff s(x̄) ∈ rel(X_j, ȳ), and pexc(x̄ | ȳ) with one side at t
-        iff the row's side is not in the other side's relation.  Call it
-        only after the parts held on the empty sort-t team (or a session
-        holds that probe as true for this context): that read both sides,
-        so their variables lie in the team domains.
+        iff the row's side is not in the other side's relation: those are
+        set lookups.  Any other part is evaluated on the slice.  Call it
+        only after the parts held on the empty sort-t team, or a kept probe
+        says so for this context: that read both sides, so their variables
+        lie in the team domains.
         """
         atom = part.atom if isinstance(part, AtomF) else None
         if isinstance(atom, PolyInc) and atom.sort_i == t != atom.sort_j:
@@ -364,23 +438,23 @@ class _Evaluator:
             project = pt.team(t).projector(mine)
             rel = pt.team(other).relation(theirs)
             return lambda row: project(row) not in rel
-        return None
+        team = pt.team(t)
+        return lambda row: self.eval(part, pt.with_team(team.with_rows((row,))))
 
-    def eval_or_fallback(self, node, split, pt: Polyteam) -> bool:
-        # each row of each split team goes to a nonempty set of the parts;
-        # with no split sort, every part must hold on pt as it is
+    def eval_or_fallback(self, node, split, pt: Polyteam, pts=None) -> bool:
+        # each row of each split team goes to a nonempty set of the parts, one
+        # split sort per call, with pts the polyteam of each part so far; with
+        # no split sort left, every part must hold on its polyteam
         parts = node.parts
-
-        def go(idx, pts):
-            if idx == len(split):
-                return all(self.eval(p, q) for p, q in zip(parts, pts))
-            for cover in enumerate_covers(pt.team(split[idx]),
-                                          self.config.max_split_assignments, len(parts)):
-                if go(idx + 1, [q.with_team(y) for q, y in zip(pts, cover)]):
-                    return True
-            return False
-
-        return go(0, [pt] * len(parts))
+        pts = pts or [pt] * len(parts)
+        if not split:
+            return all(self.eval(p, q) for p, q in zip(parts, pts))
+        for cover in enumerate_covers(pt.team(split[0]),
+                                      self.config.max_split_assignments, len(parts)):
+            if self.eval_or_fallback(node, split[1:], pt,
+                                     [q.with_team(y) for q, y in zip(pts, cover)]):
+                return True
+        return False
 
     # -- quantifiers -------------------------------------------------------
 
@@ -395,32 +469,11 @@ class _Evaluator:
         t = node.var.sort
         team = pt.team(t)
         domain = self.structure.domain
-        if team.is_empty:
-            return self.eval(node.body, pt.with_team(team.expanded_all(node.var, ())))
         if len(team) * len(domain) > self.config.max_expanded_team_rows:
             raise ResourceExhausted("expansion")
         level = self.closure(node.body, t)
-        if level == ROWWISE:
-            verdicts = self.row_verdicts(node, t, pt)
-            probe = verdicts.get(PROBE)
-            if probe is None:
-                empty = pt.with_team(team.expanded_all(node.var, ()))
-                probe = verdicts[PROBE] = self.eval(node.body, empty)
-            if not probe:
-                return False
-            extend = None
-            for row in team.ordered_tuples():
-                ok = verdicts.get(row)
-                if ok is None:
-                    if extend is None:
-                        witnesses = self.witness_picker(node, pt)
-                        extend = team.extender(node.var)
-                    values = domain if witnesses is None else witnesses(row)
-                    ok = verdicts[row] = any(
-                        self.eval(node.body, pt.with_team(extend(row, a))) for a in values)
-                if not ok:
-                    return False
-            return True
+        if level == ROWWISE or team.is_empty:
+            return self.row_loop(node, t, pt, (node.body,), self.exists_decider)
         rewritten = self.block_disjunction(node)
         if rewritten is not None:
             return self.eval(rewritten, pt)
@@ -444,6 +497,20 @@ class _Evaluator:
             if self.eval(node.body, pt.with_team(chosen)):
                 return True
         return False
+
+    def exists_decider(self, node, t, pt: Polyteam, parts):
+        """A row passes when some candidate value for x satisfies the body."""
+        witnesses = self.witness_picker(node, pt)
+        extend = pt.team(t).extender(node.var)
+        domain = self.structure.domain
+
+        def decide(row):
+            for a in domain if witnesses is None else witnesses(row):
+                if self.eval(node.body, pt.with_team(extend(row, a))):
+                    return True
+            return False
+
+        return decide
 
     def block_disjunction(self, node):
         """∃x̄(C ∧ D) ∨_t (O ∧ ∃x̄C) for a block ∃x̄(C ∧ (D ∨ O)), or None.
@@ -595,9 +662,9 @@ class _Evaluator:
         admits, in domain order.  The result maps a row tuple of the sort-t
         team to those values.
 
-        Call it only after B held on the empty sort-t team, or a session
-        holds that probe as true for this context (the same sort-t domain
-        and teams at the other sorts B mentions): that evaluated every
+        Call it only after B held on the empty sort-t team, or a kept probe
+        says so for this context (the same sort-t domain and teams at the
+        other sorts B mentions): that evaluated every
         guard, so the variables of x̄ and ȳ are known to lie in the team
         domains and each R to name a relation of the structure.
         """
@@ -633,18 +700,8 @@ def eval_formula(structure: Structure, pt: Polyteam, phi: Formula,
     resource cap trips; cap trips surface as the distinct verdict
     ``resource_exhausted``, never as ``false``.
     """
-    config = config or EvalConfig()
-    problems = check_well_sorted(phi, registry)
-    if problems:
-        raise SortedDomainError("ill-sorted formula: " + "; ".join(problems))
-    for sort, variables in free_variables(phi).items():
-        team = pt.team(sort)
-        missing = set(variables) - set(team.domain)
-        if missing:
-            raise SortedDomainError(
-                f"free variables {sorted(map(str, missing))} missing from the "
-                f"{sort!r} team domain")
-    ev = _Evaluator(structure, config, registry)
+    ev = _Evaluator(structure, config or EvalConfig(), registry)
+    ev.check_input(phi, pt)
     try:
         verdict = TRUE if ev.eval(phi, pt) else FALSE
         return EvalOutcome(verdict, ev.nodes)
@@ -662,78 +719,19 @@ def eval_sentence(structure: Structure, phi: Formula,
     return eval_formula(structure, Polyteam(), phi, config, registry)
 
 
-class _SessionEvaluator(_Evaluator):
-    """The engine of a BulkEvaluator: one-row verdicts kept across queries."""
-
-    def __init__(self, structure: Structure, config: EvalConfig, registry):
-        super().__init__(structure, config, registry)
-        # context -> (verdicts, their count and the rows reserved at the last hand-out)
-        self.contexts = {}
-        # a bound on the rows the contexts hold: the rows of their keys, and
-        # per context its count plus reserve from the last hand-out
-        self.rows_held = 0
-
-    def row_verdicts(self, node, t, pt: Polyteam) -> dict:
-        key = ("others", id(node), t)
-        got = self.memo.get(key)
-        others = got[1] if got is not None else \
-            self._store(key, node, tuple(sorted(self.mentioned(node) - {t})))
-        team = pt.team(t)
-        context = [id(node), team.domain]
-        cost = 0
-        for s in others:
-            other = pt.team(s)
-            context.append((other.domain, other.tuples))
-            cost += len(other.tuples)
-        context = tuple(context)
-        # a loop stores at most one verdict per row of the sort-t team, and
-        # its empty-team probe
-        reserve = len(team.tuples) + 1
-        cap = self.config.max_expanded_team_rows
-        if cost + reserve > cap:
-            return {}
-        entry = self.contexts.get(context)
-        if entry is None:
-            verdicts = {}
-            held = self.rows_held + cost
-        else:
-            # settle the last hand-out: what its loop stored replaces its reserve
-            verdicts, counted, reserved = entry
-            held = self.rows_held + len(verdicts) - counted - reserved
-        if held + reserve > cap:
-            self.contexts.clear()
-            verdicts = {}
-            held = cost
-        self.contexts[context] = (verdicts, len(verdicts), reserve)
-        self.rows_held = held + reserve
-        return verdicts
-
-
 class BulkEvaluator:
-    """Many evaluations against one structure, sharing one memo across queries.
+    """Many evaluations against one structure, sharing one engine across queries.
 
-    The structural analysis of each formula (mentioned sorts, closure levels
-    OPAQUE < DOWNWARD < ROWWISE per sort, inclusion guards, existential-block
-    rewrites) is computed once and reused for every polyteam it is
-    evaluated on.  The memo holds every node it has an entry for, so an id
-    it keys on is never reused.  The session also keeps the one-row verdicts
-    of its row loops, and each loop's empty-team probe as one more verdict
-    of the same context (see the module docstring), so a slice that a later
-    polyteam rebuilds against the same teams at the other mentioned sorts
-    is decided once, and so is the probe.  Raises ResourceExhausted instead
-    of returning a third verdict.
+    The engine's memo (the structural analysis of each formula) and its row
+    verdicts (see the module docstring) carry over from one ``holds`` call
+    to the next.  Raises ResourceExhausted instead of returning a third
+    verdict.
     """
 
     def __init__(self, structure: Structure, config: Optional[EvalConfig] = None,
                  registry=None):
-        self._engine = _SessionEvaluator(structure, config or EvalConfig(timeout=None),
-                                         registry)
-        self._checked = {}
+        self._engine = _Evaluator(structure, config or EvalConfig(timeout=None), registry)
 
     def holds(self, pt: Polyteam, phi: Formula) -> bool:
-        if id(phi) not in self._checked:
-            problems = check_well_sorted(phi, self._engine.registry)
-            if problems:
-                raise SortedDomainError("ill-sorted formula: " + "; ".join(problems))
-            self._checked[id(phi)] = phi
+        self._engine.check_input(phi, pt)
         return self._engine.eval(phi, pt)

@@ -34,11 +34,11 @@ def check(capsys, formula, teams, structure=None):
 
 
 HOSPITAL_NODES = {
-    ("phi0.ptf", "test.csv", "results.csv"): 62,
-    ("phi1.ptf", "test.csv", "results.csv"): 56,
-    ("phi0.ptf", "test.csv", "results_mutated.csv"): 62,
-    ("phi1.ptf", "test.csv", "results_mutated.csv"): 56,
-    ("phi0.ptf", "test_missing.csv", "results.csv"): 43,
+    ("phi0.ptf", "test.csv", "results.csv"): 31,
+    ("phi1.ptf", "test.csv", "results.csv"): 28,
+    ("phi0.ptf", "test.csv", "results_mutated.csv"): 31,
+    ("phi1.ptf", "test.csv", "results_mutated.csv"): 28,
+    ("phi0.ptf", "test_missing.csv", "results.csv"): 21,
 }
 EXCHANGE_NODES = {"employees_seed.csv": 16, "employees_empty.csv": 7}
 
@@ -209,12 +209,26 @@ def test_deep_exists_chain_exits_2_with_depth_limit(capsys, tmp_path, p_team):
     assert captured.err == "error: the input exceeds the depth limit\n"
 
 
+def exists_chain_text(k):
+    return ("".join(f"E P.z{i} . " for i in range(1, k + 1))
+            + r"(P.z1 = P.z1 /\ P.z2 = P.z2)")
+
+
 def test_150_deep_exists_chain_answers_with_pinned_work(capsys, tmp_path, p_team):
-    # every level compares and hashes variables; about 0.9 s when that runs in C
-    formula = write(tmp_path, "chain.ptf",
-                    "".join(f"E P.z{k} . " for k in range(1, 151))
-                    + r"(P.z1 = P.z1 /\ P.z2 = P.z2)")
-    assert check_golden(capsys, formula, [("P", p_team)]) == ("true", 0, 23403)
+    formula = write(tmp_path, "chain.ptf", exists_chain_text(150))
+    assert check_golden(capsys, formula, [("P", p_team)]) == ("true", 0, 457)
+
+
+def test_exists_chain_work_grows_linearly(capsys, tmp_path, p_team):
+    # each level probes the empty team once and keeps the answer, which every
+    # one-row call of that level reuses; re-probing made the work quadratic
+    nodes = []
+    for k in (50, 100, 150):
+        formula = write(tmp_path, f"chain{k}.ptf", exists_chain_text(k))
+        verdict, code, visited = check_golden(capsys, formula, [("P", p_team)])
+        assert (verdict, code) == ("true", 0)
+        nodes.append(visited)
+    assert nodes[1] - nodes[0] == nodes[2] - nodes[1] > 0
 
 
 def test_deep_parentheses_exit_2_with_depth_limit(capsys, tmp_path):
