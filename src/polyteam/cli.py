@@ -306,7 +306,8 @@ def build_parser() -> _Parser:
                        help="cap on expanded team rows")
     check.add_argument("--max-split", type=int, default=14,
                        help="cap on rows per enumerated disjunction split")
-    check.add_argument("--timeout-ms", type=int, default=60_000)
+    check.add_argument("--timeout-ms", type=int, default=60_000,
+                       help="time limit in milliseconds; 0 turns it off")
     check.add_argument("--json", action="store_true")
     check.set_defaults(handler=run_check)
 

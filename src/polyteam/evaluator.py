@@ -155,12 +155,27 @@ def atom_closure(atom, t) -> int:
     return OPAQUE
 
 
+def _demands(f, x) -> frozenset:
+    """The variables whose values f demands ∃x cover; see ``inclusion_demands``."""
+    if isinstance(f, AtomF):
+        a = f.atom
+        if isinstance(a, PolyInc) and a.sort_j == x.sort:
+            return frozenset(w for w, y in zip(a.x, a.y) if y == x != w)
+    elif isinstance(f, And):
+        return frozenset().union(*(_demands(p, x) for p in f.parts))
+    elif isinstance(f, (OrGlobal, OrLocal)):
+        return frozenset.intersection(*(_demands(p, x) for p in f.parts))
+    elif isinstance(f, (Exists, Forall)) and f.var != x:
+        return _demands(f.body, x) - {f.var}
+    return frozenset()
+
+
 class _Evaluator:
     def __init__(self, structure: Structure, config: EvalConfig, registry):
         self.structure = structure
         self.config = config
         self.registry = registry
-        self.domain_set = frozenset(structure.domain)
+        self.domain_set = structure.domain_set
         self.nodes = 0
         self.deadline = None
         if config.timeout is not None:
@@ -609,22 +624,7 @@ class _Evaluator:
         got = self.memo.get(key)
         if got is not None:
             return got[1]
-        x = node.var
-
-        def demands(f) -> frozenset:
-            if isinstance(f, AtomF):
-                a = f.atom
-                if isinstance(a, PolyInc) and a.sort_j == x.sort:
-                    return frozenset(w for w, y in zip(a.x, a.y) if y == x != w)
-            elif isinstance(f, And):
-                return frozenset().union(*map(demands, f.parts))
-            elif isinstance(f, (OrGlobal, OrLocal)):
-                return frozenset.intersection(*map(demands, f.parts))
-            elif isinstance(f, (Exists, Forall)) and f.var != x:
-                return demands(f.body) - {f.var}
-            return frozenset()
-
-        return self._store(key, node, demands(node.body))
+        return self._store(key, node, _demands(node.body, node.var))
 
     def join_index(self, tuples, at_x, at_keys) -> dict:
         """Key values -> the domain values a that some tuple has at every x position."""

@@ -490,7 +490,7 @@ def polyteam_restrict(x: Polyteam, view: Mapping) -> Polyteam:
 class Structure:
     """A finite domain together with named finite relations."""
 
-    __slots__ = ("domain", "relations", "_domain_set")
+    __slots__ = ("domain", "domain_set", "relations")
 
     def __init__(self, domain: Iterable[Value], relations: Mapping = ()):
         domain = tuple(sorted(set(domain), key=value_key))
@@ -510,7 +510,7 @@ class Structure:
             rels[name] = tuples
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "relations", dict(sorted(rels.items())))
-        object.__setattr__(self, "_domain_set", domain_set)
+        object.__setattr__(self, "domain_set", domain_set)
 
     def __setattr__(self, *_):
         raise AttributeError("Structure is immutable")

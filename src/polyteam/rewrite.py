@@ -93,12 +93,6 @@ class FreshNameSource:
         return tuple(self.fresh(sort) for _ in range(count))
 
 
-def _forall_chain(variables, body: Formula) -> Formula:
-    for var in reversed(variables):
-        body = Forall(var, body)
-    return body
-
-
 # ---------------------------------------------------------------------------
 # Atom translations
 
@@ -131,8 +125,8 @@ def _e4(atom: PolyInc, fresh) -> Formula:
     probe = fresh.fresh_tuple(atom.sort_j, len(atom.x))
     exclusion = AtomF(PolyExc(atom.sort_i, atom.x, atom.sort_j, probe))
     inclusion = AtomF(PolyInc(atom.sort_j, probe, atom.sort_j, atom.y))
-    return _forall_chain(probe, OrLocal(frozenset((atom.sort_j,)),
-                                        exclusion, inclusion))
+    return exists_chain(probe, OrLocal(frozenset((atom.sort_j,)), exclusion, inclusion),
+                        Forall)
 
 
 def _e5(atom: PolyExc, fresh) -> Formula:
@@ -177,8 +171,8 @@ def _e8(atom: PolyInd, fresh) -> Formula:
                                   AtomF(PolyInc(j, pj + qj + rj,
                                                 k, atom.u + atom.v + atom.w))))
     body = conjoin((transfer, left_guard, right_guard))
-    inner = _forall_chain(pj + qj + rj, exists_chain((uj, vj), body))
-    return _forall_chain(pi + qi, exists_chain((ui, vi), inner))
+    inner = exists_chain(pj + qj + rj, exists_chain((uj, vj), body), Forall)
+    return exists_chain(pi + qi, exists_chain((ui, vi), inner), Forall)
 
 
 _ATOM_RULES = {
@@ -230,26 +224,24 @@ def rewrite_formula(phi: Formula, rule: str,
         raise RewriteError(f"unknown rule {rule!r}; choose from {RULE_NAMES}")
     fresh = fresh or FreshNameSource.for_formula(phi)
     state = {"conditional": False}
-
-    def go(f):
-        if isinstance(f, AtomF) and isinstance(f.atom, kind):
-            if _needs_empty_team_warning(f.atom, rule):
-                state["conditional"] = True
-            return _translate(f.atom, rule, fresh)
-        if isinstance(f, (And, OrGlobal)):
-            return type(f)(*map(go, f.parts))
-        if isinstance(f, OrLocal):
-            return OrLocal(f.sorts, *map(go, f.parts))
-        if isinstance(f, Exists):
-            return Exists(f.var, go(f.body))
-        if isinstance(f, Forall):
-            return Forall(f.var, go(f.body))
-        return f
-
-    result = go(phi)
+    result = _rewrite(phi, rule, kind, fresh, state)
     if state["conditional"]:
         warnings.warn(_EMPTY_TEAM_CONDITIONS[rule], EmptyTeamWarning, stacklevel=2)
     return result
+
+
+def _rewrite(f, rule, kind, fresh, state):
+    if isinstance(f, AtomF) and isinstance(f.atom, kind):
+        if _needs_empty_team_warning(f.atom, rule):
+            state["conditional"] = True
+        return _translate(f.atom, rule, fresh)
+    if isinstance(f, (And, OrGlobal)):
+        return type(f)(*(_rewrite(p, rule, kind, fresh, state) for p in f.parts))
+    if isinstance(f, OrLocal):
+        return OrLocal(f.sorts, *(_rewrite(p, rule, kind, fresh, state) for p in f.parts))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, _rewrite(f.body, rule, kind, fresh, state))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -264,53 +256,60 @@ def eliminate_global_disjunction(phi: Formula,
     encoding; the unfolding is equivalent on structures with at least two
     elements (warned via CardinalityWarning).
     """
-    fresh = fresh or FreshNameSource.for_formula(phi)
-    scope = frozenset(mentioned_sorts(phi))
-    state = {"expanded": False}
-
-    def chain(sorts, zs, phase, core):
-        # nested guard: at each sort, rows with equal (unequal) markers drop
-        # out; the rest must satisfy the payload
-        sort = sorts[0]
-        z0, z1 = zs[sort]
-        done = Eq(z0, z1) if phase == 0 else Neq(z0, z1)
-        keep = Neq(z0, z1) if phase == 0 else Eq(z0, z1)
-        inner = core if len(sorts) == 1 else chain(sorts[1:], zs, phase, core)
-        return OrLocal(frozenset((sort,)), done, And(keep, inner))
-
-    def expand_local(sorts, left, right):
-        sorts = sorted(sorts)
-        zs = {s: (fresh.fresh(s), fresh.fresh(s)) for s in sorts}
-        body = And(chain(sorts, zs, 0, left), chain(sorts, zs, 1, right))
-        bound = [z for s in sorts for z in zs[s]]
-        state["expanded"] = True
-        return exists_chain(bound, body)
-
-    def go(f):
-        if isinstance(f, And):
-            return And(*map(go, f.parts))
-        if isinstance(f, (OrGlobal, OrLocal)):
-            sorts = scope if isinstance(f, OrGlobal) else f.sorts
-            if not sorts:
-                return And(*map(go, f.parts))  # no teams are split at all
-            if len(sorts) == 1:
-                return OrLocal(sorts, *map(go, f.parts))
-            # fold the parts pairwise, in the order a left-deep chain unfolds
-            result = go(f.parts[0])
-            for part in f.parts[1:]:
-                result = expand_local(sorts, result, go(part))
-            return result
-        if isinstance(f, Exists):
-            return Exists(f.var, go(f.body))
-        if isinstance(f, Forall):
-            return Forall(f.var, go(f.body))
-        return f
-
-    result = go(phi)
-    if state["expanded"]:
+    eliminator = _Eliminator(frozenset(mentioned_sorts(phi)),
+                             fresh or FreshNameSource.for_formula(phi))
+    result = eliminator.go(phi)
+    if eliminator.expanded:
         warnings.warn("the split encoding needs at least two domain elements",
                       CardinalityWarning, stacklevel=2)
     return result
+
+
+class _Eliminator:
+    """One elimination: the sorts a global disjunction splits, the source of
+    fresh names, and whether some split was unfolded."""
+
+    def __init__(self, scope, fresh: FreshNameSource):
+        self.scope = scope
+        self.fresh = fresh
+        self.expanded = False
+
+    def go(self, f):
+        if isinstance(f, And):
+            return And(*map(self.go, f.parts))
+        if isinstance(f, (OrGlobal, OrLocal)):
+            sorts = self.scope if isinstance(f, OrGlobal) else f.sorts
+            if not sorts:
+                return And(*map(self.go, f.parts))  # no teams are split at all
+            if len(sorts) == 1:
+                return OrLocal(sorts, *map(self.go, f.parts))
+            # fold the parts pairwise, in the order a left-deep chain unfolds
+            result = self.go(f.parts[0])
+            for part in f.parts[1:]:
+                result = self.expand_local(sorts, result, self.go(part))
+            return result
+        if isinstance(f, (Exists, Forall)):
+            return type(f)(f.var, self.go(f.body))
+        return f
+
+    def expand_local(self, sorts, left, right):
+        sorts = sorted(sorts)
+        zs = {s: (self.fresh.fresh(s), self.fresh.fresh(s)) for s in sorts}
+        body = And(_guard_chain(sorts, zs, 0, left), _guard_chain(sorts, zs, 1, right))
+        bound = [z for s in sorts for z in zs[s]]
+        self.expanded = True
+        return exists_chain(bound, body)
+
+
+def _guard_chain(sorts, zs, phase, core):
+    # nested guard: at each sort, rows with equal (unequal) markers drop
+    # out; the rest must satisfy the payload
+    sort = sorts[0]
+    z0, z1 = zs[sort]
+    done = Eq(z0, z1) if phase == 0 else Neq(z0, z1)
+    keep = Neq(z0, z1) if phase == 0 else Eq(z0, z1)
+    inner = core if len(sorts) == 1 else _guard_chain(sorts[1:], zs, phase, core)
+    return OrLocal(frozenset((sort,)), done, And(keep, inner))
 
 
 # ---------------------------------------------------------------------------
@@ -341,25 +340,33 @@ def decompose_by_sort(phi: Formula) -> dict:
         if isinstance(node, AtomF):
             _atom_sort(node.atom)
 
-    def project(f, sort):
-        if isinstance(f, Truth):
-            return Truth()
-        if isinstance(f, (Eq, Neq)):
-            return f if f.left.sort == sort else Truth()
-        if isinstance(f, (Rel, NegRel)):
-            return f if f.args[0].sort == sort else Truth()
-        if isinstance(f, AtomF):
-            return f if _atom_sort(f.atom) == sort else Truth()
-        if isinstance(f, And):
-            return And(*(project(p, sort) for p in f.parts))
-        if isinstance(f, OrLocal):
-            parts = [project(p, sort) for p in f.parts]
-            return OrGlobal(*parts) if sort in f.sorts else And(*parts)
-        if isinstance(f, (Exists, Forall)):
-            inner = project(f.body, sort)
-            if f.var.sort == sort:
-                return Exists(f.var, inner) if isinstance(f, Exists) else Forall(f.var, inner)
-            return inner
-        raise TypeError(f"not a formula node: {f!r}")
+    sorts = sorted(mentioned_sorts(phi))
+    return dict(zip(sorts, _project(phi, sorts)))
 
-    return {sort: project(phi, sort) for sort in sorted(mentioned_sorts(phi))}
+
+_TRUE = Truth()
+
+
+def _project(f, sorts) -> tuple:
+    """f projected onto each of the sorts, in order, in one pass over f."""
+    if isinstance(f, Truth):
+        return (_TRUE,) * len(sorts)
+    if isinstance(f, (Eq, Neq)):
+        own = f.left.sort
+    elif isinstance(f, (Rel, NegRel)):
+        own = f.args[0].sort
+    elif isinstance(f, AtomF):
+        own = _atom_sort(f.atom)
+    elif isinstance(f, And):
+        return tuple(map(And, *(_project(p, sorts) for p in f.parts)))
+    elif isinstance(f, OrLocal):
+        per_sort = zip(*(_project(p, sorts) for p in f.parts))
+        return tuple((OrGlobal if sort in f.sorts else And)(*parts)
+                     for sort, parts in zip(sorts, per_sort))
+    elif isinstance(f, (Exists, Forall)):
+        inner = _project(f.body, sorts)
+        return tuple(type(f)(f.var, body) if f.var.sort == sort else body
+                     for sort, body in zip(sorts, inner))
+    else:
+        raise TypeError(f"not a formula node: {f!r}")
+    return tuple(f if sort == own else _TRUE for sort in sorts)

@@ -21,6 +21,9 @@ An empty variable tuple may be written ``:S`` to pin its sort explicitly;
 bare empty tuples take their sort from the surrounding atom.  Variable names
 beginning with ``_fr`` are reserved for the rewriter and rejected here.
 
+``_SHAPES`` is the one place where the built-in atoms' written form lives:
+the parser, the printer, ``tuples()`` and the structural queries read it.
+
 The scanner is one compiled regex: ``findall`` yields the token texts, and a
 dict lookup gives each text's kind, so the parser reads two parallel lists,
 kinds and texts, by index and builds no object per token.  Line and column
@@ -31,20 +34,32 @@ to the failing token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import chain, groupby, repeat
+from operator import attrgetter
 from typing import Tuple
 
 from .errors import ParseError
 from .model import Sort, Variable
 
 FRESH_PREFIX = "_fr"
+_SORT = attrgetter("sort")
 
 
 # ---------------------------------------------------------------------------
 # Atom instances
 
+class _BuiltinAtom:
+    """One of the paper's four atoms; ``_SHAPES`` gives its written form."""
+
+    def tuples(self):
+        """(sort, variable group) pairs, in field order."""
+        sides, groups = _FIELD_ORDER[type(self)]
+        return tuple(zip(sides(self), groups(self)))
+
+
 @dataclass(frozen=True)
-class PolyDep:
+class PolyDep(_BuiltinAtom):
     """=(x ; y | u ; v): values of u determine v across teams i and j."""
 
     sort_i: Sort
@@ -54,13 +69,9 @@ class PolyDep:
     u: Tuple[Variable, ...]
     v: Tuple[Variable, ...]
 
-    def tuples(self):
-        return ((self.sort_i, self.x), (self.sort_i, self.y),
-                (self.sort_j, self.u), (self.sort_j, self.v))
-
 
 @dataclass(frozen=True)
-class PolyInc:
+class PolyInc(_BuiltinAtom):
     """x ⊆ y between teams of sorts i and j."""
 
     sort_i: Sort
@@ -68,12 +79,9 @@ class PolyInc:
     sort_j: Sort
     y: Tuple[Variable, ...]
 
-    def tuples(self):
-        return ((self.sort_i, self.x), (self.sort_j, self.y))
-
 
 @dataclass(frozen=True)
-class PolyExc:
+class PolyExc(_BuiltinAtom):
     """x | y: value sets of x in team i and y in team j are disjoint."""
 
     sort_i: Sort
@@ -81,12 +89,9 @@ class PolyExc:
     sort_j: Sort
     y: Tuple[Variable, ...]
 
-    def tuples(self):
-        return ((self.sort_i, self.x), (self.sort_j, self.y))
-
 
 @dataclass(frozen=True)
-class PolyInd:
+class PolyInd(_BuiltinAtom):
     """Poly-independence ⟨x,a/u ; y/v ; b/w⟩ over sorts (i, j, k).
 
     Satisfied when every pair (s in team i, s' in team j) with s(x) = s'(a)
@@ -105,10 +110,36 @@ class PolyInd:
     v: Tuple[Variable, ...]
     w: Tuple[Variable, ...]
 
-    def tuples(self):
-        return ((self.sort_i, self.x), (self.sort_i, self.y),
-                (self.sort_j, self.a), (self.sort_j, self.b),
-                (self.sort_k, self.u), (self.sort_k, self.v), (self.sort_k, self.w))
+
+# The written form of each built-in atom: its keyword, whether each group
+# sits in parentheses, and its groups in written order, each as (field, the
+# sort field it sits on, the text that follows it).  Each reader uses a view
+# of it built once, below or next to the reader.
+_SHAPES = {
+    PolyDep: ("pdep", False, (("x", "sort_i", " ; "), ("y", "sort_i", " | "),
+                              ("u", "sort_j", " ; "), ("v", "sort_j", ")"))),
+    PolyInc: ("pinc", False, (("x", "sort_i", " | "), ("y", "sort_j", ")"))),
+    PolyExc: ("pexc", False, (("x", "sort_i", " | "), ("y", "sort_j", ")"))),
+    PolyInd: ("pind", True, (("x", "sort_i", ","), ("a", "sort_j", "/"),
+                             ("u", "sort_k", " ; "), ("y", "sort_i", "/"),
+                             ("v", "sort_k", " ; "), ("b", "sort_j", "/"),
+                             ("w", "sort_k", ")"))),
+}
+
+
+def _getters(groups):
+    """Getters of the groups' sorts and of the groups, in the order given."""
+    return (attrgetter(*(side for _, side, _ in groups)),
+            attrgetter(*(field for field, _, _ in groups)))
+
+
+def _field_getters(cls, groups):
+    names = [f.name for f in fields(cls)]
+    return _getters(sorted(groups, key=lambda group: names.index(group[0])))
+
+
+# per class, getters of its groups' sorts and of its groups, in field order
+_FIELD_ORDER = {cls: _field_getters(cls, groups) for cls, (_, _, groups) in _SHAPES.items()}
 
 
 @dataclass(frozen=True)
@@ -126,16 +157,16 @@ ATOM_TYPES = (PolyDep, PolyInc, PolyExc, PolyInd, GeneralizedAtom)
 
 
 def atom_variables(atom) -> tuple:
-    out = []
-    for _, tup in atom.tuples():
-        out.extend(tup)
-    return tuple(out)
+    """The variables of the atom's groups, in the order of ``tuples()``."""
+    groups = atom.args if isinstance(atom, GeneralizedAtom) else _FIELD_ORDER[type(atom)][1](atom)
+    return tuple(chain.from_iterable(groups))
 
 
 def atom_sorts(atom) -> frozenset:
     """All sorts the atom's satisfaction may depend on (including var-free groups)."""
-    sorts = {s for s, _ in atom.tuples() if s is not None}
-    return frozenset(sorts)
+    if isinstance(atom, GeneralizedAtom):
+        return frozenset(s for s, _ in atom.tuples() if s is not None)
+    return frozenset(_FIELD_ORDER[type(atom)][0](atom))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +267,10 @@ def conjoin(parts) -> Formula:
     return parts[0] if len(parts) == 1 else And(*parts)
 
 
-def exists_chain(variables, body: Formula) -> Formula:
-    """∃v1 ∃v2 … body for the variables v1, v2, … in order."""
+def exists_chain(variables, body: Formula, quantifier=Exists) -> Formula:
+    """∃v1 ∃v2 … body for the variables v1, v2, … in order (∀ with ``Forall``)."""
     for var in reversed(variables):
-        body = Exists(var, body)
+        body = quantifier(var, body)
     return body
 
 
@@ -258,57 +289,50 @@ def walk(phi: Formula):
 # ---------------------------------------------------------------------------
 # Structural queries
 
+def node_variables(node) -> tuple:
+    """The variables a node names itself, not through its parts."""
+    if isinstance(node, AtomF):
+        return atom_variables(node.atom)
+    if isinstance(node, (Connective, Truth)):
+        return ()
+    if isinstance(node, (Eq, Neq)):
+        return (node.left, node.right)
+    if isinstance(node, (Rel, NegRel)):
+        return node.args
+    if isinstance(node, (Exists, Forall)):
+        return (node.var,)
+    raise TypeError(f"not a formula node: {node!r}")
+
+
 def free_variables(phi: Formula) -> dict:
     """Free variables per sort (quantifiers bind at their own sort only)."""
-
-    def go(f) -> set:
-        if isinstance(f, Truth):
-            return set()
-        if isinstance(f, (Eq, Neq)):
-            return {f.left, f.right}
-        if isinstance(f, (Rel, NegRel)):
-            return set(f.args)
-        if isinstance(f, Connective):
-            return set().union(*map(go, f.parts))
-        if isinstance(f, (Exists, Forall)):
-            return go(f.body) - {f.var}
-        if isinstance(f, AtomF):
-            return set(atom_variables(f.atom))
-        raise TypeError(f"not a formula node: {f!r}")
-
-    report: dict = {}
-    for v in go(phi):
-        report.setdefault(v.sort, set()).add(v)
-    return {sort: frozenset(vs) for sort, vs in sorted(report.items())}
+    free = set()
+    stack = [(phi, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, Connective):
+            stack.extend(zip(node.parts, repeat(bound)))
+        elif isinstance(node, (Exists, Forall)):
+            stack.append((node.body, bound | {node.var}))
+        else:
+            found = node_variables(node)
+            free.update(set(found) - bound if bound else found)
+    return {sort: frozenset(vs) for sort, vs in groupby(sorted(free), _SORT)}
 
 
 def all_variables(phi: Formula) -> frozenset:
     """Every variable occurring in the formula, free or bound."""
-    out = set()
-    for node in walk(phi):
-        if isinstance(node, (Eq, Neq)):
-            out.update((node.left, node.right))
-        elif isinstance(node, (Rel, NegRel)):
-            out.update(node.args)
-        elif isinstance(node, (Exists, Forall)):
-            out.add(node.var)
-        elif isinstance(node, AtomF):
-            out.update(atom_variables(node.atom))
-    return frozenset(out)
+    return frozenset(chain.from_iterable(map(node_variables, walk(phi))))
 
 
 def mentioned_sorts(phi: Formula) -> frozenset:
     """Sorts whose teams the formula's satisfaction may depend on."""
     sorts = set()
     for node in walk(phi):
-        if isinstance(node, (Eq, Neq)):
-            sorts.update((node.left.sort, node.right.sort))
-        elif isinstance(node, (Rel, NegRel)):
-            sorts.update(a.sort for a in node.args)
-        elif isinstance(node, (Exists, Forall)):
-            sorts.add(node.var.sort)
-        elif isinstance(node, AtomF):
+        if isinstance(node, AtomF):
             sorts.update(atom_sorts(node.atom))
+        else:
+            sorts.update(map(_SORT, node_variables(node)))
     return frozenset(sorts)
 
 
@@ -395,26 +419,23 @@ def check_well_sorted(phi: Formula, registry=None) -> list:
 def _format_tuple(sort, tup):
     if not tup:
         return f":{sort}"
-    return ", ".join(str(v) for v in tup)
+    return ", ".join(map(str, tup))
+
+
+def _printed(keyword, parenthesised, groups):
+    group = "(%s)" if parenthesised else "%s"
+    text = keyword + "(" + "".join(group + after for _, _, after in groups)
+    return (text,) + _getters(groups)
+
+
+_PRINTED = {cls: _printed(*shape) for cls, shape in _SHAPES.items()}
 
 
 def _format_atom(atom) -> str:
-    if isinstance(atom, PolyDep):
-        return ("pdep(%s ; %s | %s ; %s)"
-                % (_format_tuple(atom.sort_i, atom.x), _format_tuple(atom.sort_i, atom.y),
-                   _format_tuple(atom.sort_j, atom.u), _format_tuple(atom.sort_j, atom.v)))
-    if isinstance(atom, PolyInc):
-        return "pinc(%s | %s)" % (_format_tuple(atom.sort_i, atom.x),
-                                  _format_tuple(atom.sort_j, atom.y))
-    if isinstance(atom, PolyExc):
-        return "pexc(%s | %s)" % (_format_tuple(atom.sort_i, atom.x),
-                                  _format_tuple(atom.sort_j, atom.y))
-    if isinstance(atom, PolyInd):
-        g = lambda sort, tup: "(%s)" % _format_tuple(sort, tup)
-        return ("pind(%s,%s/%s ; %s/%s ; %s/%s)"
-                % (g(atom.sort_i, atom.x), g(atom.sort_j, atom.a), g(atom.sort_k, atom.u),
-                   g(atom.sort_i, atom.y), g(atom.sort_k, atom.v),
-                   g(atom.sort_j, atom.b), g(atom.sort_k, atom.w)))
+    printed = _PRINTED.get(type(atom))
+    if printed is not None:
+        text, sides, groups = printed
+        return text % tuple(map(_format_tuple, sides(atom), groups(atom)))
     if isinstance(atom, GeneralizedAtom):
         args = "".join("(%s)" % ", ".join(str(v) for v in t) for t in atom.args)
         return f"atom {atom.name}({args})"
@@ -422,16 +443,15 @@ def _format_atom(atom) -> str:
 
 
 def format_formula(phi: Formula) -> str:
+    if isinstance(phi, AtomF):
+        return _format_atom(phi.atom)
     if isinstance(phi, Truth):
         return "true"
-    if isinstance(phi, Eq):
-        return f"{phi.left} = {phi.right}"
-    if isinstance(phi, Neq):
-        return f"{phi.left} != {phi.right}"
-    if isinstance(phi, Rel):
-        return "%s(%s)" % (phi.name, ", ".join(str(a) for a in phi.args))
-    if isinstance(phi, NegRel):
-        return "!%s(%s)" % (phi.name, ", ".join(str(a) for a in phi.args))
+    if isinstance(phi, (Eq, Neq)):
+        return f"{phi.left} {'=' if isinstance(phi, Eq) else '!='} {phi.right}"
+    if isinstance(phi, (Rel, NegRel)):
+        bang = "!" if isinstance(phi, NegRel) else ""
+        return "%s%s(%s)" % (bang, phi.name, ", ".join(map(str, phi.args)))
     if isinstance(phi, Connective):
         if isinstance(phi, And):
             op = "/\\"
@@ -440,12 +460,9 @@ def format_formula(phi: Formula) -> str:
         else:
             op = "\\/_{%s}" % ",".join(sorted(phi.sorts))
         return "(" + f" {op} ".join(map(format_formula, phi.parts)) + ")"
-    if isinstance(phi, Exists):
-        return f"(E {phi.var} . {format_formula(phi.body)})"
-    if isinstance(phi, Forall):
-        return f"(A {phi.var} . {format_formula(phi.body)})"
-    if isinstance(phi, AtomF):
-        return _format_atom(phi.atom)
+    if isinstance(phi, (Exists, Forall)):
+        letter = "E" if isinstance(phi, Exists) else "A"
+        return f"({letter} {phi.var} . {format_formula(phi.body)})"
     raise TypeError(f"not a formula node: {phi!r}")
 
 
@@ -468,11 +485,13 @@ _KINDS = {
 def _scan(text: str):
     """Token kinds and texts as parallel lists, each ending in two EOF entries."""
     texts = list(filter(None, _TOKEN.findall(text)))
-    kinds = [_KINDS.get(tok, "IDENT") for tok in texts]
-    for index, (kind, tok) in enumerate(zip(kinds, texts)):
-        # \w is isalnum() or "_"; a name must also start with a letter or "_"
-        if kind == "IDENT" and not (tok[0].isalpha() or tok[0] == "_"):
-            raise ParseError(f"unexpected character {tok[0]!r}", *_position(text, index))
+    kinds = list(map(_KINDS.get, texts, repeat("IDENT")))
+    # \w is isalnum() or "_"; a name must also start with a letter or "_"
+    bad = {tok for tok in set(texts).difference(_KINDS)
+           if not (tok[0].isalpha() or tok[0] == "_")}
+    if bad:
+        index = next(k for k, tok in enumerate(texts) if tok in bad)
+        raise ParseError(f"unexpected character {texts[index][0]!r}", *_position(text, index))
     kinds += ("EOF", "EOF")
     texts += ("", "")
     return kinds, texts
@@ -496,7 +515,18 @@ def _position(text: str, index: int):
 # ---------------------------------------------------------------------------
 # Parser
 
-_ATOM_KEYWORDS = {"pdep", "pinc", "pexc", "pind", "atom"}
+def _parsed(cls, parenthesised, groups):
+    """Per group, the kind of the token after it and its sort field's index; the
+    number of sort fields; the constructor's arguments, indexing groups + sorts."""
+    names = [f.name for f in fields(cls)]
+    sides = [name for name in names if name.startswith("sort_")]
+    plan = tuple((_KINDS[after.strip()], sides.index(side)) for _, side, after in groups)
+    written = [field for field, _, _ in groups] + sides
+    return cls, parenthesised, plan, len(sides), tuple(map(written.index, names))
+
+
+_PARSED = {keyword: _parsed(cls, parenthesised, groups)
+           for cls, (keyword, parenthesised, groups) in _SHAPES.items()}
 
 
 class _Parser:
@@ -541,14 +571,15 @@ class _Parser:
 
     def bare_tuple(self, stop_kinds):
         """A comma-separated variable list, optionally ``:S`` or empty."""
-        if self.peek() == "COLON":
+        kind = self.kinds[self.pos]
+        if kind == "COLON":
             self.next()
             return [], self.expect("IDENT")
-        if self.peek() in stop_kinds:
+        if kind in stop_kinds:
             return [], None
         variables = [self.variable()]
-        while self.peek() == "COMMA":
-            self.next()
+        while self.kinds[self.pos] == "COMMA":
+            self.pos += 1
             variables.append(self.variable())
         return variables, None
 
@@ -620,7 +651,7 @@ class _Parser:
             self.expect("DOT")
             body = self.formula()
             return Exists(var, body) if text == "E" else Forall(var, body)
-        if text in _ATOM_KEYWORDS and (text == "atom" or self.peek(1) == "LPAREN"):
+        if text == "atom" or (text in _PARSED and self.peek(1) == "LPAREN"):
             return self.atom()
         if self.peek(1) == "LPAREN":
             self.next()
@@ -634,9 +665,7 @@ class _Parser:
         self.error(f"expected '=' or '!=' after {left}", op)
 
     def relation_args(self):
-        self.expect("LPAREN")
-        args, sort = self.bare_tuple(("RPAREN",))
-        self.expect("RPAREN")
+        args, sort = self.paren_tuple()
         if sort is not None or not args:
             self.error("relation literals need at least one variable")
         return tuple(args)
@@ -645,89 +674,30 @@ class _Parser:
 
     def atom(self) -> Formula:
         key = self.next()
-        word = self.texts[key]
-        if word == "pdep":
-            return self.pdep_atom(key)
-        if word in ("pinc", "pexc"):
-            return self.binary_atom(key)
-        if word == "pind":
-            return self.pind_atom(key)
-        return self.generalized_atom(key)
-
-    def _group_sort(self, key, tuples, markers):
-        """The shared sort of a tuple group, from its variables or markers."""
-        sorts = {v.sort for tup in tuples for v in tup}
-        sorts.update(m for m in markers if m is not None)
-        if len(sorts) > 1:
-            self.error(f"atom side mixes sorts {sorted(sorts)}", key)
-        return next(iter(sorts)) if sorts else None
-
-    @staticmethod
-    def _fill_sorts(found):
-        known = [s for s in found if s is not None]
-        if not known:
-            return None
-        return [s if s is not None else known[0] for s in found]
-
-    def pdep_atom(self, key) -> Formula:
+        shape = _PARSED.get(self.texts[key])
+        if shape is None:
+            return self.generalized_atom(key)
+        cls, parenthesised, plan, sides, order = shape
         self.expect("LPAREN")
-        x, mx = self.bare_tuple(("SEMI",))
-        self.expect("SEMI")
-        y, my = self.bare_tuple(("PIPE",))
-        self.expect("PIPE")
-        u, mu = self.bare_tuple(("SEMI",))
-        self.expect("SEMI")
-        v, mv = self.bare_tuple(("RPAREN",))
-        self.expect("RPAREN")
-        si = self._group_sort(key, (x, y), (mx, my))
-        sj = self._group_sort(key, (u, v), (mu, mv))
-        filled = self._fill_sorts([si, sj])
-        if filled is None:
-            self.error("pdep atom with no determinable sorts", key)
-        atom = PolyDep(filled[0], tuple(x), tuple(y), filled[1], tuple(u), tuple(v))
-        self._validate(atom, key)
-        return AtomF(atom)
-
-    def binary_atom(self, key) -> Formula:
-        self.expect("LPAREN")
-        x, mx = self.bare_tuple(("PIPE",))
-        self.expect("PIPE")
-        y, my = self.bare_tuple(("RPAREN",))
-        self.expect("RPAREN")
-        si = self._group_sort(key, (x,), (mx,))
-        sj = self._group_sort(key, (y,), (my,))
-        filled = self._fill_sorts([si, sj])
-        if filled is None:
+        groups = []
+        sorts = [set(), set(), set()]  # per sort field, from variables and markers
+        for after, side in plan:
+            variables, marker = self.paren_tuple() if parenthesised else self.bare_tuple((after,))
+            self.expect(after)
+            groups.append(tuple(variables))
+            sorts[side].update(map(_SORT, variables))
+            if marker is not None:
+                sorts[side].add(marker)
+        found = []
+        for candidates in sorts[:sides]:
+            if len(candidates) > 1:
+                self.error(f"atom side mixes sorts {sorted(candidates)}", key)
+            found.append(next(iter(candidates), None))
+        known = next(filter(None, found), None)
+        if known is None:
             self.error(f"{self.texts[key]} atom with no determinable sorts", key)
-        cls = PolyInc if self.texts[key] == "pinc" else PolyExc
-        atom = cls(filled[0], tuple(x), filled[1], tuple(y))
-        self._validate(atom, key)
-        return AtomF(atom)
-
-    def pind_atom(self, key) -> Formula:
-        self.expect("LPAREN")
-        x, mx = self.paren_tuple()
-        self.expect("COMMA")
-        a, ma = self.paren_tuple()
-        self.expect("SLASH")
-        u, mu = self.paren_tuple()
-        self.expect("SEMI")
-        y, my = self.paren_tuple()
-        self.expect("SLASH")
-        v, mv = self.paren_tuple()
-        self.expect("SEMI")
-        b, mb = self.paren_tuple()
-        self.expect("SLASH")
-        w, mw = self.paren_tuple()
-        self.expect("RPAREN")
-        si = self._group_sort(key, (x, y), (mx, my))
-        sj = self._group_sort(key, (a, b), (ma, mb))
-        sk = self._group_sort(key, (u, v, w), (mu, mv, mw))
-        filled = self._fill_sorts([si, sj, sk])
-        if filled is None:
-            self.error("pind atom with no determinable sorts", key)
-        atom = PolyInd(filled[0], tuple(x), tuple(y), filled[1], tuple(a), tuple(b),
-                       filled[2], tuple(u), tuple(v), tuple(w))
+        values = groups + [sort or known for sort in found]
+        atom = cls(*map(values.__getitem__, order))
         self._validate(atom, key)
         return AtomF(atom)
 

@@ -3,16 +3,21 @@
 Every text must give an equal AST under both, or a ``ParseError`` with equal
 message, line and column.  The texts come from a token-piece sampler, from
 mutations of the fixture formulas, and from the benchmark's generators at
-small sizes.
+small sizes.  A second test runs the built-in atoms over a grid of variable
+groups, and prints every atom that parses back through ``parse``.
 """
 
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
+import pytest
+
 from polyteam.atoms import AtomRegistry, GeneralizedQuantifier
 from polyteam.errors import ParseError
-from polyteam.syntax import parse
+from polyteam.model import Variable
+from polyteam.syntax import format_formula, parse
 
 from reference_syntax import reference_parse
 
@@ -114,3 +119,45 @@ def test_parse_matches_the_reference_front_end():
         assert outcome(parse, text) == expected, text
         parsed += not isinstance(expected, tuple)
     assert parsed >= 1000
+
+
+GROUPS = ("", ":P", ":Q", "P.x", "Q.u", "P.x, P.y", "P.x, Q.u", "Q.u, Q.v")
+
+
+def atom_grid_texts(rng):
+    """Every pdep, pinc and pexc text over GROUPS, and seeded pind texts."""
+    texts = ["pdep(%s ; %s | %s ; %s)" % g for g in itertools.product(GROUPS, repeat=4)]
+    for keyword in ("pinc", "pexc"):
+        texts += [f"{keyword}(%s | %s)" % g for g in itertools.product(GROUPS, repeat=2)]
+    texts += ["pind((%s),(%s)/(%s) ; (%s)/(%s) ; (%s)/(%s))"
+              % tuple(rng.choice(GROUPS) for _ in range(7)) for _ in range(6000)]
+    return texts
+
+
+def test_atoms_over_a_grid_of_groups_match_the_reference_and_print_back():
+    texts = atom_grid_texts(random.Random(20261019))
+    assert len(texts) == 10224
+    parsed = 0
+    for text in texts:
+        expected = outcome(reference_parse, text)
+        assert outcome(parse, text) == expected, text
+        if not isinstance(expected, tuple):
+            assert parse(format_formula(expected)) == expected, text
+            parsed += 1
+    assert parsed == 163
+
+
+@pytest.mark.parametrize("text,tuples", [
+    ("pdep(P.x ; P.y | Q.u ; Q.v)", (("P", ("x",)), ("P", ("y",)), ("Q", ("u",)), ("Q", ("v",)))),
+    ("pinc(P.x, P.y | Q.u, Q.v)", (("P", ("x", "y")), ("Q", ("u", "v")))),
+    ("pexc(:P | :Q)", (("P", ()), ("Q", ()))),
+    ("pind((P.x),(Q.a)/(R.u) ; (P.y)/(R.v) ; (Q.b)/(R.w))",
+     (("P", ("x",)), ("P", ("y",)), ("Q", ("a",)), ("Q", ("b",)),
+      ("R", ("u",)), ("R", ("v",)), ("R", ("w",)))),
+    ("atom two((P.x)(Q.u, Q.v))", (("P", ("x",)), ("Q", ("u", "v")))),
+])
+def test_atom_tuples_are_pinned(text, tuples):
+    atom = parse(text, REGISTRY).atom
+    expected = tuple((sort, tuple(Variable(sort, name) for name in names))
+                     for sort, names in tuples)
+    assert atom.tuples() == expected

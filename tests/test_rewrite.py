@@ -1,11 +1,16 @@
+import gc
 import warnings
 
 import pytest
 
-from polyteam.model import Variable
+from polyteam.evaluator import EvalConfig, _Evaluator
+from polyteam.model import Structure
 from polyteam.oracle import equivalent
-from polyteam.rewrite import EmptyTeamWarning, rewrite_formula, translate_atom
-from polyteam.syntax import parse
+from polyteam.rewrite import (
+    EmptyTeamWarning, decompose_by_sort, eliminate_global_disjunction, rewrite_formula,
+    translate_atom,
+)
+from polyteam.syntax import free_variables, parse
 
 
 def rows(pt, sort):
@@ -73,3 +78,35 @@ def test_rewrite_agrees_with_the_naive_oracle_on_empty_teams_too(rule, text, val
         warnings.simplefilter("error")
         rewritten = rewrite_formula(phi, rule)
     assert equivalent(phi, rewritten, values=values, max_rows=2, min_rows=0) == (True, None)
+
+
+CROSS = r"E P.z . (pinc(Q.u | P.z) /\ (pdep(P.x ; P.y | Q.u ; Q.v) \/ P.z = P.x))"
+SINGLE = r"(E P.z . (pdep(P.x ; P.y | P.x ; P.y) \/_{P} P.z = P.x)) /\ Q.u = Q.v"
+
+
+def demands(text):
+    phi = parse(text)
+    return _Evaluator(Structure((0, 1)), EvalConfig(), None).inclusion_demands(phi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: free_variables(parse(CROSS)),
+    lambda: demands(CROSS),
+    lambda: rewrite_formula(parse(CROSS), "e4"),
+    lambda: eliminate_global_disjunction(parse(CROSS)),
+    lambda: decompose_by_sort(parse(SINGLE)),
+], ids=["free_variables", "inclusion_demands", "rewrite_formula",
+        "eliminate_global_disjunction", "decompose_by_sort"])
+def test_walkers_leave_no_cyclic_garbage(call):
+    """A recursive nested function refers to itself through its closure cell,
+    so each call would leave a cycle that only the cyclic collector frees."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        call()  # the first call may fill caches that live on
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
