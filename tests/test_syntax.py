@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,9 +7,9 @@ from polyteam.atoms import AtomRegistry, GeneralizedQuantifier
 from polyteam.errors import ParseError
 from polyteam.model import Variable
 from polyteam.syntax import (
-    And, AtomF, Eq, Exists, Forall, Neq, OrGlobal, OrLocal, PolyDep, PolyExc,
-    PolyInc, PolyInd, Rel, Truth, check_well_sorted, format_formula,
-    free_variables, mentioned_sorts, parse, walk,
+    And, AtomF, Eq, Exists, Forall, GeneralizedAtom, Neq, OrGlobal, OrLocal,
+    PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth, atom_violations,
+    check_well_sorted, format_formula, free_variables, mentioned_sorts, parse, walk,
 )
 
 from samplers import FormulaSampler, P, PX, PY, Q, QU, QV
@@ -242,3 +244,197 @@ def test_parse_error_positions(text, line, col, message):
         parse(text)
     assert (err.value.line, err.value.col) == (line, col)
     assert str(err.value) == f"{line}:{col}: {message}"
+
+
+# One well-formed atom of each built-in class, with a third sort T for pind.
+GRID_BASE = {
+    "pdep": PolyDep(P, (PX,), (PY,), Q, (QU,), (QV,)),
+    "pinc": PolyInc(P, (PX,), Q, (QU,)),
+    "pexc": PolyExc(P, (PX,), Q, (QU,)),
+    "pind": PolyInd(P, (PX,), (PY,), Q, (QU,), (QV,),
+                    "T", (Variable("T", "u"),), (Variable("T", "v"),), (Variable("T", "w"),)),
+}
+# per class, one group of each set whose lengths must agree
+GRID_FIRSTS = {"pdep": ("x", "y"), "pinc": ("x",), "pexc": ("x",), "pind": ("x", "y", "b")}
+STRAY = Variable("R", "z")
+
+
+def grid_atoms():
+    """Per built-in class and group: the group with a variable of another sort,
+    one more variable of its own sort, or both; then every group at once."""
+    for keyword, atom in GRID_BASE.items():
+        groups = [f.name for f in fields(atom) if not f.name.startswith("sort_")]
+        yield keyword, atom
+        for field in groups:
+            tup = getattr(atom, field)
+            own = Variable(tup[0].sort, field + "2")
+            yield f"{keyword}-{field}-stray", replace(atom, **{field: (STRAY,)})
+            yield f"{keyword}-{field}-longer", replace(atom, **{field: tup + (own,)})
+            yield f"{keyword}-{field}-longer-stray", replace(atom, **{field: tup + (STRAY,)})
+        yield f"{keyword}-all-stray", replace(atom, **{f: (STRAY,) for f in groups})
+        firsts = GRID_FIRSTS[keyword]
+        yield f"{keyword}-all-longer", replace(atom, **{f: getattr(atom, f) * 2 for f in firsts})
+    yield "pdep-same-sort", PolyDep(P, (PX,), (PY,), P, (PY,), (PX,))
+    yield "pdep-same-sort-equal", PolyDep(P, (PX,), (PY,), P, (PX,), (PY,))
+    yield "pdep-same-sort-longer", PolyDep(P, (PX, PY), (PY,), P, (PY,), (PX,))
+    yield "pdep-same-sort-stray", PolyDep(P, (STRAY,), (PY,), P, (PY,), (PX,))
+
+
+SHORTHAND = ("pdep: same-sort atom with differing sides is a shorthand, "
+             "not a primitive; introduce it via the rewrite rules")
+ATOM_MESSAGES = {
+    "pdep-x-stray": ["pdep left: variable R.z is not of sort 'P'"],
+    "pdep-x-longer": ["pdep: antecedent arities differ (2 vs 1)"],
+    "pdep-x-longer-stray": [
+        "pdep left: variable R.z is not of sort 'P'",
+        "pdep: antecedent arities differ (2 vs 1)",
+    ],
+    "pdep-y-stray": ["pdep left: variable R.z is not of sort 'P'"],
+    "pdep-y-longer": ["pdep: consequent arities differ (2 vs 1)"],
+    "pdep-y-longer-stray": [
+        "pdep left: variable R.z is not of sort 'P'",
+        "pdep: consequent arities differ (2 vs 1)",
+    ],
+    "pdep-u-stray": ["pdep right: variable R.z is not of sort 'Q'"],
+    "pdep-u-longer": ["pdep: antecedent arities differ (1 vs 2)"],
+    "pdep-u-longer-stray": [
+        "pdep right: variable R.z is not of sort 'Q'",
+        "pdep: antecedent arities differ (1 vs 2)",
+    ],
+    "pdep-v-stray": ["pdep right: variable R.z is not of sort 'Q'"],
+    "pdep-v-longer": ["pdep: consequent arities differ (1 vs 2)"],
+    "pdep-v-longer-stray": [
+        "pdep right: variable R.z is not of sort 'Q'",
+        "pdep: consequent arities differ (1 vs 2)",
+    ],
+    "pdep-all-stray": [
+        "pdep left: variable R.z is not of sort 'P'",
+        "pdep left: variable R.z is not of sort 'P'",
+        "pdep right: variable R.z is not of sort 'Q'",
+        "pdep right: variable R.z is not of sort 'Q'",
+    ],
+    "pdep-all-longer": [
+        "pdep: antecedent arities differ (2 vs 1)",
+        "pdep: consequent arities differ (2 vs 1)",
+    ],
+    "pinc-x-stray": ["pinc left: variable R.z is not of sort 'P'"],
+    "pinc-x-longer": ["pinc: tuple arities differ (2 vs 1)"],
+    "pinc-x-longer-stray": [
+        "pinc left: variable R.z is not of sort 'P'",
+        "pinc: tuple arities differ (2 vs 1)",
+    ],
+    "pinc-y-stray": ["pinc right: variable R.z is not of sort 'Q'"],
+    "pinc-y-longer": ["pinc: tuple arities differ (1 vs 2)"],
+    "pinc-y-longer-stray": [
+        "pinc right: variable R.z is not of sort 'Q'",
+        "pinc: tuple arities differ (1 vs 2)",
+    ],
+    "pinc-all-stray": [
+        "pinc left: variable R.z is not of sort 'P'",
+        "pinc right: variable R.z is not of sort 'Q'",
+    ],
+    "pinc-all-longer": ["pinc: tuple arities differ (2 vs 1)"],
+    "pexc-x-stray": ["pexc left: variable R.z is not of sort 'P'"],
+    "pexc-x-longer": ["pexc: tuple arities differ (2 vs 1)"],
+    "pexc-x-longer-stray": [
+        "pexc left: variable R.z is not of sort 'P'",
+        "pexc: tuple arities differ (2 vs 1)",
+    ],
+    "pexc-y-stray": ["pexc right: variable R.z is not of sort 'Q'"],
+    "pexc-y-longer": ["pexc: tuple arities differ (1 vs 2)"],
+    "pexc-y-longer-stray": [
+        "pexc right: variable R.z is not of sort 'Q'",
+        "pexc: tuple arities differ (1 vs 2)",
+    ],
+    "pexc-all-stray": [
+        "pexc left: variable R.z is not of sort 'P'",
+        "pexc right: variable R.z is not of sort 'Q'",
+    ],
+    "pexc-all-longer": ["pexc: tuple arities differ (2 vs 1)"],
+    "pind-x-stray": ["pind group i: variable R.z is not of sort 'P'"],
+    "pind-x-longer": ["pind: |x|, |a|, |u| differ"],
+    "pind-x-longer-stray": [
+        "pind group i: variable R.z is not of sort 'P'",
+        "pind: |x|, |a|, |u| differ",
+    ],
+    "pind-y-stray": ["pind group i: variable R.z is not of sort 'P'"],
+    "pind-y-longer": ["pind: |y| and |v| differ"],
+    "pind-y-longer-stray": [
+        "pind group i: variable R.z is not of sort 'P'",
+        "pind: |y| and |v| differ",
+    ],
+    "pind-a-stray": ["pind group j: variable R.z is not of sort 'Q'"],
+    "pind-a-longer": ["pind: |x|, |a|, |u| differ"],
+    "pind-a-longer-stray": [
+        "pind group j: variable R.z is not of sort 'Q'",
+        "pind: |x|, |a|, |u| differ",
+    ],
+    "pind-b-stray": ["pind group j: variable R.z is not of sort 'Q'"],
+    "pind-b-longer": ["pind: |b| and |w| differ"],
+    "pind-b-longer-stray": [
+        "pind group j: variable R.z is not of sort 'Q'",
+        "pind: |b| and |w| differ",
+    ],
+    "pind-u-stray": ["pind group k: variable R.z is not of sort 'T'"],
+    "pind-u-longer": ["pind: |x|, |a|, |u| differ"],
+    "pind-u-longer-stray": [
+        "pind group k: variable R.z is not of sort 'T'",
+        "pind: |x|, |a|, |u| differ",
+    ],
+    "pind-v-stray": ["pind group k: variable R.z is not of sort 'T'"],
+    "pind-v-longer": ["pind: |y| and |v| differ"],
+    "pind-v-longer-stray": [
+        "pind group k: variable R.z is not of sort 'T'",
+        "pind: |y| and |v| differ",
+    ],
+    "pind-w-stray": ["pind group k: variable R.z is not of sort 'T'"],
+    "pind-w-longer": ["pind: |b| and |w| differ"],
+    "pind-w-longer-stray": [
+        "pind group k: variable R.z is not of sort 'T'",
+        "pind: |b| and |w| differ",
+    ],
+    "pind-all-stray": [
+        "pind group i: variable R.z is not of sort 'P'",
+        "pind group i: variable R.z is not of sort 'P'",
+        "pind group j: variable R.z is not of sort 'Q'",
+        "pind group j: variable R.z is not of sort 'Q'",
+        "pind group k: variable R.z is not of sort 'T'",
+        "pind group k: variable R.z is not of sort 'T'",
+        "pind group k: variable R.z is not of sort 'T'",
+    ],
+    "pind-all-longer": [
+        "pind: |x|, |a|, |u| differ",
+        "pind: |y| and |v| differ",
+        "pind: |b| and |w| differ",
+    ],
+    "pdep-same-sort": [SHORTHAND],
+    "pdep-same-sort-longer": ["pdep: antecedent arities differ (2 vs 1)", SHORTHAND],
+    "pdep-same-sort-stray": ["pdep left: variable R.z is not of sort 'P'", SHORTHAND],
+}
+
+
+@pytest.mark.parametrize("name,atom", list(grid_atoms()))
+def test_atom_violation_messages_are_pinned(name, atom):
+    assert atom_violations(atom) == ATOM_MESSAGES.get(name, [])
+
+
+ONE = AtomRegistry([GeneralizedQuantifier("one", (1,), lambda d, r: True)])
+
+
+@pytest.mark.parametrize("atom,messages", [
+    (GeneralizedAtom("one", ((PX,),)), []),
+    (GeneralizedAtom("one", ((PX, PY),)),
+     ["atom one: arities (2,) do not match registered type (1,)"]),
+    (GeneralizedAtom("one", ()), ["atom one: arities () do not match registered type (1,)"]),
+    (GeneralizedAtom("one", ((PX, QU),)),
+     ["atom one argument 0: variable Q.u is not of sort 'P'",
+      "atom one: arities (2,) do not match registered type (1,)"]),
+    (GeneralizedAtom("one", ((),)),
+     ["atom one: argument tuple 0 is empty",
+      "atom one: arities (0,) do not match registered type (1,)"]),
+    (GeneralizedAtom("nope", ((PX,),)), ["atom nope: not registered"]),
+    (GeneralizedAtom("nope", ((PX, QU),)),
+     ["atom nope argument 0: variable Q.u is not of sort 'P'", "atom nope: not registered"]),
+], ids=["registered", "longer", "no-args", "stray", "empty-tuple", "unknown", "unknown-stray"])
+def test_generalized_atom_messages_are_pinned(atom, messages):
+    assert check_well_sorted(AtomF(atom), ONE) == messages
