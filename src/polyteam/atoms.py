@@ -2,6 +2,9 @@
 
 The built-in checkers use hash-indexed joins on antecedent tuples; the
 deliberately naive reference implementations live in ``polyteam.oracle``.
+The checkers take the atom to be well-formed, which ``syntax`` decides:
+``check_generalized`` raises ``RegistryError`` with the problem
+``syntax.resolve_generalized`` finds.
 """
 
 from __future__ import annotations
@@ -9,11 +12,12 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterable, Optional, Tuple
 
 from .errors import ParseError, RegistryError
 from .model import Polyteam, Structure, value_key
-from .syntax import GeneralizedAtom, PolyDep, PolyExc, PolyInc, PolyInd
+from .syntax import GeneralizedAtom, PolyDep, PolyExc, PolyInc, PolyInd, resolve_generalized
 
 
 # ---------------------------------------------------------------------------
@@ -61,15 +65,10 @@ def check_polyind(structure: Structure, pt: Polyteam, atom: PolyInd) -> bool:
 
 
 def check_generalized(structure: Structure, pt: Polyteam, atom: GeneralizedAtom,
-                      registry: "AtomRegistry") -> bool:
-    try:
-        q = registry[atom.name]
-    except KeyError:
-        raise RegistryError(f"generalized atom {atom.name!r} is not registered") from None
-    arities = tuple(len(t) for t in atom.args)
-    if arities != tuple(q.type):
-        raise RegistryError(f"atom {atom.name!r} arities {arities} do not match "
-                            f"type {tuple(q.type)}")
+                      registry: Optional["AtomRegistry"]) -> bool:
+    q, problem = resolve_generalized(atom, registry)
+    if problem:
+        raise RegistryError(problem)
     relations = tuple(pt.team(tup[0].sort).relation(tup) for tup in atom.args)
     return bool(q.evaluator(structure.domain, relations))
 
@@ -85,8 +84,6 @@ def check_atom(structure: Structure, pt: Polyteam, atom, registry=None) -> bool:
     if isinstance(atom, PolyInd):
         return check_polyind(structure, pt, atom)
     if isinstance(atom, GeneralizedAtom):
-        if registry is None:
-            raise RegistryError(f"no registry given for generalized atom {atom.name!r}")
         return check_generalized(structure, pt, atom, registry)
     raise TypeError(f"unknown atom instance: {atom!r}")
 
@@ -282,32 +279,17 @@ def compile_embedded_dependency(ed: EmbeddedDependency, name: str = "ed",
                     witness_pool.append(v)
                     break
         env = {}
-
-        def search_existential(idx):
-            if idx == len(ed.existential):
-                return _conjunction_holds(ed.consequent, env, rels)
-            var = ed.existential[idx]
-            for value in witness_pool:
-                env[var] = value
-                if search_existential(idx + 1):
-                    return True
-            del env[var]
-            return False
-
-        def search_universal(idx):
-            if idx == len(ed.universal):
-                if not _conjunction_holds(ed.antecedent, env, rels):
-                    return True
-                return search_existential(0)
-            var = ed.universal[idx]
-            for value in domain:
-                env[var] = value
-                if not search_universal(idx + 1):
-                    return False
-            del env[var]
-            return True
-
-        return search_universal(0)
+        for values in product(domain, repeat=len(ed.universal)):
+            env.update(zip(ed.universal, values))
+            if not _conjunction_holds(ed.antecedent, env, rels):
+                continue
+            for witness in product(witness_pool, repeat=len(ed.existential)):
+                env.update(zip(ed.existential, witness))
+                if _conjunction_holds(ed.consequent, env, rels):
+                    break
+            else:
+                return False
+        return True
 
     return GeneralizedQuantifier(name, type_, evaluator)
 

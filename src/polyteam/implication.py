@@ -142,11 +142,8 @@ def _validate(atoms: Sequence[PolyDep]):
 def _occurring_variables(atoms) -> dict:
     per_sort: dict = {}
     for atom in atoms:
-        per_sort.setdefault(atom.sort_i, set())
-        per_sort.setdefault(atom.sort_j, set())
         for sort, tup in atom.tuples():
-            for v in tup:
-                per_sort.setdefault(sort, set()).add(v)
+            per_sort.setdefault(sort, set()).update(tup)
     return per_sort
 
 

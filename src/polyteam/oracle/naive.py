@@ -118,17 +118,15 @@ def naive_eval(structure: Structure, pt: Polyteam, phi, registry=None) -> bool:
             split = sorted(phi.sorts)
             right = rest[0] if len(rest) == 1 else OrLocal(phi.sorts, *rest)
 
-        def try_sorts(idx, left_pt, right_pt):
-            if idx == len(split):
-                return naive_eval(structure, left_pt, left, registry) and \
-                    naive_eval(structure, right_pt, right, registry)
-            sort = split[idx]
-            for y, z in _covers(pt.team(sort)):
-                if try_sorts(idx + 1, left_pt.with_team(y), right_pt.with_team(z)):
-                    return True
-            return False
-
-        return try_sorts(0, pt, pt)
+        # one lax cover per split sort, every combination
+        for covers in itertools.product(*(_covers(pt.team(sort)) for sort in split)):
+            left_pt = right_pt = pt
+            for y, z in covers:
+                left_pt, right_pt = left_pt.with_team(y), right_pt.with_team(z)
+            if naive_eval(structure, left_pt, left, registry) and \
+                    naive_eval(structure, right_pt, right, registry):
+                return True
+        return False
     if isinstance(phi, Forall):
         team = pt.team(phi.var.sort).expanded_all(phi.var, structure.domain)
         return naive_eval(structure, pt.with_team(team), phi.body, registry)

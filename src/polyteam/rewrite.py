@@ -38,6 +38,7 @@ per sort.
 from __future__ import annotations
 
 import warnings
+from operator import attrgetter
 from typing import Optional
 
 from .errors import RewriteError
@@ -45,7 +46,8 @@ from .model import Sort, Variable
 from .syntax import (
     And, AtomF, Eq, Exists, Forall, Formula, Neq, NegRel, OrGlobal, OrLocal,
     PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth, all_variables, atom_sorts,
-    atom_variables, conjoin, exists_chain, mentioned_sorts, walk, FRESH_PREFIX,
+    atom_variables, conjoin, exists_chain, mentioned_sorts, node_variables, walk,
+    FRESH_PREFIX,
 )
 
 
@@ -315,6 +317,9 @@ def _guard_chain(sorts, zs, phase, core):
 # ---------------------------------------------------------------------------
 # Sort-wise decomposition
 
+_SORT = attrgetter("sort")
+
+
 def _atom_sort(atom):
     sorts = atom_sorts(atom)
     if len(sorts) != 1:
@@ -330,6 +335,7 @@ def decompose_by_sort(phi: Formula) -> dict:
     be single-sorted and every disjunction to be a single-sort local one
     (run eliminate_global_disjunction first).
     """
+    sorts = set()  # as mentioned_sorts(phi) finds them
     for node in walk(phi):
         if isinstance(node, OrGlobal):
             raise RewriteError("global disjunction present; "
@@ -338,9 +344,10 @@ def decompose_by_sort(phi: Formula) -> dict:
             raise RewriteError("multi-sort local disjunction present; "
                                "apply eliminate_global_disjunction first")
         if isinstance(node, AtomF):
-            _atom_sort(node.atom)
-
-    sorts = sorted(mentioned_sorts(phi))
+            sorts.add(_atom_sort(node.atom))
+        else:
+            sorts.update(map(_SORT, node_variables(node)))
+    sorts = sorted(sorts)
     return dict(zip(sorts, _project(phi, sorts)))
 
 

@@ -22,7 +22,14 @@ bare empty tuples take their sort from the surrounding atom.  Variable names
 beginning with ``_fr`` are reserved for the rewriter and rejected here.
 
 ``_SHAPES`` is the one place where the built-in atoms' written form lives:
-the parser, the printer, ``tuples()`` and the structural queries read it.
+the parser, the printer, ``tuples()``, the structural queries and
+``atom_violations`` read it.
+
+Whether an atom is well-formed is decided here and nowhere else:
+``atom_violations`` checks the sorts and lengths of its groups, and
+``resolve_generalized`` checks a generalized atom's name and arities against a
+registry.  The parser, ``check_well_sorted`` (which the evaluator runs before
+evaluating), the implication engine and ``atoms.check_generalized`` call them.
 
 The scanner is one compiled regex: ``findall`` yields the token texts, and a
 dict lookup gives each text's kind, so the parser reads two parallel lists,
@@ -112,18 +119,21 @@ class PolyInd(_BuiltinAtom):
 
 
 # The written form of each built-in atom: its keyword, whether each group
-# sits in parentheses, and its groups in written order, each as (field, the
-# sort field it sits on, the text that follows it).  Each reader uses a view
-# of it built once, below or next to the reader.
+# sits in parentheses, its groups in written order, each as (field, the sort
+# field it sits on, the text that follows it), and the sets of groups whose
+# lengths must agree.  Each reader uses a view of it built once, below or
+# next to the reader.
 _SHAPES = {
     PolyDep: ("pdep", False, (("x", "sort_i", " ; "), ("y", "sort_i", " | "),
-                              ("u", "sort_j", " ; "), ("v", "sort_j", ")"))),
-    PolyInc: ("pinc", False, (("x", "sort_i", " | "), ("y", "sort_j", ")"))),
-    PolyExc: ("pexc", False, (("x", "sort_i", " | "), ("y", "sort_j", ")"))),
+                              ("u", "sort_j", " ; "), ("v", "sort_j", ")")),
+              (("x", "u"), ("y", "v"))),
+    PolyInc: ("pinc", False, (("x", "sort_i", " | "), ("y", "sort_j", ")")), (("x", "y"),)),
+    PolyExc: ("pexc", False, (("x", "sort_i", " | "), ("y", "sort_j", ")")), (("x", "y"),)),
     PolyInd: ("pind", True, (("x", "sort_i", ","), ("a", "sort_j", "/"),
                              ("u", "sort_k", " ; "), ("y", "sort_i", "/"),
                              ("v", "sort_k", " ; "), ("b", "sort_j", "/"),
-                             ("w", "sort_k", ")"))),
+                             ("w", "sort_k", ")")),
+              (("x", "a", "u"), ("y", "v"), ("b", "w"))),
 }
 
 
@@ -133,13 +143,13 @@ def _getters(groups):
             attrgetter(*(field for field, _, _ in groups)))
 
 
-def _field_getters(cls, groups):
+def _in_field_order(cls, groups):
     names = [f.name for f in fields(cls)]
-    return _getters(sorted(groups, key=lambda group: names.index(group[0])))
+    return sorted(groups, key=lambda group: names.index(group[0]))
 
 
 # per class, getters of its groups' sorts and of its groups, in field order
-_FIELD_ORDER = {cls: _field_getters(cls, groups) for cls, (_, _, groups) in _SHAPES.items()}
+_FIELD_ORDER = {cls: _getters(_in_field_order(cls, shape[2])) for cls, shape in _SHAPES.items()}
 
 
 @dataclass(frozen=True)
@@ -336,51 +346,63 @@ def mentioned_sorts(phi: Formula) -> frozenset:
     return frozenset(sorts)
 
 
-def _single_sorted(tag, sort, tup, out):
-    for v in tup:
-        if v.sort != sort:
-            out.append(f"{tag}: variable {v} is not of sort {sort!r}")
+def _checked(cls, keyword, groups, agree):
+    """The keyword; each sort field with the groups on it, in field order; each
+    group paired with the next one whose length must agree with it."""
+    spans = {}
+    for field, side, _ in _in_field_order(cls, groups):
+        spans.setdefault(side, []).append(field)
+    pairs = tuple(pair for same in agree for pair in zip(same, same[1:]))
+    return keyword, tuple((side, tuple(names)) for side, names in spans.items()), pairs
+
+
+_CHECKED = {cls: _checked(cls, shape[0], *shape[2:]) for cls, shape in _SHAPES.items()}
 
 
 def atom_violations(atom) -> list:
-    """Invariant violations of a single atom instance."""
+    """Invariant violations of a single atom instance: a variable off its
+    group's sort, lengths that ``_SHAPES`` pairs but differ, and for ``pdep``
+    the same-sort shorthand."""
     out = []
-    if isinstance(atom, PolyDep):
-        for tag, sort, tup in (("pdep left", atom.sort_i, atom.x + atom.y),
-                               ("pdep right", atom.sort_j, atom.u + atom.v)):
-            _single_sorted(tag, sort, tup, out)
-        if len(atom.x) != len(atom.u):
-            out.append(f"pdep: antecedent arities differ ({len(atom.x)} vs {len(atom.u)})")
-        if len(atom.y) != len(atom.v):
-            out.append(f"pdep: consequent arities differ ({len(atom.y)} vs {len(atom.v)})")
-        if atom.sort_i == atom.sort_j and atom.x + atom.y != atom.u + atom.v:
-            out.append("pdep: same-sort atom with differing sides is a shorthand, "
-                       "not a primitive; introduce it via the rewrite rules")
-    elif isinstance(atom, (PolyInc, PolyExc)):
-        tag = "pinc" if isinstance(atom, PolyInc) else "pexc"
-        _single_sorted(f"{tag} left", atom.sort_i, atom.x, out)
-        _single_sorted(f"{tag} right", atom.sort_j, atom.y, out)
-        if len(atom.x) != len(atom.y):
-            out.append(f"{tag}: tuple arities differ ({len(atom.x)} vs {len(atom.y)})")
-    elif isinstance(atom, PolyInd):
-        _single_sorted("pind group i", atom.sort_i, atom.x + atom.y, out)
-        _single_sorted("pind group j", atom.sort_j, atom.a + atom.b, out)
-        _single_sorted("pind group k", atom.sort_k, atom.u + atom.v + atom.w, out)
-        if not (len(atom.x) == len(atom.a) == len(atom.u)):
-            out.append("pind: |x|, |a|, |u| differ")
-        if len(atom.y) != len(atom.v):
-            out.append("pind: |y| and |v| differ")
-        if len(atom.b) != len(atom.w):
-            out.append("pind: |b| and |w| differ")
-    elif isinstance(atom, GeneralizedAtom):
+    checked = _CHECKED.get(type(atom))
+    if checked is None:
+        if not isinstance(atom, GeneralizedAtom):
+            return [f"unknown atom instance: {atom!r}"]
         for idx, tup in enumerate(atom.args):
             if not tup:
                 out.append(f"atom {atom.name}: argument tuple {idx} is empty")
-            else:
-                _single_sorted(f"atom {atom.name} argument {idx}", tup[0].sort, tup, out)
-    else:
-        out.append(f"unknown atom instance: {atom!r}")
+            for v in tup:
+                if v.sort != tup[0].sort:
+                    out.append(f"atom {atom.name} argument {idx}: "
+                               f"variable {v} is not of sort {tup[0].sort!r}")
+        return out
+    keyword, spans, pairs = checked
+    for side, names in spans:
+        sort = getattr(atom, side)
+        for name in names:
+            for v in getattr(atom, name):
+                if v.sort != sort:
+                    out.append(f"{keyword} {name}: variable {v} is not of sort {sort!r}")
+    for first, second in pairs:
+        if len(getattr(atom, first)) != len(getattr(atom, second)):
+            out.append(f"{keyword}: arities of {first} and {second} differ "
+                       f"({len(getattr(atom, first))} vs {len(getattr(atom, second))})")
+    if type(atom) is PolyDep and atom.sort_i == atom.sort_j and atom.x + atom.y != atom.u + atom.v:
+        out.append("pdep: same-sort atom with differing sides is a shorthand, "
+                   "not a primitive; introduce it via the rewrite rules")
     return out
+
+
+def resolve_generalized(atom: GeneralizedAtom, registry):
+    """The registry's quantifier for the atom (None if the name is unknown; no
+    registry counts as an empty one) and what is wrong with the atom, if anything."""
+    q = (registry or {}).get(atom.name)
+    if q is None:
+        return None, f"unknown generalized atom {atom.name!r}"
+    arities = tuple(map(len, atom.args))
+    if arities != tuple(q.type):
+        return q, f"atom {atom.name}: arities {arities} do not match type {tuple(q.type)}"
+    return q, None
 
 
 def check_well_sorted(phi: Formula, registry=None) -> list:
@@ -400,16 +422,10 @@ def check_well_sorted(phi: Formula, registry=None) -> list:
                 out.append("local disjunction with empty sort set")
         elif isinstance(node, AtomF):
             out.extend(atom_violations(node.atom))
-            if registry is not None and isinstance(node.atom, GeneralizedAtom):
-                try:
-                    q = registry[node.atom.name]
-                except KeyError:
-                    out.append(f"atom {node.atom.name}: not registered")
-                else:
-                    arities = tuple(len(t) for t in node.atom.args)
-                    if arities != tuple(q.type):
-                        out.append(f"atom {node.atom.name}: arities {arities} do not match "
-                                   f"registered type {tuple(q.type)}")
+            if isinstance(node.atom, GeneralizedAtom):
+                problem = resolve_generalized(node.atom, registry)[1]
+                if problem:
+                    out.append(problem)
     return out
 
 
@@ -428,7 +444,7 @@ def _printed(keyword, parenthesised, groups):
     return (text,) + _getters(groups)
 
 
-_PRINTED = {cls: _printed(*shape) for cls, shape in _SHAPES.items()}
+_PRINTED = {cls: _printed(*shape[:3]) for cls, shape in _SHAPES.items()}
 
 
 def _format_atom(atom) -> str:
@@ -525,8 +541,7 @@ def _parsed(cls, parenthesised, groups):
     return cls, parenthesised, plan, len(sides), tuple(map(written.index, names))
 
 
-_PARSED = {keyword: _parsed(cls, parenthesised, groups)
-           for cls, (keyword, parenthesised, groups) in _SHAPES.items()}
+_PARSED = {shape[0]: _parsed(cls, *shape[1:3]) for cls, shape in _SHAPES.items()}
 
 
 class _Parser:
@@ -713,13 +728,12 @@ class _Parser:
             args.append(tuple(variables))
         self.expect("RPAREN")
         atom = GeneralizedAtom(name, tuple(args))
-        if self.registry is None or name not in self.registry:
-            self.error(f"unknown generalized atom {name!r}", at)
+        q, problem = resolve_generalized(atom, self.registry)
+        if q is None:
+            self.error(problem, at)
         self._validate(atom, key)
-        q = self.registry[name]
-        arities = tuple(len(t) for t in atom.args)
-        if arities != tuple(q.type):
-            self.error(f"atom {name}: arities {arities} do not match type {tuple(q.type)}", at)
+        if problem:
+            self.error(problem, at)
         return AtomF(atom)
 
     def _validate(self, atom, key):

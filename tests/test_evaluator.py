@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from polyteam.atoms import AtomRegistry, GeneralizedQuantifier
 from polyteam.errors import SortedDomainError
 from polyteam.evaluator import (
     DOWNWARD, EXHAUSTED, FALSE, OPAQUE, PROBE, ROWWISE, TRUE, BulkEvaluator,
@@ -93,6 +94,21 @@ def test_both_entry_points_reject_the_same_inputs():
         bulk.holds(y_only, phi)
     with pytest.raises(SortedDomainError):
         bulk.holds(Polyteam(), Eq(PX, QU))
+
+
+@pytest.mark.parametrize("first", [r"P.x != P.x", r"P.x = P.x"])
+def test_unresolvable_generalized_atom_is_rejected_before_evaluation(first):
+    # the first conjunct fails or holds on the one-row team; neither may
+    # decide whether the generalized atom is looked up
+    registry = AtomRegistry([GeneralizedQuantifier("foo", (1,), lambda d, r: True)])
+    phi = parse(first + r" /\ atom foo((P.x))", registry)
+    pt = Polyteam([Team.from_tuples(P, (PX,), [(0,)])])
+    for missing in (None, AtomRegistry()):
+        with pytest.raises(SortedDomainError, match="unknown generalized atom 'foo'"):
+            eval_formula(ST, pt, phi, registry=missing)
+        with pytest.raises(SortedDomainError, match="unknown generalized atom 'foo'"):
+            BulkEvaluator(ST, registry=missing).holds(pt, phi)
+    assert holds(ST, pt, phi, registry=registry) == (first == "P.x = P.x")
 
 
 def test_enumerate_covers_counts():

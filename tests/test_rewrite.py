@@ -3,14 +3,17 @@ import warnings
 
 import pytest
 
+from polyteam.atoms import compile_embedded_dependency, parse_embedded_dependency
 from polyteam.evaluator import EvalConfig, _Evaluator
-from polyteam.model import Structure
-from polyteam.oracle import equivalent
+from polyteam.model import Polyteam, Structure, Team
+from polyteam.oracle import equivalent, naive_eval
 from polyteam.rewrite import (
     EmptyTeamWarning, decompose_by_sort, eliminate_global_disjunction, rewrite_formula,
     translate_atom,
 )
 from polyteam.syntax import free_variables, parse
+
+from samplers import P, PX, PY, Q, QU, QV
 
 
 def rows(pt, sort):
@@ -89,14 +92,29 @@ def demands(text):
     return _Evaluator(Structure((0, 1)), EvalConfig(), None).inclusion_demands(phi)
 
 
+def embedded_dependency():
+    ed = parse_embedded_dependency("forall x . R1(x) -> exists y . R2(x, y)")
+    relations = (frozenset({(0,), (1,)}), frozenset({(0, 1), (1, 0)}))
+    return compile_embedded_dependency(ed).evaluator((0, 1), relations)
+
+
+def naive_disjunction():
+    pt = Polyteam([Team.from_tuples(P, (PX, PY), [(0, 0), (0, 1)]),
+                   Team.from_tuples(Q, (QU, QV), [(1, 1)])])
+    return naive_eval(Structure((0, 1)), pt, parse(r"P.x = P.y \/ Q.u = Q.v"))
+
+
 @pytest.mark.parametrize("call", [
     lambda: free_variables(parse(CROSS)),
     lambda: demands(CROSS),
     lambda: rewrite_formula(parse(CROSS), "e4"),
     lambda: eliminate_global_disjunction(parse(CROSS)),
     lambda: decompose_by_sort(parse(SINGLE)),
+    embedded_dependency,
+    naive_disjunction,
 ], ids=["free_variables", "inclusion_demands", "rewrite_formula",
-        "eliminate_global_disjunction", "decompose_by_sort"])
+        "eliminate_global_disjunction", "decompose_by_sort", "embedded_dependency",
+        "naive_eval"])
 def test_walkers_leave_no_cyclic_garbage(call):
     """A recursive nested function refers to itself through its closure cell,
     so each call would leave a cycle that only the cyclic collector frees."""

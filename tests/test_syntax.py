@@ -283,133 +283,137 @@ def grid_atoms():
 SHORTHAND = ("pdep: same-sort atom with differing sides is a shorthand, "
              "not a primitive; introduce it via the rewrite rules")
 ATOM_MESSAGES = {
-    "pdep-x-stray": ["pdep left: variable R.z is not of sort 'P'"],
-    "pdep-x-longer": ["pdep: antecedent arities differ (2 vs 1)"],
+    "pdep-x-stray": ["pdep x: variable R.z is not of sort 'P'"],
+    "pdep-x-longer": ["pdep: arities of x and u differ (2 vs 1)"],
     "pdep-x-longer-stray": [
-        "pdep left: variable R.z is not of sort 'P'",
-        "pdep: antecedent arities differ (2 vs 1)",
+        "pdep x: variable R.z is not of sort 'P'",
+        "pdep: arities of x and u differ (2 vs 1)",
     ],
-    "pdep-y-stray": ["pdep left: variable R.z is not of sort 'P'"],
-    "pdep-y-longer": ["pdep: consequent arities differ (2 vs 1)"],
+    "pdep-y-stray": ["pdep y: variable R.z is not of sort 'P'"],
+    "pdep-y-longer": ["pdep: arities of y and v differ (2 vs 1)"],
     "pdep-y-longer-stray": [
-        "pdep left: variable R.z is not of sort 'P'",
-        "pdep: consequent arities differ (2 vs 1)",
+        "pdep y: variable R.z is not of sort 'P'",
+        "pdep: arities of y and v differ (2 vs 1)",
     ],
-    "pdep-u-stray": ["pdep right: variable R.z is not of sort 'Q'"],
-    "pdep-u-longer": ["pdep: antecedent arities differ (1 vs 2)"],
+    "pdep-u-stray": ["pdep u: variable R.z is not of sort 'Q'"],
+    "pdep-u-longer": ["pdep: arities of x and u differ (1 vs 2)"],
     "pdep-u-longer-stray": [
-        "pdep right: variable R.z is not of sort 'Q'",
-        "pdep: antecedent arities differ (1 vs 2)",
+        "pdep u: variable R.z is not of sort 'Q'",
+        "pdep: arities of x and u differ (1 vs 2)",
     ],
-    "pdep-v-stray": ["pdep right: variable R.z is not of sort 'Q'"],
-    "pdep-v-longer": ["pdep: consequent arities differ (1 vs 2)"],
+    "pdep-v-stray": ["pdep v: variable R.z is not of sort 'Q'"],
+    "pdep-v-longer": ["pdep: arities of y and v differ (1 vs 2)"],
     "pdep-v-longer-stray": [
-        "pdep right: variable R.z is not of sort 'Q'",
-        "pdep: consequent arities differ (1 vs 2)",
+        "pdep v: variable R.z is not of sort 'Q'",
+        "pdep: arities of y and v differ (1 vs 2)",
     ],
     "pdep-all-stray": [
-        "pdep left: variable R.z is not of sort 'P'",
-        "pdep left: variable R.z is not of sort 'P'",
-        "pdep right: variable R.z is not of sort 'Q'",
-        "pdep right: variable R.z is not of sort 'Q'",
+        "pdep x: variable R.z is not of sort 'P'",
+        "pdep y: variable R.z is not of sort 'P'",
+        "pdep u: variable R.z is not of sort 'Q'",
+        "pdep v: variable R.z is not of sort 'Q'",
     ],
     "pdep-all-longer": [
-        "pdep: antecedent arities differ (2 vs 1)",
-        "pdep: consequent arities differ (2 vs 1)",
+        "pdep: arities of x and u differ (2 vs 1)",
+        "pdep: arities of y and v differ (2 vs 1)",
     ],
-    "pinc-x-stray": ["pinc left: variable R.z is not of sort 'P'"],
-    "pinc-x-longer": ["pinc: tuple arities differ (2 vs 1)"],
+    "pinc-x-stray": ["pinc x: variable R.z is not of sort 'P'"],
+    "pinc-x-longer": ["pinc: arities of x and y differ (2 vs 1)"],
     "pinc-x-longer-stray": [
-        "pinc left: variable R.z is not of sort 'P'",
-        "pinc: tuple arities differ (2 vs 1)",
+        "pinc x: variable R.z is not of sort 'P'",
+        "pinc: arities of x and y differ (2 vs 1)",
     ],
-    "pinc-y-stray": ["pinc right: variable R.z is not of sort 'Q'"],
-    "pinc-y-longer": ["pinc: tuple arities differ (1 vs 2)"],
+    "pinc-y-stray": ["pinc y: variable R.z is not of sort 'Q'"],
+    "pinc-y-longer": ["pinc: arities of x and y differ (1 vs 2)"],
     "pinc-y-longer-stray": [
-        "pinc right: variable R.z is not of sort 'Q'",
-        "pinc: tuple arities differ (1 vs 2)",
+        "pinc y: variable R.z is not of sort 'Q'",
+        "pinc: arities of x and y differ (1 vs 2)",
     ],
     "pinc-all-stray": [
-        "pinc left: variable R.z is not of sort 'P'",
-        "pinc right: variable R.z is not of sort 'Q'",
+        "pinc x: variable R.z is not of sort 'P'",
+        "pinc y: variable R.z is not of sort 'Q'",
     ],
-    "pinc-all-longer": ["pinc: tuple arities differ (2 vs 1)"],
-    "pexc-x-stray": ["pexc left: variable R.z is not of sort 'P'"],
-    "pexc-x-longer": ["pexc: tuple arities differ (2 vs 1)"],
+    "pinc-all-longer": ["pinc: arities of x and y differ (2 vs 1)"],
+    "pexc-x-stray": ["pexc x: variable R.z is not of sort 'P'"],
+    "pexc-x-longer": ["pexc: arities of x and y differ (2 vs 1)"],
     "pexc-x-longer-stray": [
-        "pexc left: variable R.z is not of sort 'P'",
-        "pexc: tuple arities differ (2 vs 1)",
+        "pexc x: variable R.z is not of sort 'P'",
+        "pexc: arities of x and y differ (2 vs 1)",
     ],
-    "pexc-y-stray": ["pexc right: variable R.z is not of sort 'Q'"],
-    "pexc-y-longer": ["pexc: tuple arities differ (1 vs 2)"],
+    "pexc-y-stray": ["pexc y: variable R.z is not of sort 'Q'"],
+    "pexc-y-longer": ["pexc: arities of x and y differ (1 vs 2)"],
     "pexc-y-longer-stray": [
-        "pexc right: variable R.z is not of sort 'Q'",
-        "pexc: tuple arities differ (1 vs 2)",
+        "pexc y: variable R.z is not of sort 'Q'",
+        "pexc: arities of x and y differ (1 vs 2)",
     ],
     "pexc-all-stray": [
-        "pexc left: variable R.z is not of sort 'P'",
-        "pexc right: variable R.z is not of sort 'Q'",
+        "pexc x: variable R.z is not of sort 'P'",
+        "pexc y: variable R.z is not of sort 'Q'",
     ],
-    "pexc-all-longer": ["pexc: tuple arities differ (2 vs 1)"],
-    "pind-x-stray": ["pind group i: variable R.z is not of sort 'P'"],
-    "pind-x-longer": ["pind: |x|, |a|, |u| differ"],
+    "pexc-all-longer": ["pexc: arities of x and y differ (2 vs 1)"],
+    "pind-x-stray": ["pind x: variable R.z is not of sort 'P'"],
+    "pind-x-longer": ["pind: arities of x and a differ (2 vs 1)"],
     "pind-x-longer-stray": [
-        "pind group i: variable R.z is not of sort 'P'",
-        "pind: |x|, |a|, |u| differ",
+        "pind x: variable R.z is not of sort 'P'",
+        "pind: arities of x and a differ (2 vs 1)",
     ],
-    "pind-y-stray": ["pind group i: variable R.z is not of sort 'P'"],
-    "pind-y-longer": ["pind: |y| and |v| differ"],
+    "pind-y-stray": ["pind y: variable R.z is not of sort 'P'"],
+    "pind-y-longer": ["pind: arities of y and v differ (2 vs 1)"],
     "pind-y-longer-stray": [
-        "pind group i: variable R.z is not of sort 'P'",
-        "pind: |y| and |v| differ",
+        "pind y: variable R.z is not of sort 'P'",
+        "pind: arities of y and v differ (2 vs 1)",
     ],
-    "pind-a-stray": ["pind group j: variable R.z is not of sort 'Q'"],
-    "pind-a-longer": ["pind: |x|, |a|, |u| differ"],
+    "pind-a-stray": ["pind a: variable R.z is not of sort 'Q'"],
+    "pind-a-longer": [
+        "pind: arities of x and a differ (1 vs 2)",
+        "pind: arities of a and u differ (2 vs 1)",
+    ],
     "pind-a-longer-stray": [
-        "pind group j: variable R.z is not of sort 'Q'",
-        "pind: |x|, |a|, |u| differ",
+        "pind a: variable R.z is not of sort 'Q'",
+        "pind: arities of x and a differ (1 vs 2)",
+        "pind: arities of a and u differ (2 vs 1)",
     ],
-    "pind-b-stray": ["pind group j: variable R.z is not of sort 'Q'"],
-    "pind-b-longer": ["pind: |b| and |w| differ"],
+    "pind-b-stray": ["pind b: variable R.z is not of sort 'Q'"],
+    "pind-b-longer": ["pind: arities of b and w differ (2 vs 1)"],
     "pind-b-longer-stray": [
-        "pind group j: variable R.z is not of sort 'Q'",
-        "pind: |b| and |w| differ",
+        "pind b: variable R.z is not of sort 'Q'",
+        "pind: arities of b and w differ (2 vs 1)",
     ],
-    "pind-u-stray": ["pind group k: variable R.z is not of sort 'T'"],
-    "pind-u-longer": ["pind: |x|, |a|, |u| differ"],
+    "pind-u-stray": ["pind u: variable R.z is not of sort 'T'"],
+    "pind-u-longer": ["pind: arities of a and u differ (1 vs 2)"],
     "pind-u-longer-stray": [
-        "pind group k: variable R.z is not of sort 'T'",
-        "pind: |x|, |a|, |u| differ",
+        "pind u: variable R.z is not of sort 'T'",
+        "pind: arities of a and u differ (1 vs 2)",
     ],
-    "pind-v-stray": ["pind group k: variable R.z is not of sort 'T'"],
-    "pind-v-longer": ["pind: |y| and |v| differ"],
+    "pind-v-stray": ["pind v: variable R.z is not of sort 'T'"],
+    "pind-v-longer": ["pind: arities of y and v differ (1 vs 2)"],
     "pind-v-longer-stray": [
-        "pind group k: variable R.z is not of sort 'T'",
-        "pind: |y| and |v| differ",
+        "pind v: variable R.z is not of sort 'T'",
+        "pind: arities of y and v differ (1 vs 2)",
     ],
-    "pind-w-stray": ["pind group k: variable R.z is not of sort 'T'"],
-    "pind-w-longer": ["pind: |b| and |w| differ"],
+    "pind-w-stray": ["pind w: variable R.z is not of sort 'T'"],
+    "pind-w-longer": ["pind: arities of b and w differ (1 vs 2)"],
     "pind-w-longer-stray": [
-        "pind group k: variable R.z is not of sort 'T'",
-        "pind: |b| and |w| differ",
+        "pind w: variable R.z is not of sort 'T'",
+        "pind: arities of b and w differ (1 vs 2)",
     ],
     "pind-all-stray": [
-        "pind group i: variable R.z is not of sort 'P'",
-        "pind group i: variable R.z is not of sort 'P'",
-        "pind group j: variable R.z is not of sort 'Q'",
-        "pind group j: variable R.z is not of sort 'Q'",
-        "pind group k: variable R.z is not of sort 'T'",
-        "pind group k: variable R.z is not of sort 'T'",
-        "pind group k: variable R.z is not of sort 'T'",
+        "pind x: variable R.z is not of sort 'P'",
+        "pind y: variable R.z is not of sort 'P'",
+        "pind a: variable R.z is not of sort 'Q'",
+        "pind b: variable R.z is not of sort 'Q'",
+        "pind u: variable R.z is not of sort 'T'",
+        "pind v: variable R.z is not of sort 'T'",
+        "pind w: variable R.z is not of sort 'T'",
     ],
     "pind-all-longer": [
-        "pind: |x|, |a|, |u| differ",
-        "pind: |y| and |v| differ",
-        "pind: |b| and |w| differ",
+        "pind: arities of x and a differ (2 vs 1)",
+        "pind: arities of y and v differ (2 vs 1)",
+        "pind: arities of b and w differ (2 vs 1)",
     ],
     "pdep-same-sort": [SHORTHAND],
-    "pdep-same-sort-longer": ["pdep: antecedent arities differ (2 vs 1)", SHORTHAND],
-    "pdep-same-sort-stray": ["pdep left: variable R.z is not of sort 'P'", SHORTHAND],
+    "pdep-same-sort-longer": ["pdep: arities of x and u differ (2 vs 1)", SHORTHAND],
+    "pdep-same-sort-stray": ["pdep x: variable R.z is not of sort 'P'", SHORTHAND],
 }
 
 
@@ -421,20 +425,20 @@ def test_atom_violation_messages_are_pinned(name, atom):
 ONE = AtomRegistry([GeneralizedQuantifier("one", (1,), lambda d, r: True)])
 
 
-@pytest.mark.parametrize("atom,messages", [
-    (GeneralizedAtom("one", ((PX,),)), []),
-    (GeneralizedAtom("one", ((PX, PY),)),
-     ["atom one: arities (2,) do not match registered type (1,)"]),
-    (GeneralizedAtom("one", ()), ["atom one: arities () do not match registered type (1,)"]),
-    (GeneralizedAtom("one", ((PX, QU),)),
+@pytest.mark.parametrize("atom,registry,messages", [
+    (GeneralizedAtom("one", ((PX,),)), ONE, []),
+    (GeneralizedAtom("one", ((PX, PY),)), ONE, ["atom one: arities (2,) do not match type (1,)"]),
+    (GeneralizedAtom("one", ()), ONE, ["atom one: arities () do not match type (1,)"]),
+    (GeneralizedAtom("one", ((PX, QU),)), ONE,
      ["atom one argument 0: variable Q.u is not of sort 'P'",
-      "atom one: arities (2,) do not match registered type (1,)"]),
-    (GeneralizedAtom("one", ((),)),
-     ["atom one: argument tuple 0 is empty",
-      "atom one: arities (0,) do not match registered type (1,)"]),
-    (GeneralizedAtom("nope", ((PX,),)), ["atom nope: not registered"]),
-    (GeneralizedAtom("nope", ((PX, QU),)),
-     ["atom nope argument 0: variable Q.u is not of sort 'P'", "atom nope: not registered"]),
-], ids=["registered", "longer", "no-args", "stray", "empty-tuple", "unknown", "unknown-stray"])
-def test_generalized_atom_messages_are_pinned(atom, messages):
-    assert check_well_sorted(AtomF(atom), ONE) == messages
+      "atom one: arities (2,) do not match type (1,)"]),
+    (GeneralizedAtom("one", ((),)), ONE,
+     ["atom one: argument tuple 0 is empty", "atom one: arities (0,) do not match type (1,)"]),
+    (GeneralizedAtom("nope", ((PX,),)), ONE, ["unknown generalized atom 'nope'"]),
+    (GeneralizedAtom("nope", ((PX, QU),)), ONE,
+     ["atom nope argument 0: variable Q.u is not of sort 'P'", "unknown generalized atom 'nope'"]),
+    (GeneralizedAtom("one", ((PX,),)), None, ["unknown generalized atom 'one'"]),
+], ids=["registered", "longer", "no-args", "stray", "empty-tuple", "unknown", "unknown-stray",
+        "no-registry"])
+def test_generalized_atom_messages_are_pinned(atom, registry, messages):
+    assert check_well_sorted(AtomF(atom), registry) == messages
