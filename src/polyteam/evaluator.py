@@ -230,7 +230,8 @@ class _Evaluator:
     # -- bookkeeping ------------------------------------------------------
 
     def check_input(self, phi, pt: Polyteam):
-        """Reject an ill-sorted phi or a free variable outside its team's domain."""
+        """Reject an ill-formed phi, such as one with a generalized atom the
+        registry cannot resolve, or a free variable outside its team's domain."""
         key = ("free", id(phi))
         got = self.memo.get(key)
         if got is not None:
