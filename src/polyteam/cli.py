@@ -14,6 +14,10 @@ negative verdict, 2 when a resource cap tripped or the input nests too deep
 or needs too much memory (limit ``depth`` or ``memory``), 3 for input
 errors, 4 for usage errors.  Verdicts go to stdout (JSON with ``--json``);
 notices and errors go to stderr.
+
+``main`` may be called many times in one process, as the benchmark and the
+tests do.  It builds its argument parser once, on the first call, and every
+later call parses its command line as a first call would.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import itertools
 import json
 import sys
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 from .atoms import AtomRegistry, compile_embedded_dependency, parse_embedded_dependency
@@ -287,7 +292,13 @@ def run_oracle(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
+@lru_cache(maxsize=None)
+def command_parser() -> _Parser:
+    """The argument parser, built on the first ``main`` call and reused by later ones.
+
+    ``parse_args`` gives a fresh namespace each call, so no option, not even
+    a repeatable one, carries over from an earlier command line.
+    """
     parser = _Parser(prog="polyteam",
                      description="Model checking and dependency reasoning "
                                  "over families of relational tables.")
@@ -351,10 +362,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     args = None
     try:
-        args = parser.parse_args(argv)
+        args = command_parser().parse_args(argv)
         return args.handler(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

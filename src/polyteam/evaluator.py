@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ResourceExhausted, SortedDomainError
-from .model import Polyteam, Structure, Team, value_key
+from .model import Polyteam, Structure, Team, value_sorted
 from .syntax import (
     And, AtomF, Connective, Eq, Exists, Forall, Formula, Neq, NegRel, OrGlobal,
     OrLocal, PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth, all_variables,
@@ -688,7 +688,7 @@ class _Evaluator:
                 if not got:
                     return ()
                 allowed = got if allowed is None else allowed & got
-            return sorted(allowed, key=value_key)
+            return value_sorted(allowed)
 
         return witnesses
 

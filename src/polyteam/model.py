@@ -18,7 +18,11 @@ tuples.  Teams are immutable, so each keeps three caches, filled on first
 use and never inherited by a team derived from it: ``relation`` per
 variable tuple, ``rows`` (the Assignments) and ``ordered_tuples``.  Its
 hash, too, is computed on first use: the evaluator builds many one-row
-slices and hashes almost none of them.
+slices and hashes almost none of them.  The canonical row order, which
+``ordered_tuples`` gives and every row loop walks, is ``value_key`` order
+position by position; ``value_sorted`` computes it by plain tuple
+comparison, in C, when every value is a ``str``, as every value of a CSV
+table is.
 
 Assignments are built on demand only.  ``Team(sort, domain, rows)`` takes
 Assignments and ``rows``, ``ordered_rows()`` and iteration give them back;
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -44,6 +49,30 @@ Value = Union[str, int]
 def value_key(v: Value):
     """Deterministic ordering key for possibly mixed-type values."""
     return (type(v).__name__, str(v))
+
+
+def _row_key(row: tuple) -> tuple:
+    return tuple(map(value_key, row))
+
+
+_STR_ONLY = frozenset((str,))
+
+
+def value_sorted(items: Iterable, rows: bool = False) -> list:
+    """Bare values, or with ``rows`` row tuples, as a list in ``value_key`` order.
+
+    Row tuples compare position by position.  When every value is exactly a
+    ``str``, ``value_key(v)`` is ``("str", v)``, so the items' own comparison
+    gives the same order and the sort runs in C; any other value (an int, a
+    bool, a ``str`` subclass) sorts the whole list by ``value_key``.
+    """
+    items = list(items)
+    values = chain.from_iterable(items) if rows else items
+    if set(map(type, values)) <= _STR_ONLY:
+        items.sort()
+    else:
+        items.sort(key=_row_key if rows else value_key)
+    return items
 
 
 class Variable(NamedTuple):
@@ -254,7 +283,7 @@ class Team:
         """Row tuples in the canonical deterministic order, sorted on first use and kept."""
         got = self._ordered
         if got is None:
-            got = tuple(sorted(self.tuples, key=lambda row: tuple(map(value_key, row))))
+            got = tuple(value_sorted(self.tuples, rows=True))
             object.__setattr__(self, "_ordered", got)
         return got
 

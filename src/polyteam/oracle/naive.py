@@ -69,7 +69,13 @@ def naive_atom(structure: Structure, pt: Polyteam, atom, registry=None) -> bool:
     if isinstance(atom, GeneralizedAtom):
         if registry is None:
             raise RegistryError(f"no registry for generalized atom {atom.name!r}")
+        if atom.name not in registry:
+            raise RegistryError(f"unknown generalized atom {atom.name!r}")
         q = registry[atom.name]
+        arities = tuple(len(t) for t in atom.args)
+        if arities != tuple(q.type):
+            raise RegistryError(f"atom {atom.name}: arities {arities} do not match "
+                                f"type {tuple(q.type)}")
         rels = tuple(pt.team(t[0].sort).relation(t) for t in atom.args)
         return bool(q.evaluator(structure.domain, rels))
     raise TypeError(f"unknown atom instance: {atom!r}")

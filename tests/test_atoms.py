@@ -10,12 +10,13 @@ from polyteam.atoms import (
     spot_check_isomorphism_invariance,
 )
 from polyteam.errors import ParseError, RegistryError, SortedDomainError
+from polyteam.evaluator import eval_formula
 from polyteam.model import Assignment, Polyteam, Structure, Team, Variable
 from polyteam.oracle import (
-    enumerate_polyteams, naive_atom, naive_polydep, naive_polyexc,
+    enumerate_polyteams, naive_atom, naive_eval, naive_polydep, naive_polyexc,
     naive_polyinc, naive_polyind,
 )
-from polyteam.syntax import GeneralizedAtom, PolyDep, PolyExc, PolyInc, PolyInd
+from polyteam.syntax import AtomF, GeneralizedAtom, PolyDep, PolyExc, PolyInc, PolyInd
 
 from samplers import P, PX, PY, Q, QU, QV, assignments
 
@@ -195,6 +196,19 @@ def test_unregistered_and_mismatched_atoms_error():
     registry = AtomRegistry([GeneralizedQuantifier("one", (1,), lambda d, r: True)])
     with pytest.raises(RegistryError):
         check_generalized(ST2, pt(), GeneralizedAtom("one", ((PX, PY),)), registry)
+
+
+@pytest.mark.parametrize("registry", [
+    AtomRegistry(),
+    AtomRegistry([GeneralizedQuantifier("foo", (2,), lambda d, r: True)]),
+], ids=["unknown", "wrong-type"])
+def test_oracle_and_evaluator_reject_unresolvable_atoms(registry):
+    phi = AtomF(GeneralizedAtom("foo", ((PX,),)))
+    team = pt([row(x=0, y=1)])
+    with pytest.raises(RegistryError):
+        naive_eval(ST2, team, phi, registry)
+    with pytest.raises(SortedDomainError):
+        eval_formula(ST2, team, phi, registry=registry)
 
 
 def test_registry_is_immutable_and_extendable():

@@ -79,6 +79,42 @@ def test_workforce_verdicts(capsys, employees, verdict):
     assert got == (verdict, 0 if verdict == "true" else 1, 1)
 
 
+def test_repeated_main_calls_pin_fixture_work(capsys):
+    # main reuses one parser; every call does the work of a first call
+    for _ in range(3):
+        for (formula, test, results), nodes in HOSPITAL_NODES.items():
+            teams = [("Case", HOSPITAL / "case.csv"), ("Test", HOSPITAL / test),
+                     ("Results", HOSPITAL / results)]
+            got = check_golden(capsys, HOSPITAL / formula, teams, HOSPITAL / "structure.json")
+            assert got[2] == nodes
+        for employees, nodes in EXCHANGE_NODES.items():
+            teams = [("P", EXCHANGE / "projects.csv"), ("E", EXCHANGE / employees)]
+            assert check_golden(capsys, EXCHANGE / "solution_exists.ptf", teams)[2] == nodes
+
+
+def test_reused_parser_answers_as_a_first_call(capsys):
+    """Two tables, a usage error, then one table: no option carries over.
+
+    Each command line's first call is its own fresh process.  Left over from
+    the two-table call, E would be the empty table and the verdict false.
+    """
+    check_exchange = ["check", "--json", "--formula", str(EXCHANGE / "solution_exists.ptf"),
+                      "--team", f"P={EXCHANGE / 'projects.csv'}"]
+    argvs = [check_exchange + ["--team", f"E={EXCHANGE / 'employees_empty.csv'}"],
+             ["check", "--json"],
+             check_exchange]
+    src = str(Path(polyteam.__file__).parent.parent)
+    first = [subprocess.run([sys.executable, "-m", "polyteam", *argv], capture_output=True,
+                            text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+             for argv in argvs]
+    assert [run.returncode for run in first] == [1, 4, 0]
+    assert "no table for sort 'E'" in first[2].stderr
+    for _ in range(2):
+        for argv, run in zip(argvs, first):
+            code = cli.main(list(argv))
+            assert (code, *capsys.readouterr()) == (run.returncode, run.stdout, run.stderr)
+
+
 @pytest.mark.parametrize("atoms,verdict,code", [
     ("transitivity.pdep", "implied", 0),
     ("not_implied.pdep", "not-implied", 1),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from polyteam.errors import InvalidChoiceError, SortedDomainError
 from polyteam.model import (
     Assignment, Polyteam, Structure, Team, Variable, polyteam_restrict,
-    polyteam_union, singleton_empty_team, subteam_of, value_key,
+    polyteam_union, singleton_empty_team, subteam_of, value_key, value_sorted,
 )
 
 from samplers import P, PX, PY, Q, QU, assignments
@@ -290,21 +290,53 @@ def test_columnar_team_matches_the_assignment_reference(seed):
         assert part.is_subteam_of(team)
 
 
+class Text(str):
+    """A str subclass: its value_key names the subclass, so it sorts apart from str."""
+
+
+# rows over (P.y, P.x): mixed int/str, every value a str, with a str subclass
+MIXED_ROWS = [(1, "b"), (10, "b"), (9, "b"), ("B", 1), ("a", 1)]
+STR_ROWS = [("b", "10"), ("b", "9"), ("b", ""), ("", "B"), ("10", "a"), ("9", "a")]
+ORDER_CASES = {
+    "mixed": MIXED_ROWS,
+    "str": STR_ROWS,
+    "str-subclass": STR_ROWS + [(Text("b"), "9"), ("9", Text("b"))],
+    "str-and-int": STR_ROWS + [("b", 10), (9, "a")],
+}
+
+
 def test_mixed_values_order_by_type_name_then_text():
-    team = Team.from_tuples(P, (PY, PX), [(1, "b"), (10, "b"), (9, "b"), ("B", 1), ("a", 1)])
+    team = Team.from_tuples(P, (PY, PX), MIXED_ROWS)
     assert [s.values_of((PX, PY)) for s in team.ordered_rows()] == \
         [(1, "B"), (1, "a"), ("b", 1), ("b", 10), ("b", 9)]
+    # every value a str: text order, "" < "10" < "9" < "B" < "a"
+    team = Team.from_tuples(P, (PY, PX), STR_ROWS)
+    assert [s.values_of((PX, PY)) for s in team.ordered_rows()] == \
+        [("", "b"), ("10", "b"), ("9", "b"), ("B", ""), ("a", "10"), ("a", "9")]
+
+
+@pytest.mark.parametrize("rows", ORDER_CASES.values(), ids=ORDER_CASES.keys())
+def test_value_sorted_is_value_key_order(rows):
+    reference = sorted(rows, key=lambda row: tuple(map(value_key, row)))
+    assert value_sorted(rows, rows=True) == reference
+    assert value_sorted(reversed(rows), rows=True) == reference
+    values = [v for row in rows for v in row]
+    assert value_sorted(values) == sorted(values, key=value_key)
+    assert [type(v) for v in value_sorted(values)] == \
+        [type(v) for v in sorted(values, key=value_key)]
+    assert value_sorted([]) == value_sorted([], rows=True) == []
 
 
 def test_ordered_tuples_sort_once_and_are_not_inherited_by_slices():
-    team = Team.from_tuples(P, (PY, PX), [(1, "b"), (10, "b"), (9, "b"), ("B", 1), ("a", 1)])
-    first = team.ordered_tuples()
-    assert team.ordered_tuples() is first
-    assert list(first) == sorted(team.tuples, key=lambda row: tuple(map(value_key, row)))
-    one_row = team.with_rows(first[:1])
-    assert one_row.ordered_tuples() == first[:1]
-    assert one_row.ordered_tuples() is not first
-    assert team.with_rows(team.tuples).ordered_tuples() is not first
+    for rows in ORDER_CASES.values():
+        team = Team.from_tuples(P, (PY, PX), rows)
+        first = team.ordered_tuples()
+        assert team.ordered_tuples() is first
+        assert list(first) == sorted(team.tuples, key=lambda row: tuple(map(value_key, row)))
+        one_row = team.with_rows(first[:1])
+        assert one_row.ordered_tuples() == first[:1]
+        assert one_row.ordered_tuples() is not first
+        assert team.with_rows(team.tuples).ordered_tuples() is not first
 
 
 def test_from_tuples_rejects_bad_rows():
