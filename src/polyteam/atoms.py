@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable, Iterable, Optional, Tuple
 
 from .errors import ParseError, RegistryError
-from .model import Polyteam, Structure, value_key
+from .model import Polyteam, Structure, value_sorted
 from .syntax import GeneralizedAtom, PolyDep, PolyExc, PolyInc, PolyInd, resolve_generalized
 
 
@@ -139,7 +139,7 @@ def spot_check_isomorphism_invariance(q: GeneralizedQuantifier, domain, relation
         rng.shuffle(image)
         pi = dict(zip(domain, image))
         renamed = tuple(frozenset(tuple(pi[v] for v in t) for t in rel) for rel in relations)
-        if bool(q.evaluator(tuple(sorted(image, key=value_key)), renamed)) != baseline:
+        if bool(q.evaluator(tuple(value_sorted(image)), renamed)) != baseline:
             violations.append(pi)
     return violations
 
@@ -269,13 +269,13 @@ def compile_embedded_dependency(ed: EmbeddedDependency, name: str = "ed",
 
     def evaluator(domain, relations):
         rels = dict(zip(names, relations))
-        active = sorted({v for rel in relations for t in rel for v in t}, key=value_key)
         if widen_existentials:
             witness_pool = list(domain)
         else:
-            witness_pool = list(active)
+            active = {v for rel in relations for t in rel for v in t}
+            witness_pool = value_sorted(active)
             for v in domain:
-                if v not in set(active):
+                if v not in active:
                     witness_pool.append(v)
                     break
         env = {}

@@ -33,11 +33,10 @@ from pathlib import Path
 
 from .atoms import AtomRegistry, compile_embedded_dependency, parse_embedded_dependency
 from .errors import ParseError, PolyteamError
-from .evaluator import EXHAUSTED, TRUE, EvalConfig, eval_formula
+from .evaluator import EXHAUSTED, TRUE, EvalConfig, eval_formula, evaluator_backed
 from .implication import decide, replay_trace
 from .model import Polyteam, Structure, Team, Variable
 from .oracle import equivalent, find_semantic_counterexample
-from .oracle.checks import evaluator_backed
 from .rewrite import (
     RULE_NAMES, FreshNameSource, decompose_by_sort,
     eliminate_global_disjunction, rewrite_formula,

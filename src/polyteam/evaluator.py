@@ -66,7 +66,8 @@ Keys hold team contents, not ``Team`` objects: equal teams rebuilt for
 another polyteam share an entry, and no team's caches are pinned.  The
 stored verdicts and the rows of the teams in the keys count against
 ``max_expanded_team_rows``, and the store empties itself before it would
-pass that.  A row or probe that raises is never stored.
+pass that.  A row or probe that raises is never stored.  ``evaluator_backed``
+gives ``oracle.equivalent`` one ``BulkEvaluator`` session per structure.
 
 Anything not certified falls back to literal enumeration of ∃ value choices
 or of k-way lax covers for k disjuncts, which the configuration caps guard.
@@ -383,6 +384,13 @@ class _Evaluator:
             return sorted(node.sorts & touched)
         return sorted(touched)
 
+    def rowwise_split(self, parts, t):
+        """The parts that are row-wise at sort t, and the rest, each in order."""
+        rowwise, rest = [], []
+        for p in parts:
+            (rowwise if self.closure(p, t) == ROWWISE else rest).append(p)
+        return rowwise, rest
+
     def eval_or(self, node, pt: Polyteam) -> bool:
         """A disjunction; one that splits only sort t is decided row by row.
 
@@ -395,9 +403,7 @@ class _Evaluator:
             return self.eval_or_fallback(node, split, pt)
         t = split[0]
         team = pt.team(t)
-        rowwise_parts, opaque = [], []
-        for p in node.parts:
-            (rowwise_parts if self.closure(p, t) == ROWWISE else opaque).append(p)
+        rowwise_parts, opaque = self.rowwise_split(node.parts, t)
         if len(opaque) > 1:
             return self.eval_or_fallback(node, split, pt)
         accepts = [] if opaque else None
@@ -548,17 +554,11 @@ class _Evaluator:
         while isinstance(body, Exists) and body.var.sort == t:
             block.append(body.var)
             body = body.body
-        plain, others = [], []
-        for c in body.parts if isinstance(body, And) else (body,):
-            (plain if self.closure(c, t) == ROWWISE else others).append(c)
-        if len(others) != 1 or not isinstance(others[0], (OrGlobal, OrLocal)):
+        plain, others = self.rowwise_split(body.parts if isinstance(body, And) else (body,), t)
+        disjunction = others[0] if len(others) == 1 else None
+        if not isinstance(disjunction, (OrGlobal, OrLocal)) or self.split_sorts(disjunction) != [t]:
             return self._store(key, node, None)
-        disjunction = others[0]
-        if self.split_sorts(disjunction) != [t]:
-            return self._store(key, node, None)
-        rowwise_parts, opaque = [], []
-        for p in disjunction.parts:
-            (rowwise_parts if self.closure(p, t) == ROWWISE else opaque).append(p)
+        rowwise_parts, opaque = self.rowwise_split(disjunction.parts, t)
         if len(opaque) != 1 or self.closure(opaque[0], t) == OPAQUE or \
                 set(block) & all_variables(opaque[0]):
             return self._store(key, node, None)
@@ -736,3 +736,22 @@ class BulkEvaluator:
     def holds(self, pt: Polyteam, phi: Formula) -> bool:
         self._engine.check_input(phi, pt)
         return self._engine.eval(phi, pt)
+
+
+def evaluator_backed(config=None, registry=None):
+    """An ``evaluate`` callback for ``oracle.equivalent`` driving this evaluator.
+
+    For equivalence sweeps too large for the oracle's naive default.  One
+    session serves each structure in turn, so its memo and row verdicts
+    carry across the structure's polyteams; ``equivalent`` is done with a
+    structure once it moves on, so only the current session is kept.
+    """
+    current, session = None, None
+
+    def evaluate(structure, pt, phi):
+        nonlocal current, session
+        if structure is not current:
+            current, session = structure, BulkEvaluator(structure, config, registry)
+        return session.holds(pt, phi)
+
+    return evaluate

@@ -361,19 +361,11 @@ def rule_weak_transitivity(atom: PolyDep, head: int) -> PolyDep:
     v1, v2, w = atom.v[:p], atom.v[p:2 * p], atom.v[2 * p:]
     if z1 != z2 or v1 != v2 or len(w) != m:
         raise RuleApplicationError("consequents do not decompose as y z z / v v w")
-    adjacency = {}
+    uf = _UnionFind()
     for left, right in zip(atom.y, atom.v):
-        adjacency.setdefault(left, set()).add(right)
-        adjacency.setdefault(right, set()).add(left)
+        uf.merge(left, right)
     for yk, wk in zip(y, w):
-        seen, frontier = {yk}, [yk]
-        while frontier:
-            node = frontier.pop()
-            for other in adjacency.get(node, ()):
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        if wk not in seen:
+        if uf.find(yk) != uf.find(wk):
             raise RuleApplicationError(
                 f"equality chain does not connect {yk} to {wk}; "
                 "this weak-transitivity instance is unsound")

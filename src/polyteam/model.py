@@ -22,7 +22,8 @@ slices and hashes almost none of them.  The canonical row order, which
 ``ordered_tuples`` gives and every row loop walks, is ``value_key`` order
 position by position; ``value_sorted`` computes it by plain tuple
 comparison, in C, when every value is a ``str``, as every value of a CSV
-table is.
+table is.  ``Structure`` and every other module order values with
+``value_sorted``; ``value_key`` is private to this module and ``oracle``.
 
 Assignments are built on demand only.  ``Team(sort, domain, rows)`` takes
 Assignments and ``rows``, ``ordered_rows()`` and iteration give them back;
@@ -291,19 +292,13 @@ class Team:
         """Rows as Assignments in the canonical deterministic order."""
         return tuple(_assignment(self.domain, row) for row in self.ordered_tuples())
 
-    def domain_with(self, *variables: Variable) -> tuple:
-        """The canonical domain tuple extended by the given variables."""
-        extra = [v for v in variables if v not in self.domain]
-        for v in extra:
-            if v.sort != self.sort:
-                raise SortedDomainError(f"cannot extend a {self.sort!r}-team at {v}")
-        if not extra:
-            return self.domain
-        return tuple(sorted(self.domain + tuple(extra)))
-
     def _extension(self, var: Variable):
         """The domain with var, and (row, a) -> the row tuple of s(a/x) on it."""
-        domain = self.domain_with(var)
+        domain = self.domain
+        if var not in domain:
+            if var.sort != self.sort:
+                raise SortedDomainError(f"cannot extend a {self.sort!r}-team at {var}")
+            domain = tuple(sorted(domain + (var,)))
         k = domain.index(var)
         rest = k + 1 if var in self.domain else k
         return domain, lambda row, a: row[:k] + (a,) + row[rest:]
@@ -522,7 +517,7 @@ class Structure:
     __slots__ = ("domain", "domain_set", "relations")
 
     def __init__(self, domain: Iterable[Value], relations: Mapping = ()):
-        domain = tuple(sorted(set(domain), key=value_key))
+        domain = tuple(value_sorted(set(domain)))
         if not domain:
             raise SortedDomainError("structure domain must be nonempty")
         rels = {}

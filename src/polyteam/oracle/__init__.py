@@ -1,8 +1,10 @@
 """Independent brute-force machinery used as ground truth in tests.
 
-Nothing in this subpackage reuses the optimized checkers in
-``polyteam.atoms`` or the strategy-driven evaluator; atom satisfaction and
-formula evaluation here follow the defining quantifier nests literally.
+Nothing in this subpackage imports the optimized checkers in
+``polyteam.atoms`` or the strategy-driven ``polyteam.evaluator``; atom
+satisfaction and formula evaluation here follow the defining quantifier
+nests literally.  The callback that drives ``equivalent`` with the
+evaluator instead, ``evaluator_backed``, lives in ``polyteam.evaluator``.
 """
 
 from .naive import (

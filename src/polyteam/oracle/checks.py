@@ -117,31 +117,6 @@ def _relation_signature(*formulas):
     return signature
 
 
-def evaluator_backed(config=None, registry=None):
-    """An ``evaluate`` callback for ``equivalent`` driving the main evaluator.
-
-    The naive default is the independent ground truth; this backend exists
-    for equivalence sweeps whose search spaces the naive evaluator cannot
-    finish (the evaluator itself is cross-validated against the naive one on
-    random formulas elsewhere).  One evaluation session serves each structure
-    in turn, so the structural analysis of each formula and the session's
-    row verdicts carry across its polyteams.  ``equivalent`` is done with a
-    structure once it moves to the next, so only the current session is
-    kept.
-    """
-    from ..evaluator import BulkEvaluator
-
-    current, session = None, None
-
-    def evaluate(structure, pt, phi):
-        nonlocal current, session
-        if structure is not current:
-            current, session = structure, BulkEvaluator(structure, config, registry)
-        return session.holds(pt, phi)
-
-    return evaluate
-
-
 def equivalent(phi: Formula, psi: Formula, values=(0, 1), max_rows=2, min_rows=0,
                registry=None, evaluate=None):
     """Exhaustive bounded equivalence check; returns (bool, witness).

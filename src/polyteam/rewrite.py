@@ -25,7 +25,28 @@ atom by one of them:
   sort i leaves no row to include the sort-j values.
 
 A same-sort atom meets both conditions: when its one team is empty, both
-sides hold.
+sides hold.  No formula in e4's target fragment can drop its condition.
+Say an atom needs rows at sort j when it is a pinc from another sort into
+j, or a pind whose third group is at j and whose first two are elsewhere.
+
+Lemma.  Let φ be built from literals, the four built-in atoms, ∧, both
+disjunctions, ∃ and ∀, and let no atom of φ need rows at j.  Then X̄ ⊨ φ
+implies X̄[∅/j] ⊨ φ, where X̄[∅/j] empties the sort-j team and keeps its
+domain.
+
+Proof.  Induction on φ.  Literals are flat, and an atom that mentions j
+but needs no rows there quantifies universally over the sort-j rows, so
+both hold on an empty sort-j team; other atoms do not read it.  At sort j,
+lax ∃ and ∀ map the empty team to the empty team over the extended domain,
+and at other sorts they leave the sort-j team alone, so emptying j
+commutes with each quantifier step.  A disjunction splits the empty
+sort-j team as ∅ ∪ ∅, or hands it to every part when it does not split j.
+
+Consequence.  pinc(x̄@i | ȳ@j) with i ≠ j holds on one row at i and one
+at j with equal values, and fails once j is emptied.  No atom of e4's
+target fragment (∀, the disjunctions, pexc, same-sort pinc and literals)
+needs rows at j, so no formula there equals the inclusion once empty teams
+are allowed.  No such proof is known for e6 yet; both keep their warning.
 
 ``eliminate_global_disjunction`` removes every global disjunction (and every
 multi-sort local disjunction) in favour of single-sort local disjunctions;
@@ -195,13 +216,6 @@ def translate_atom(atom, rule: str, fresh: Optional[FreshNameSource] = None) -> 
 
     Warns with EmptyTeamWarning when the equivalence needs a nonempty team.
     """
-    result = _translate(atom, rule, fresh)
-    if _needs_empty_team_warning(atom, rule):
-        warnings.warn(_EMPTY_TEAM_CONDITIONS[rule], EmptyTeamWarning, stacklevel=2)
-    return result
-
-
-def _translate(atom, rule: str, fresh: Optional[FreshNameSource]) -> Formula:
     try:
         kind, impl = _ATOM_RULES[rule]
     except KeyError:
@@ -211,7 +225,10 @@ def _translate(atom, rule: str, fresh: Optional[FreshNameSource]) -> Formula:
                            f"not {type(atom).__name__}")
     if fresh is None:
         fresh = FreshNameSource(atom_variables(atom))
-    return impl(atom, fresh)
+    result = impl(atom, fresh)
+    if _needs_empty_team_warning(atom, rule):
+        warnings.warn(_EMPTY_TEAM_CONDITIONS[rule], EmptyTeamWarning, stacklevel=2)
+    return result
 
 
 def rewrite_formula(phi: Formula, rule: str,
@@ -221,28 +238,28 @@ def rewrite_formula(phi: Formula, rule: str,
     Warns once with EmptyTeamWarning when the equivalence of some rewritten
     atom needs a nonempty team.
     """
-    kind, _ = _ATOM_RULES.get(rule, (None, None))
+    kind, impl = _ATOM_RULES.get(rule, (None, None))
     if kind is None:
         raise RewriteError(f"unknown rule {rule!r}; choose from {RULE_NAMES}")
     fresh = fresh or FreshNameSource.for_formula(phi)
     state = {"conditional": False}
-    result = _rewrite(phi, rule, kind, fresh, state)
+    result = _rewrite(phi, rule, kind, impl, fresh, state)
     if state["conditional"]:
         warnings.warn(_EMPTY_TEAM_CONDITIONS[rule], EmptyTeamWarning, stacklevel=2)
     return result
 
 
-def _rewrite(f, rule, kind, fresh, state):
+def _rewrite(f, rule, kind, impl, fresh, state):
     if isinstance(f, AtomF) and isinstance(f.atom, kind):
         if _needs_empty_team_warning(f.atom, rule):
             state["conditional"] = True
-        return _translate(f.atom, rule, fresh)
+        return impl(f.atom, fresh)
     if isinstance(f, (And, OrGlobal)):
-        return type(f)(*(_rewrite(p, rule, kind, fresh, state) for p in f.parts))
+        return type(f)(*(_rewrite(p, rule, kind, impl, fresh, state) for p in f.parts))
     if isinstance(f, OrLocal):
-        return OrLocal(f.sorts, *(_rewrite(p, rule, kind, fresh, state) for p in f.parts))
+        return OrLocal(f.sorts, *(_rewrite(p, rule, kind, impl, fresh, state) for p in f.parts))
     if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, _rewrite(f.body, rule, kind, fresh, state))
+        return type(f)(f.var, _rewrite(f.body, rule, kind, impl, fresh, state))
     return f
 
 

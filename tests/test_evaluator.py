@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,16 +10,17 @@ from polyteam.errors import SortedDomainError
 from polyteam.evaluator import (
     DOWNWARD, EXHAUSTED, FALSE, OPAQUE, PROBE, ROWWISE, TRUE, BulkEvaluator,
     EvalConfig, EvalOutcome, _Evaluator, enumerate_covers, eval_formula, eval_sentence,
+    evaluator_backed,
 )
 from polyteam.model import (
     Assignment, Polyteam, Structure, Team, Variable, polyteam_restrict,
     polyteam_union, subteam_of,
 )
+from polyteam import oracle
 from polyteam.oracle import (
     enumerate_polyteams, enumerate_structures, enumerate_teams, equivalent, naive_eval,
     tarski,
 )
-from polyteam.oracle.checks import evaluator_backed
 from polyteam.syntax import (
     And, AtomF, Eq, Exists, Forall, Neq, NegRel, OrGlobal, OrLocal, PolyDep,
     PolyExc, PolyInc, PolyInd, Rel, Truth, free_variables, mentioned_sorts, parse, walk,
@@ -527,6 +530,36 @@ def test_evaluator_backed_equivalence_agrees_with_naive(left, right):
     if naive[1] is not None:
         assert naive[1][0].relations == backed[1][0].relations
         assert naive[1][1:] == backed[1][1:]
+
+
+def imported_modules(tree, package):
+    """Every module name an import in ``tree`` may bind, made absolute.
+
+    ``from A import b`` yields A and A.b, since b may be a submodule; a
+    relative import resolves against ``package``, the importing module's
+    package.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                base = ".".join(parts[:len(parts) + 1 - node.level] + ([base] if base else []))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_oracle_imports_neither_the_evaluator_nor_the_atom_checkers():
+    banned = ("polyteam.evaluator", "polyteam.atoms")
+    modules = sorted(Path(oracle.__file__).parent.glob("*.py"))
+    assert len(modules) >= 4
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for name in imported_modules(tree, "polyteam.oracle"):
+            assert not any(name == b or name.startswith(b + ".") for b in banned), \
+                (path.name, name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -80,6 +81,43 @@ def test_weak_transitivity_rejects_chain_breaking_arities():
     premise = dep((X,), (y1, y2, Z, Z), (U,), (V, V, w1, w2))
     with pytest.raises(RuleApplicationError, match="unsound"):
         rule_weak_transitivity(premise, 2)
+
+
+def chained(pairs, start, goal) -> bool:
+    """Whether the equalities ``pairs`` link start to goal: a plain fixpoint."""
+    reached, grew = {start}, True
+    while grew:
+        grew = False
+        for left, right in pairs:
+            if (left in reached) != (right in reached):
+                reached.update((left, right))
+                grew = True
+    return goal in reached
+
+
+def test_weak_transitivity_accepts_exactly_the_chained_splits():
+    pool_i, pool_j = (X, Y, Z), (U, V, W)
+    seen = {"accepted": 0, "rejected": 0}
+    for size in range(5):
+        for y in itertools.product(pool_i, repeat=size):
+            for v in itertools.product(pool_j, repeat=size):
+                premise = dep((X,), y, (U,), v)
+                for head in range(size + 1):
+                    try:
+                        got = rule_weak_transitivity(premise, head)
+                    except RuleApplicationError as err:
+                        if "do not decompose" in str(err):
+                            continue
+                        assert "unsound" in str(err)
+                        got = None
+                    w = v[size - head:]
+                    expected = all(chained(tuple(zip(y, v)), yk, wk)
+                                   for yk, wk in zip(y[:head], w))
+                    assert (got is not None) == expected, (premise, head)
+                    if got is not None:
+                        assert got == dep((X,), y[:head], (U,), w)
+                    seen["accepted" if expected else "rejected"] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_derive_rule_dispatch():

@@ -325,6 +325,9 @@ def test_value_sorted_is_value_key_order(rows):
     assert [type(v) for v in value_sorted(values)] == \
         [type(v) for v in sorted(values, key=value_key)]
     assert value_sorted([]) == value_sorted([], rows=True) == []
+    domain = Structure(values).domain
+    assert domain == tuple(sorted(set(values), key=value_key))
+    assert [type(v) for v in domain] == [type(v) for v in sorted(set(values), key=value_key)]
 
 
 def test_ordered_tuples_sort_once_and_are_not_inherited_by_slices():

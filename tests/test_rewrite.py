@@ -1,4 +1,5 @@
 import gc
+import random
 import warnings
 
 import pytest
@@ -11,9 +12,9 @@ from polyteam.rewrite import (
     EmptyTeamWarning, decompose_by_sort, eliminate_global_disjunction, rewrite_formula,
     translate_atom,
 )
-from polyteam.syntax import free_variables, parse
+from polyteam.syntax import AtomF, PolyInc, free_variables, parse
 
-from samplers import P, PX, PY, Q, QU, QV
+from samplers import P, PX, PY, Q, QU, QV, FormulaSampler, random_polyteam
 
 
 def rows(pt, sort):
@@ -59,6 +60,39 @@ def test_empty_team_warning_is_raised_once_per_call():
     assert [w.category for w in caught] == [EmptyTeamWarning] * 3
     assert [str(w.message)[:2] for w in caught] == ["e4", "e6", "e4"]
     assert all(w.filename == __file__ for w in caught)
+
+
+def q_emptied(pt):
+    return pt.with_team(pt.team(Q).with_rows(()))
+
+
+def test_formulas_whose_atoms_need_no_q_rows_survive_emptying_q():
+    """The lemma in the ``rewrite`` docstring, on samples: no leaf but pinc
+    (P.x | Q.v) needs rows at Q, so a formula true on a polyteam stays true
+    with the Q team emptied."""
+    rng = random.Random(7)
+    sampler = FormulaSampler([leaf for leaf in FormulaSampler.LEAVES if leaf != "pinc"])
+    structures = [Structure((0, 1), {"R": rel}) for rel in ([], [(0,)], [(0,), (1,)])]
+    domains = {P: (PX, PY), Q: (QU, QV)}
+    exercised = 0
+    for _ in range(1000):
+        phi = sampler.formula(rng, rng.randint(0, 2))
+        structure = rng.choice(structures)
+        pt = random_polyteam(rng, domains, (0, 1), max_rows=2, min_rows=0)
+        if pt.team(Q).is_empty or not naive_eval(structure, pt, phi):
+            continue
+        exercised += 1
+        assert naive_eval(structure, q_emptied(pt), phi), (phi, pt)
+    assert exercised > 300
+
+
+def test_a_cross_sort_inclusion_breaks_the_empty_team_lemma():
+    phi = AtomF(PolyInc(P, (PX,), Q, (QV,)))
+    pt = Polyteam([Team.from_tuples(P, (PX, PY), [(0, 1)]),
+                   Team.from_tuples(Q, (QU, QV), [(1, 0)])])
+    structure = Structure((0, 1))
+    assert naive_eval(structure, pt, phi)
+    assert not naive_eval(structure, q_emptied(pt), phi)
 
 
 PDEP = "pdep(P.x ; P.y | Q.u ; Q.v)"
