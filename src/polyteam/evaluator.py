@@ -21,7 +21,15 @@ approximation.  The properties used are
   lies in rel(X_j, ȳ), or in R^M: lax ∃ keeps the one-row team nonempty and
   leaves X_j as it is, and R(x̄) is flat.  Candidate values come from a hash
   join of the row against each guard's relation; the structure is fixed, so
-  the index of a relation guard is built once per evaluator;
+  the index of a relation guard is built once per evaluator, and the index
+  of a pinc guard is kept while the sort-j team's relation stays the same;
+* exclusion guards - when ∀x B at sort t is decided row by row, B itself or
+  one part of a disjunction B that splits only t, if it is pexc(x̄ | ȳ) (in
+  either orientation) with x̄ at t, ȳ at another sort and x in x̄, or a
+  negated literal !R(x̄) with x in x̄, holds on a row s(a/x) unless
+  s(a/x)(x̄) lies in rel(X_j, ȳ), or in R^M.  So only the values a that
+  every guard blocks can refute the row; the same hash join finds them, and
+  the body meets the row extended with just those values;
 * inclusion demands - when the value sets for ∃x B at sort t are searched
   outright, a pinc(w̄ | ȳ) in B with sort_j = t and x = y_k, reached through
   conjunctions, quantifiers binding neither x nor w_k, and every part of
@@ -45,22 +53,23 @@ approximation.  The properties used are
 Row decomposition and downward closure form one lattice: ``closure(node, t)``
 gives each subformula a level OPAQUE < DOWNWARD < ROWWISE at sort t, so
 row-wise implies downward-closed by construction.  Closure levels, mentioned
-sorts, inclusion guards and demands, relation-guard indexes, block rewrites
-and literal projectors share one memo whose entries hold their nodes, so no
-id it keys on can be reused while the entry lives.  A session keeps the memo
-across ``holds`` calls.
+sorts, inclusion and exclusion guards, inclusion demands, guard indexes,
+block rewrites and literal projectors share one memo whose entries hold
+their nodes, so no id it keys on can be reused while the entry lives.  A
+session keeps the memo across ``holds`` calls.
 
 Row verdicts.  One loop, ``row_loop``, decides one row at a time, for the
 row-wise parts of a disjunction that splits only sort t and for the body of
-an ∃ at t that is row-wise there or meets an empty team.  It first probes
-the parts, or the body, on the sort-t team with no rows.  By locality, a
-row's verdict depends only on the node, the row with its domain, and the
-teams at the other sorts the node mentions; the probe's outcome depends on
-the same, less the row.  The structure is fixed.  So the evaluator keeps the
-verdicts per context (id(node), the sort-t domain, then (domain, tuples) of
-the team at each other mentioned sort, in sorted order), the probe under the
-key ``PROBE`` among the rows, for its lifetime: one ``eval_formula`` call,
-or a ``BulkEvaluator`` session.  A slice rebuilt against the same teams is
+an ∃ or a ∀ at t that is row-wise there or meets an empty team.  It first
+probes the parts, or the body, on the sort-t team with no rows (with the
+quantified column, for ∃ and ∀).  By locality, a row's verdict depends only
+on the node, the row with its domain, and the teams at the other sorts the
+node mentions; the probe's outcome depends on the same, less the row.  The
+structure is fixed.  So the evaluator keeps the verdicts per context
+(id(node), the sort-t domain, then (domain, tuples) of the team at each
+other mentioned sort, in sorted order), the probe under the key ``PROBE``
+among the rows, for its lifetime: one ``eval_formula`` call, or a
+``BulkEvaluator`` session.  A slice rebuilt against the same teams is
 decided once, and each level of a chain ∃z1…∃zk probes once, not per call.
 Keys hold team contents, not ``Team`` objects: equal teams rebuilt for
 another polyteam share an entry, and no team's caches are pinned.  The
@@ -86,7 +95,7 @@ from .model import Polyteam, Structure, Team, value_sorted
 from .syntax import (
     And, AtomF, Connective, Eq, Exists, Forall, Formula, Neq, NegRel, OrGlobal,
     OrLocal, PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth, all_variables,
-    check_well_sorted, conjoin, exists_chain, free_variables, mentioned_sorts,
+    check_well_sorted, conjoin, exists_chain, free_variables, mentioned_sorts, walk,
 )
 from . import atoms as atom_checks
 
@@ -171,6 +180,22 @@ def _demands(f, x) -> frozenset:
     return frozenset()
 
 
+def _guard(guard, xs, x, bound, target):
+    """A guard of x in the variables xs, or None.
+
+    The tuple is (the atom or literal, the positions of x in xs, the
+    positions of the other variables, those variables, and the sort and
+    variables of the relation to join, or None for R^M).  None when x is
+    not in xs, or ``bound`` holds one of the other variables: a row's value
+    says nothing of a variable bound below the quantifier.
+    """
+    at_keys = tuple(k for k, v in enumerate(xs) if v != x)
+    keys = tuple(xs[k] for k in at_keys)
+    if x not in xs or not bound.isdisjoint(keys):
+        return None
+    return (guard, tuple(k for k, v in enumerate(xs) if v == x), at_keys, keys, target)
+
+
 class _Evaluator:
     def __init__(self, structure: Structure, config: EvalConfig, registry):
         self.structure = structure
@@ -232,22 +257,39 @@ class _Evaluator:
 
     def check_input(self, phi, pt: Polyteam):
         """Reject an ill-formed phi, such as one with a generalized atom the
-        registry cannot resolve, or a free variable outside its team's domain."""
+        registry cannot resolve, a relation the structure lacks, or a free
+        variable outside its team's domain.
+
+        All three are decided before evaluation, so whether a call raises does
+        not hang on which parts a strategy happens to read: a row loop's probe
+        reads every part on the empty team, an expansion may stop at a failing
+        conjunct.  Per formula, the team domains that last passed are kept:
+        while the polyteams of a session keep them, the subset test is not run
+        again.
+        """
         key = ("free", id(phi))
         got = self.memo.get(key)
         if got is not None:
-            free = got[1]
+            free, passed = got[1]
         else:
             problems = check_well_sorted(phi, self.registry)
             if problems:
                 raise SortedDomainError("ill-sorted formula: " + "; ".join(problems))
-            free = self._store(key, phi, tuple(free_variables(phi).items()))
-        for sort, variables in free:
-            if not variables.issubset(pt.team(sort).domain):
-                missing = variables.difference(pt.team(sort).domain)
+            unknown = {node.name for node in walk(phi) if isinstance(node, (Rel, NegRel))}
+            unknown.difference_update(self.structure.relations)
+            if unknown:
+                raise SortedDomainError(f"unknown relation {min(unknown)!r}")
+            free, passed = tuple(free_variables(phi).items()), None
+        domains = [pt.team(sort).domain for sort, _ in free]
+        if domains == passed:
+            return
+        for (sort, variables), domain in zip(free, domains):
+            if not variables.issubset(domain):
+                missing = variables.difference(domain)
                 raise SortedDomainError(
                     f"free variables {sorted(map(str, missing))} missing from the "
                     f"{sort!r} team domain")
+        self._store(key, phi, (free, domains))
 
     def tick(self):
         self.nodes += 1
@@ -344,18 +386,19 @@ class _Evaluator:
     def row_loop(self, node, t, pt: Polyteam, parts, decider, accepts=None) -> bool:
         """Whether ``parts`` hold on no sort-t rows, and then each row passes.
 
-        The probe's team has no rows, and for ∃x the column x.  At the first
-        row with no kept verdict, after the probe held, ``decider(node, t, pt,
-        parts)`` builds the row test.  The loop stops at the first row that
-        fails, unless given ``accepts``: then each row's verdict goes there,
-        in ``ordered_tuples`` order.  Per level it stacks itself and the test.
+        The probe's team has no rows, and for ∃x and ∀x the column x.  At
+        the first row with no kept verdict, after the probe held,
+        ``decider(node, t, pt, parts)`` builds the row test.  The loop stops
+        at the first row that fails, unless given ``accepts``: then each
+        row's verdict goes there, in ``ordered_tuples`` order.  Per level it
+        stacks itself and the test.
         """
         verdicts = self.row_verdicts(node, t, pt)
         ok = verdicts.get(PROBE)
         if ok is None:
             team = pt.team(t)
-            probe = pt.with_team(team.expanded_all(node.var, ()) if isinstance(node, Exists)
-                                 else team.with_rows(()))
+            probe = pt.with_team(team.expanded_all(node.var, ())
+                                 if isinstance(node, (Exists, Forall)) else team.with_rows(()))
             for p in parts:
                 ok = self.eval(p, probe)
                 if not ok:
@@ -481,11 +524,37 @@ class _Evaluator:
     # -- quantifiers -------------------------------------------------------
 
     def eval_forall(self, node, pt: Polyteam) -> bool:
-        team = pt.team(node.var.sort)
+        t = node.var.sort
+        team = pt.team(t)
         if len(team) * len(self.structure.domain) > self.config.max_expanded_team_rows:
             raise ResourceExhausted("expansion")
+        if self.closure(node.body, t) == ROWWISE or team.is_empty:
+            return self.row_loop(node, t, pt, (node.body,), self.forall_decider)
         expanded = team.expanded_all(node.var, self.structure.domain)
         return self.eval(node.body, pt.with_team(expanded))
+
+    def forall_decider(self, node, t, pt: Polyteam, parts):
+        """A row s passes when the body holds on {s}[C(s)/x].
+
+        C(s) holds the values that can refute the row, by ``refuter_picker``;
+        with no exclusion guard it is the whole domain.  B is row-wise at t,
+        so B(X[M/x]) holds iff B(∅) and B({s(a/x)}) for every row s and value
+        a (flatness).  The probe showed B(∅), so every part of B holds on ∅;
+        for a ∉ C(s), some guard part holds on {s(a/x)}, and with the other
+        parts on ∅ so does B.  An empty C(s) gives the probe's team, which
+        the kept probe answers.
+        """
+        refuters = self.refuter_picker(node, pt)
+        team = pt.team(t)
+        x = node.var
+        domain = self.structure.domain
+
+        def decide(row):
+            values = domain if refuters is None else refuters(row)
+            return self.eval(node.body,
+                             pt.with_team(team.with_rows((row,)).expanded_all(x, values)))
+
+        return decide
 
     def eval_exists(self, node, pt: Polyteam) -> bool:
         t = node.var.sort
@@ -577,9 +646,7 @@ class _Evaluator:
         x when it is pinc(x̄ | ȳ) including the block sort t into another
         sort, or a relation literal R(x̄): on one row, R(x̄) is the inclusion
         of the row's tuple in R^M.  Either way x occurs in x̄ and the chain
-        binds no other variable of x̄.  Each guard is (the atom or the
-        literal, positions of x in x̄, positions of the other variables of
-        x̄, those variables).
+        binds no other variable of x̄.  Each guard is a ``_guard`` tuple.
         """
         key = ("guards", id(node))
         got = self.memo.get(key)
@@ -595,20 +662,49 @@ class _Evaluator:
         guards = []
         for c in body.parts if isinstance(body, And) else (body,):
             if isinstance(c, Rel):
-                guard, xs = c, c.args
+                guard = _guard(c, c.args, x, bound, None)
             elif isinstance(c, AtomF) and isinstance(c.atom, PolyInc) and \
                     c.atom.sort_i == t != c.atom.sort_j:
-                guard, xs = c.atom, c.atom.x
+                a = c.atom
+                guard = _guard(a, a.x, x, bound, (a.sort_j, a.y))
             else:
                 continue
-            if x not in xs:
+            if guard is not None:
+                guards.append(guard)
+        return self._store(key, node, tuple(guards))
+
+    def exclusion_guards(self, node):
+        """Parts of ∀x B that hold on a row s(a/x) unless a can refute it.
+
+        A part is B itself, or one part of a disjunction B that splits only
+        t, the sort of x.  It guards x when it is pexc(x̄ | ȳ), in either
+        orientation, with x̄ at t, x in x̄ and ȳ at another sort, or a negated
+        relation literal !R(x̄) with x in x̄.  On one row, the pexc holds
+        unless s(a/x)(x̄) ∈ rel(X_j, ȳ), and !R(x̄) unless s(a/x)(x̄) ∈ R^M.
+        Each guard is a ``_guard`` tuple.  Built once per node.
+        """
+        key = ("exclusions", id(node))
+        got = self.memo.get(key)
+        if got is not None:
+            return got[1]
+        x = node.var
+        t = x.sort
+        body = node.body
+        split = isinstance(body, (OrGlobal, OrLocal)) and self.split_sorts(body) == [t]
+        guards = []
+        for c in body.parts if split else (body,):
+            if isinstance(c, NegRel):
+                guard = _guard(c, c.args, x, frozenset(), None)
+            elif isinstance(c, AtomF) and isinstance(c.atom, PolyExc) and \
+                    (c.atom.sort_i == t) != (c.atom.sort_j == t):
+                a = c.atom
+                mine, target = ((a.x, (a.sort_j, a.y)) if a.sort_i == t
+                                else (a.y, (a.sort_i, a.x)))
+                guard = _guard(a, mine, x, frozenset(), target)
+            else:
                 continue
-            at_keys = tuple(k for k, v in enumerate(xs) if v != x)
-            keys = tuple(xs[k] for k in at_keys)
-            if bound.intersection(keys):
-                continue
-            at_x = tuple(k for k, v in enumerate(xs) if v == x)
-            guards.append((guard, at_x, at_keys, keys))
+            if guard is not None:
+                guards.append(guard)
         return self._store(key, node, tuple(guards))
 
     def inclusion_demands(self, node) -> frozenset:
@@ -637,11 +733,12 @@ class _Evaluator:
             index.setdefault(tuple(values[k] for k in at_keys), set()).add(a)
         return index
 
-    def relation_index(self, rel: Rel, at_x, at_keys) -> dict:
-        """``join_index`` of R^M for the guard R(x̄), built once per evaluator.
+    def relation_index(self, rel, at_x, at_keys) -> dict:
+        """``join_index`` of R^M for the guard R(x̄) or !R(x̄), built once per evaluator.
 
-        Only tuples of length |x̄| count: under another arity the literal
-        fails on every nonempty team, so it admits no value.
+        Only tuples of length |x̄| count: under another arity R(x̄) fails on
+        every nonempty team, so it admits no value, and !R(x̄) holds on every
+        team, so it blocks none.
         """
         # the positions of x fix the others: at_keys is every position not in at_x
         key = ("relation index", id(rel), at_x)
@@ -651,6 +748,46 @@ class _Evaluator:
         width = len(rel.args)
         tuples = [v for v in self.structure.relation(rel.name) if len(v) == width]
         return self._store(key, rel, self.join_index(tuples, at_x, at_keys))
+
+    def guard_index(self, guard, at_x, at_keys, target, pt: Polyteam) -> dict:
+        """The guard's ``join_index``: of R^M for a literal, else of rel(X_j, ȳ).
+
+        The memo keeps one slot per guard atom and position of x: the
+        relation the index was built from, and the index.  The slot is reused
+        while ``Team.relation`` returns that same frozenset, as it does for
+        every slice of one polyteam, and replaced when X_j changes.
+        """
+        if target is None:
+            return self.relation_index(guard, at_x, at_keys)
+        sort, variables = target
+        rel = pt.team(sort).relation(variables)
+        key = ("join", id(guard), at_x)
+        got = self.memo.get(key)
+        if got is not None and got[1][0] is rel:
+            return got[1][1]
+        return self._store(key, guard, (rel, self.join_index(rel, at_x, at_keys)))[1]
+
+    def candidates(self, guards, pt: Polyteam, t):
+        """Row tuple of the sort-t team -> the values every guard's index gives it.
+
+        None when there is no guard.  A row that some index lacks gets ().
+        """
+        team = pt.team(t)
+        indexes = [(team.projector(keys), self.guard_index(guard, at_x, at_keys, target, pt))
+                   for guard, at_x, at_keys, keys, target in guards]
+        if not indexes:
+            return None
+
+        def pick(row):
+            allowed = None
+            for project, index in indexes:
+                got = index.get(project(row))
+                if not got:
+                    return ()
+                allowed = got if allowed is None else allowed & got
+            return allowed
+
+        return pick
 
     def witness_picker(self, node, pt: Polyteam):
         """Per-row candidate values for the row-wise ∃x branch, or None.
@@ -669,28 +806,20 @@ class _Evaluator:
         guard, so the variables of x̄ and ȳ are known to lie in the team
         domains and each R to name a relation of the structure.
         """
-        team = pt.team(node.var.sort)
-        indexes = []
-        for guard, at_x, at_keys, keys in self.inclusion_guards(node):
-            if isinstance(guard, Rel):
-                index = self.relation_index(guard, at_x, at_keys)
-            else:
-                index = self.join_index(pt.team(guard.sort_j).relation(guard.y),
-                                        at_x, at_keys)
-            indexes.append((team.projector(keys), index))
-        if not indexes:
+        pick = self.candidates(self.inclusion_guards(node), pt, node.var.sort)
+        if pick is None:
             return None
+        return lambda row: value_sorted(pick(row))
 
-        def witnesses(row):
-            allowed = None
-            for project, index in indexes:
-                got = index.get(project(row))
-                if not got:
-                    return ()
-                allowed = got if allowed is None else allowed & got
-            return value_sorted(allowed)
+    def refuter_picker(self, node, pt: Polyteam):
+        """Per-row values that can refute the row-wise ∀x B, or None.
 
-        return witnesses
+        C(s) is the set of values a that every exclusion guard blocks: those
+        with s(a/x)(x̄) in the guard's relation, found by the same hash join
+        as ``witness_picker``.  None when B has no exclusion guard.  The same
+        precondition holds: B held on the empty sort-t team.
+        """
+        return self.candidates(self.exclusion_guards(node), pt, node.var.sort)
 
 
 def eval_formula(structure: Structure, pt: Polyteam, phi: Formula,

@@ -114,6 +114,27 @@ def test_unresolvable_generalized_atom_is_rejected_before_evaluation(first):
     assert holds(ST, pt, phi, registry=registry) == (first == "P.x = P.x")
 
 
+@pytest.mark.parametrize("text", [
+    r"P.x != P.x /\ !S(P.x)",
+    r"A P.z . (pexc(P.z, P.y | Q.u, Q.v) /\ !S(P.z))",
+    r"E P.z . (pinc(P.z | Q.u) /\ S(P.z))",
+])
+def test_unknown_relation_is_rejected_before_evaluation(text):
+    # an evaluation that stops at a failing first conjunct never reads S,
+    # while a row loop's probe reads it on the empty team: neither may
+    # decide whether the call raises
+    phi = parse(text)
+    pt = Polyteam([Team.from_tuples(P, (PX, PY), [(0, 1)]),
+                   Team.from_tuples(Q, (QU, QV), [(0, 1)])])
+    st = Structure((0, 1), {"R": [(0,)]})
+    with pytest.raises(SortedDomainError, match="unknown relation 'S'"):
+        eval_formula(st, pt, phi)
+    with pytest.raises(SortedDomainError, match="unknown relation 'S'"):
+        BulkEvaluator(st).holds(pt, phi)
+    st = Structure((0, 1), {"S": [(0,)]})
+    assert holds(st, pt, phi) == naive_eval(st, pt, phi)
+
+
 def test_enumerate_covers_counts():
     assert len(list(enumerate_covers(team_p([])))) == 1
     assert len(list(enumerate_covers(team_p([row(x=0, y=0)])))) == 3
@@ -488,11 +509,13 @@ def test_session_context_without_room_for_its_probe_is_not_kept():
     assert memo_rows(roomy) == 4
 
 
-@pytest.mark.parametrize("pair,nodes", [("e2", 465), ("elim-or", 1358)])
+@pytest.mark.parametrize("pair,nodes", [("e2", 349), ("elim-or", 1358)])
 def test_sweep_shaped_session_work_is_pinned(pair, nodes):
     # one session over an equivalence sweep, as ``oracle equiv
     # --use-evaluator`` runs it; the count moves only if the session's work
-    # does.  Neither side names a relation, so the sweep has one structure
+    # does.  Neither side names a relation, so the sweep has one structure.
+    # The e2 right side is a ∀ over a row-wise body: the session keeps its
+    # row verdicts, and each row meets only the values that can refute it
     left, right = (parse(text) for text in EQUIV_PAIRS[pair])
     sessions = []
 
@@ -831,6 +854,186 @@ def test_relation_guards_and_row_lookups_cross_validation():
         expected = naive_eval(st, pt, phi)
         assert holds(st, pt, phi) == expected, (phi, st, pt)
         assert sessions[st].holds(pt, phi) == expected, (phi, st, pt)
+
+
+# ---------------------------------------------------------------------------
+# Exclusion guards on the row-wise ∀ branch: only the values that can refute
+# a row are tried
+
+EXC_GUARD_CASES = {
+    "pexc": (r"A P.z . pexc(P.z, P.y | Q.u, Q.v)", 1),
+    "reversed": (r"A P.z . pexc(Q.v, Q.u | P.y, P.z)", 1),
+    # x twice in x̄: only tuples with equal values at both positions block
+    "repeated": (r"A P.z . pexc(P.z, P.z | Q.u, Q.v)", 1),
+    "two-parts": (r"A P.z . (pexc(P.x, P.z | Q.u, Q.v) \/_{P} !R(P.y, P.z))", 2),
+    "beside-slice-part": (r"A P.z . (P.z = P.y \/_{P} pexc(P.z | Q.u))", 1),
+    "global-at-p-only": (r"A P.z . (P.z = P.y \/ !R(P.z))", 1),
+    # the global disjunction splits Q too, so no part is a guard
+    "global-splits-q": (r"A P.z . (pexc(P.z | Q.u) \/ !R(P.z))", 0),
+    "split-at-q": (r"A P.z . (pexc(P.z | Q.u) \/_{Q} Q.u = Q.v)", 0),
+    "conjunct": (r"A P.z . (pexc(P.z | Q.u) /\ P.z = P.y)", 0),
+    "same-sort": (r"A P.z . pexc(P.z | P.y)", 0),
+    "without-x": (r"A P.z . (pexc(P.y | Q.u) \/_{P} P.z = P.y)", 0),
+    "in-conjunct": (r"A P.z . (P.z = P.y \/_{P} (pexc(P.z | Q.u) /\ P.z = P.x))", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXC_GUARD_CASES))
+def test_exclusion_guard_side_conditions(case):
+    text, count = EXC_GUARD_CASES[case]
+    ev = _Evaluator(ST, NO_LIMITS, None)
+    assert len(ev.exclusion_guards(parse(text))) == count
+
+
+def test_refuters_are_the_join_values():
+    ev = _Evaluator(REL_STRUCTURES[1], NO_LIMITS, None)
+    p_team = Team.from_tuples(P, (PX, PY), [(0, 0), (1, 2)])
+    q_team = Team(Q, (QU, QV), [row(u=0, v=0), row(u=1, v=2), row(u=2, v=1),
+                                row(u=0, v=1)])
+    pt = Polyteam([p_team, q_team])
+
+    def picks(text):
+        refuters = ev.refuter_picker(parse(text), pt)
+        return [sorted(refuters(r)) for r in p_team.ordered_tuples()]
+
+    # keyed on P.y: y=0 meets u=0 (v in {0, 1}), y=2 meets u=2 (v=1)
+    assert picks(r"A P.z . pexc(P.y, P.z | Q.u, Q.v)") == [[0, 1], [1]]
+    assert picks(r"A P.z . pexc(Q.v, Q.u | P.z, P.y)") == [[0, 1], [1]]
+    # repeated z keeps only the diagonal tuple (0, 0)
+    assert picks(r"A P.z . pexc(P.z, P.z | Q.u, Q.v)") == [[0], [0]]
+    # R2 holds (0, 1), (0, 2), (1, 0), (2, 2): y=0 meets z in {1, 2}, y=2 meets z=2
+    assert picks(r"A P.z . (P.z = P.x \/_{P} !R2(P.y, P.z))") == [[1, 2], [2]]
+    # two guards intersect: a value refutes a row only if both parts fail there
+    assert picks(r"A P.z . (pexc(P.y, P.z | Q.u, Q.v) \/_{P} !R2(P.y, P.z))") == \
+        [[1], []]
+    # !R read at the wrong arity holds on every row: nothing refutes it
+    assert picks(r"A P.z . !R(P.y, P.z)") == [[], []]
+    assert ev.refuter_picker(parse(r"A P.z . (P.z = P.y \/_{P} P.z = P.x)"), pt) is None
+
+
+# two or three parts of a ∀ body over P, with {z} the bound variable; R is
+# unary in some structures and binary in others, S names no relation
+FORALL_GUARDS = (r"pexc({z}, P.y | Q.u, Q.v)", r"pexc(Q.v, Q.u | P.y, {z})",
+                 r"pexc({z}, {z} | Q.u, Q.v)", r"pexc({z} | Q.v)", r"!R({z})",
+                 r"!R(P.y, {z})", r"!R({z}, {z})")
+FORALL_OTHERS = (r"{z} = P.y", r"{z} != P.x", r"R({z})", r"pinc({z} | Q.u)",
+                 r"pexc(P.y | Q.v)", r"pdep(P.y ; {z} | Q.u ; Q.v)", r"!S({z})")
+# not row-wise at P
+FORALL_OPAQUE = (r"pexc({z} | P.y)", r"pinc(Q.u | {z})", r"pdep(:P ; {z} | :P ; {z})")
+FORALL_STRUCTURES = [Structure((0, 1), {"R": r}) for r in (
+    [], [(1,)], [(0,), (1,)], [(0, 1)], [(0, 0), (1, 0)], [(0, 0), (0, 1), (1, 1)])] + \
+    [Structure((0, 1))]
+
+
+def forall_formula(rng):
+    """∀ over one or two parts, joined by a split of P only or of P and Q,
+    or by a conjunction; the naive oracle's covers keep it at two."""
+    z = rng.choice(("P.z", "P.x"))
+    pools = rng.choices((FORALL_GUARDS, FORALL_OTHERS, FORALL_OPAQUE), (10, 7, 3),
+                        k=rng.randint(1, 2))
+    parts = [rng.choice(pool).format(z=z) for pool in pools]
+    join, = rng.choices((r" \/_{P} ", r" \/ ", r" /\ ", r" \/_{P, Q} "), (5, 3, 2, 1))
+    return parse(f"A {z} . (" + join.join(parts) + ")")
+
+
+def outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except SortedDomainError as error:
+        return type(error)
+
+
+def test_forall_row_loop_matches_naive_oracle():
+    # a formula naming a relation the structure lacks is rejected before
+    # evaluation, whichever parts the evaluation would read; the naive oracle
+    # raises only if it reads the literal
+    rng = random.Random(20)
+    polyteams = list(enumerate_polyteams({P: (PX, PY), Q: (QU, QV)}, (0, 1), 2, min_rows=0))
+    sessions = {st: BulkEvaluator(st) for st in FORALL_STRUCTURES}
+    seen, checks = set(), 0
+    for _ in range(48):
+        phi = forall_formula(rng)
+        st = rng.choice(FORALL_STRUCTURES)
+        names = {node.name for node in walk(phi) if isinstance(node, (Rel, NegRel))}
+        for pt in polyteams:
+            expected = outcome(naive_eval, st, pt, phi)
+            if not names <= set(st.relations):
+                expected = SortedDomainError
+            assert outcome(holds, st, pt, phi) == expected, (phi, st, pt)
+            assert outcome(sessions[st].holds, pt, phi) == expected, (phi, st, pt)
+            seen.add(expected)
+            checks += 1
+    assert seen == {False, True, SortedDomainError} and checks > 5000
+
+
+def test_forall_work_does_not_grow_with_unrelated_values():
+    # φ1's ∀ with a part in front that a one-row slice decides, so each row
+    # the body meets costs a node: the tests of d and the results of p each
+    # block some x, and only an x that both block, other than the exempt
+    # test e, refutes the row
+    phi = parse(r"A C.x . (C.x = C.e \/_{C} "
+                r"pexc(C.d, C.x | T.d, T.t) \/_{C} pexc(C.p, C.x | R.p, R.t))")
+    cv = [Variable("C", n) for n in ("d", "p", "e")]
+    tv, rv = [Variable("T", n) for n in ("d", "t")], [Variable("R", n) for n in ("p", "t")]
+    base = Polyteam([
+        Team.from_tuples("C", cv, [("d1", "p1", "t2"), ("d2", "p2", "t3")]),
+        Team.from_tuples("T", tv, [("d1", "t1"), ("d1", "t2"), ("d2", "t3")]),
+        Team.from_tuples("R", rv, [("p1", "t2"), ("p2", "t3")])])
+    refuted = base.with_team(Team.from_tuples("R", rv, [("p1", "t1"), ("p1", "t2"),
+                                                       ("p2", "t3")]))
+    values = ("d1", "d2", "p1", "p2", "t1", "t2", "t3")
+    for pt, verdict in ((base, TRUE), (refuted, FALSE)):
+        counts = set()
+        for extra in (0, 5, 50):
+            st = Structure(values + tuple(f"v{k}" for k in range(extra)))
+            got = eval_formula(st, pt, phi, NO_LIMITS)
+            assert got.verdict == verdict
+            counts.add(got.nodes_visited)
+        assert len(counts) == 1, counts
+
+
+def guard_slots(bulk):
+    return [key for key in bulk._engine.memo if isinstance(key, tuple) and key[0] == "join"]
+
+
+def test_sweep_session_keeps_one_index_per_guard():
+    # the e2 right side's ∀ guard, an ∃ guard, and one atom node guarding a
+    # ∀ at each position of its P side
+    exc = AtomF(PolyExc(P, (PX, PY), Q, (QU, QV)))
+    formulas = [parse(EQUIV_PAIRS["e2"][1]),
+                parse(r"E P.z . (pinc(P.y, P.z | Q.u, Q.v) /\ P.z != P.x)"),
+                And(Forall(PX, OrLocal(frozenset((P,)), exc, Eq(PX, PY))),
+                    Forall(PY, OrLocal(frozenset((P,)), exc, Neq(PX, PY))))]
+    bulk = BulkEvaluator(ST)
+    polyteams = list(enumerate_polyteams({P: (PX, PY), Q: (QU, QV)}, (0, 1), 2, min_rows=0))
+    for phi in formulas:
+        for pt in polyteams:
+            assert bulk.holds(pt, phi) == naive_eval(ST, pt, phi), (phi, pt)
+    assert len(guard_slots(bulk)) == 4
+
+
+def test_guard_index_is_rebuilt_when_the_joined_team_changes(monkeypatch):
+    built = []
+    join_index = _Evaluator.join_index
+
+    def counting(self, tuples, at_x, at_keys):
+        built.append(tuples)
+        return join_index(self, tuples, at_x, at_keys)
+
+    monkeypatch.setattr(_Evaluator, "join_index", counting)
+    phi = parse(r"A P.z . (pexc(P.y, P.z | Q.u, Q.v) \/_{P} P.z = P.y)")
+    # Q = {(0, 1)} refutes a row with y = 0 by z = 1; {(1, 1)} refutes no such row
+    q_refutes, q_not = (Team.from_tuples(Q, (QU, QV), [r]) for r in ((0, 1), (1, 1)))
+    y0, y1 = [[(0, 0)], [(0, 0), (1, 0)]], [[(0, 1)], [(0, 1), (1, 1)]]
+    bulk = BulkEvaluator(ST)
+    # each second P team has a row with no kept verdict, and reuses the slot
+    for q_team, p_teams, verdict in ((q_refutes, y0, False), (q_not, y0, True),
+                                     (q_refutes, y1, True)):
+        for rows in p_teams:
+            pt = Polyteam([Team.from_tuples(P, (PX, PY), rows), q_team])
+            assert bulk.holds(pt, phi) is verdict is naive_eval(ST, pt, phi)
+        assert len(built) == 1 and built.pop() is q_team.relation((QU, QV))
+    assert len(guard_slots(bulk)) == 1
 
 
 # ---------------------------------------------------------------------------
