@@ -59,18 +59,20 @@ their nodes, so no id it keys on can be reused while the entry lives.  A
 session keeps the memo across ``holds`` calls.
 
 Row verdicts.  One loop, ``row_loop``, decides one row at a time, for the
-row-wise parts of a disjunction that splits only sort t and for the body of
-an ∃ or a ∀ at t that is row-wise there or meets an empty team.  It first
-probes the parts, or the body, on the sort-t team with no rows (with the
-quantified column, for ∃ and ∀).  By locality, a row's verdict depends only
-on the node, the row with its domain, and the teams at the other sorts the
-node mentions; the probe's outcome depends on the same, less the row.  The
-structure is fixed.  So the evaluator keeps the verdicts per context
-(id(node), the sort-t domain, then (domain, tuples) of the team at each
-other mentioned sort, in sorted order), the probe under the key ``PROBE``
-among the rows, for its lifetime: one ``eval_formula`` call, or a
-``BulkEvaluator`` session.  A slice rebuilt against the same teams is
-decided once, and each level of a chain ∃z1…∃zk probes once, not per call.
+row-wise parts of a disjunction that splits only sort t, for the body of an
+∃ at t that is row-wise there, and for the body of a ∀ at t that is
+row-wise there and binds no sort-t variable; and for either quantifier's
+body on an empty team.  It first probes the parts, or the body, on the
+sort-t team with no rows (with the quantified column, for ∃ and ∀).  By
+locality, a row's verdict depends only on the node, the row with its
+domain, and the teams at the other sorts the node mentions; the probe's
+outcome depends on the same, less the row.  The structure is fixed.  So the
+evaluator keeps the verdicts per context (id(node), the sort-t domain, then
+(domain, tuples) of the team at each other mentioned sort, in sorted
+order), the probe under the key ``PROBE`` among the rows, for its lifetime:
+one ``eval_formula`` call, or a ``BulkEvaluator`` session.  A slice rebuilt
+against the same teams is decided once, and each level of a chain ∃z1…∃zk
+probes once, not per call.
 Keys hold team contents, not ``Team`` objects: equal teams rebuilt for
 another polyteam share an entry, and no team's caches are pinned.  The
 stored verdicts and the rows of the teams in the keys count against
@@ -421,6 +423,15 @@ class _Evaluator:
 
     # -- disjunction ------------------------------------------------------
 
+    def binds_at(self, node, t) -> bool:
+        """Whether a quantifier in node binds a variable of sort t."""
+        key = ("binds", id(node), t)
+        got = self.memo.get(key)
+        if got is not None:
+            return got[1]
+        return self._store(key, node, any(
+            isinstance(n, (Exists, Forall)) and n.var.sort == t for n in walk(node)))
+
     def split_sorts(self, node):
         touched = self.mentioned(node)
         if isinstance(node, OrLocal):
@@ -524,11 +535,20 @@ class _Evaluator:
     # -- quantifiers -------------------------------------------------------
 
     def eval_forall(self, node, pt: Polyteam) -> bool:
+        """∀x B; row by row when the sort-t team X is empty, or B is row-wise
+        at t and binds no sort-t variable.
+
+        Then the row loop meets at most the |X|·|M| rows that the cap check
+        bounds.  A sort-t quantifier inside B would multiply them again on
+        one-row slices, out of the cap's sight, so such a ∀ is expanded as a
+        whole and the inner quantifier's cap check sees the expanded team.
+        """
         t = node.var.sort
         team = pt.team(t)
         if len(team) * len(self.structure.domain) > self.config.max_expanded_team_rows:
             raise ResourceExhausted("expansion")
-        if self.closure(node.body, t) == ROWWISE or team.is_empty:
+        if team.is_empty or (self.closure(node.body, t) == ROWWISE
+                             and not self.binds_at(node.body, t)):
             return self.row_loop(node, t, pt, (node.body,), self.forall_decider)
         expanded = team.expanded_all(node.var, self.structure.domain)
         return self.eval(node.body, pt.with_team(expanded))

@@ -215,6 +215,22 @@ def test_expansion_cap_yields_exhausted():
         out.as_bool()
 
 
+@pytest.mark.parametrize("text", [
+    r"A P.z . A P.w . P.x != P.y",
+    r"A P.z . E P.w . (P.w = P.z /\ P.x != P.y)",
+    r"A P.z . (P.x != P.y /\ A P.w . P.w = P.w)",
+])
+def test_expansion_cap_trips_inside_a_forall_as_on_the_whole_expansion(text):
+    # two rows over {0, 1}: the outer ∀ meets 4 rows, the inner quantifier
+    # 8; on one-row slices the inner one would meet only 4
+    pt = Polyteam([team_p([row(x=0, y=1), row(x=1, y=0)])])
+    phi = parse(text)
+    out = eval_formula(ST, pt, phi, EvalConfig(max_expanded_team_rows=7, timeout=None))
+    assert (out.verdict, out.limit) == (EXHAUSTED, "expansion")
+    assert eval_formula(ST, pt, phi, EvalConfig(max_expanded_team_rows=8, timeout=None)) \
+        .verdict == TRUE
+
+
 def test_split_cap_yields_exhausted():
     config = EvalConfig(max_split_assignments=1, timeout=None)
     rows = [row(x=a, y=b) for a, b in itertools.product((0, 1), repeat=2)]
