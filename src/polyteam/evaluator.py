@@ -9,10 +9,13 @@ approximation.  The properties used are
 * row decomposition - a subformula whose truth over the team at sort t is a
   conjunction of per-row facts (literals, dependence/exclusion atoms with one
   side at t, flat first-order parts, ...) lets covers and value choices be
-  decided row by row.  A disjunction splitting only t decides a row's
-  pinc(x̄ | ȳ) part with sort_i = t ≠ sort_j as s(x̄) ∈ rel(X_j, ȳ), and
-  a pexc part with one side at t as the row's side not lying in the other
-  side's relation, with no one-row slice;
+  decided row by row.  Such a subformula is compiled, once per sort-t column
+  layout, into a test of one row tuple: literals compare the row's values,
+  pinc(x̄ | ȳ) with sort_i = t ≠ sort_j is s(x̄) ∈ rel(X_j, ȳ), a pexc with
+  one side at t is the row's side not lying in the other side's relation, ∧
+  is all, a disjunction splitting only t is any, and ∃x and ∀x at t try the
+  body on the row extended by each candidate value.  Only what is left, such
+  as a quantifier at another sort, is evaluated on a one-row slice;
 * inclusion guards - when ∃x B at sort t is decided row by row, a top-level
   conjunct of B (read past B's leading chain of sort-t existentials, up to
   any rebinding of x) that is pinc(x̄ | ȳ) with sort_i = t, sort_j ≠ t, or a
@@ -54,35 +57,37 @@ Row decomposition and downward closure form one lattice: ``closure(node, t)``
 gives each subformula a level OPAQUE < DOWNWARD < ROWWISE at sort t, so
 row-wise implies downward-closed by construction.  Closure levels, mentioned
 sorts, inclusion and exclusion guards, inclusion demands, guard indexes,
-block rewrites and literal projectors share one memo whose entries hold
-their nodes, so no id it keys on can be reused while the entry lives.  A
-session keeps the memo across ``holds`` calls.
+block rewrites, literal projectors and compiled row tests share one memo
+whose entries hold their nodes, so no id it keys on can be reused while the
+entry lives.  A session keeps the memo across ``holds`` calls.
 
-Row verdicts.  One loop, ``row_loop``, decides one row at a time, for the
-row-wise parts of a disjunction that splits only sort t, for the body of an
-∃ at t that is row-wise there, and for the body of a ∀ at t that is
-row-wise there and binds no sort-t variable; and for either quantifier's
-body on an empty team.  It first probes the parts, or the body, on the
-sort-t team with no rows (with the quantified column, for ∃ and ∀).  By
-locality, a row's verdict depends only on the node, the row with its
-domain, and the teams at the other sorts the node mentions; the probe's
-outcome depends on the same, less the row.  The structure is fixed.  So the
-evaluator keeps the verdicts per context (id(node), the sort-t domain, then
-(domain, tuples) of the team at each other mentioned sort, in sorted
-order), the probe under the key ``PROBE`` among the rows, for its lifetime:
-one ``eval_formula`` call, or a ``BulkEvaluator`` session.  A slice rebuilt
-against the same teams is decided once, and each level of a chain ∃z1…∃zk
-probes once, not per call.
-Keys hold team contents, not ``Team`` objects: equal teams rebuilt for
-another polyteam share an entry, and no team's caches are pinned.  The
-stored verdicts and the rows of the teams in the keys count against
-``max_expanded_team_rows``, and the store empties itself before it would
-pass that.  A row or probe that raises is never stored.  ``evaluator_backed``
-gives ``oracle.equivalent`` one ``BulkEvaluator`` session per structure.
+Row verdicts.  One loop, ``row_loop``, decides one row at a time: for the
+row-wise parts of a disjunction that splits only sort t, for the body of a
+row-wise ∃ at t, and for the body of a row-wise ∀ at t that binds no sort-t
+variable.  It first probes the parts, or the body, on the sort-t team with
+no rows (and the quantified column); then each row meets the node's
+compiled row test, bound to the teams at the other sorts.  By locality, a
+row's verdict depends only on the node, the row with its domain, and the
+teams at the other sorts the node mentions, and the probe's on the same less
+the row.  So the evaluator keeps them per context (id(node), the sort-t
+domain, then (domain, tuples) of the team at each other mentioned sort, in
+sorted order), the probe under the key ``PROBE``, for its lifetime: one
+``eval_formula`` call, or a ``BulkEvaluator`` session.  Keys hold team
+contents, not ``Team`` objects, so equal teams rebuilt for another polyteam
+share an entry and no team's caches are pinned.  The stored verdicts and the
+rows of the teams in the keys count against ``max_expanded_team_rows``, and
+the store empties itself before it would pass that.  A row or probe that
+raises is never stored.  ``evaluator_backed`` gives ``oracle.equivalent``
+one ``BulkEvaluator`` session per structure.
 
 Anything not certified falls back to literal enumeration of ∃ value choices
 or of k-way lax covers for k disjuncts, which the configuration caps guard.
 ``tests`` cross-validate every strategy against the naive oracle evaluator.
+
+Counting.  ``nodes_visited`` counts one node per ``eval`` call and one per
+call of a compiled row test, a row loop's own test included; a slice test
+counts what its ``eval`` visits.  The timeout is read every 256 nodes, so it
+trips inside compiled chains too.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ResourceExhausted, SortedDomainError
-from .model import Polyteam, Structure, Team, value_sorted
+from .model import Polyteam, Structure, Team, _getter, value_sorted
 from .syntax import (
     And, AtomF, Connective, Eq, Exists, Forall, Formula, Neq, NegRel, OrGlobal,
     OrLocal, PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth, all_variables,
@@ -123,6 +128,9 @@ class EvalConfig:
 
 @dataclass
 class EvalOutcome:
+    """A verdict; ``nodes_visited`` counts each ``eval`` call and each call of
+    a compiled row test as one node (see Counting in the module docstring)."""
+
     verdict: str
     nodes_visited: int = 0
     limit: Optional[str] = None
@@ -183,11 +191,9 @@ def _demands(f, x) -> frozenset:
 
 
 def _guard(guard, xs, x, bound, target):
-    """A guard of x in the variables xs, or None.
-
-    The tuple is (the atom or literal, the positions of x in xs, the
-    positions of the other variables, those variables, and the sort and
-    variables of the relation to join, or None for R^M).  None when x is
+    """A guard of x in the variables xs: (the atom or literal, the positions
+    of x in xs, those of the other variables, those variables, and the sort
+    and variables of the relation to join, or None for R^M).  None when x is
     not in xs, or ``bound`` holds one of the other variables: a row's value
     says nothing of a variable bound below the quantifier.
     """
@@ -385,15 +391,14 @@ class _Evaluator:
         self.rows_held = held + reserve
         return verdicts
 
-    def row_loop(self, node, t, pt: Polyteam, parts, decider, accepts=None) -> bool:
+    def row_loop(self, node, t, pt: Polyteam, parts, accepts=None) -> bool:
         """Whether ``parts`` hold on no sort-t rows, and then each row passes.
 
         The probe's team has no rows, and for ∃x and ∀x the column x.  At
-        the first row with no kept verdict, after the probe held,
-        ``decider(node, t, pt, parts)`` builds the row test.  The loop stops
-        at the first row that fails, unless given ``accepts``: then each
-        row's verdict goes there, in ``ordered_tuples`` order.  Per level it
-        stacks itself and the test.
+        the first row with no kept verdict, after the probe held, the node's
+        compiled row test is bound to pt.  The loop stops at the first row
+        that fails, unless given ``accepts``: then each row's verdict goes
+        there, in ``ordered_tuples`` order.
         """
         verdicts = self.row_verdicts(node, t, pt)
         ok = verdicts.get(PROBE)
@@ -408,18 +413,123 @@ class _Evaluator:
             verdicts[PROBE] = ok
         if not ok:
             return False
-        decide = None
-        for row in pt.team(t).ordered_tuples():
+        team = pt.team(t)
+        test = None
+        for row in team.ordered_tuples():
             ok = verdicts.get(row)
             if ok is None:
-                if decide is None:
-                    decide = decider(node, t, pt, parts)
-                ok = verdicts[row] = decide(row)
+                if test is None:
+                    test = self.compiled(node, t, team.domain)(self, pt)
+                ok = verdicts[row] = test(row)
             if accepts is not None:
                 accepts.append(ok)
             elif not ok:
                 return False
         return True
+
+    # -- compiled row tests -------------------------------------------------
+
+    def compiled(self, node, t, layout):
+        """bind(ev, pt) -> test(row): whether node holds on the one-row team {s}.
+
+        node is row-wise at sort t; ``layout`` names the sort-t variable at
+        each position of s's tuple.  Built once per (node, t, layout), with
+        no reference to the evaluator ev, so the memo makes no cycle.  Test
+        a row only once node held on the empty sort-t team, as a row loop's
+        probe shows: then so did every part below, since an empty team splits
+        and extends only into empty teams, and flatness gives each rule.  ∃x
+        and ∀x try the body on s's tuple with x overwritten, or appended, by
+        each value from ``witness_picker`` or ``refuter_picker``; a ∀ with
+        none holds, as its body on {s}[∅/x] is the probe's.  Anything else,
+        such as a quantifier at another sort or a ∀ whose body binds at t
+        (so caps see its expansion), is evaluated on the slice {s}.
+        """
+        key = ("compiled", id(node), t, layout)
+        got = self.memo.get(key)
+        if got is not None:
+            return got[1]
+        domain = self.structure.domain
+        atom = node.atom if isinstance(node, AtomF) else None
+        split = [] if isinstance(node, And) else \
+            self.split_sorts(node) if isinstance(node, (OrGlobal, OrLocal)) else None
+        if isinstance(node, (Eq, Neq)) and node.left.sort == t:
+            i, j = map(layout.index, (node.left, node.right))
+            want = isinstance(node, Eq)
+
+            def bind(ev, pt):
+                tick = ev.tick
+
+                def test(row):
+                    tick()
+                    return (row[i] == row[j]) is want
+                return test
+        elif isinstance(node, (Rel, NegRel)) and node.args[0].sort == t or \
+                isinstance(atom, PolyInc) and atom.sort_i == t != atom.sort_j or \
+                isinstance(atom, PolyExc) and (atom.sort_i == t) != (atom.sort_j == t):
+            # s(x̄) in R^M, or in the other side's relation rel(X_j, ȳ)
+            mine, other, theirs = (node.args, None, None) if atom is None else \
+                (atom.x, atom.sort_j, atom.y) if atom.sort_i == t else \
+                (atom.y, atom.sort_i, atom.x)
+            rel = self.structure.relation(node.name) if atom is None else None
+            want = isinstance(node, Rel) or isinstance(atom, PolyInc)
+            project = _getter(tuple(map(layout.index, mine)))
+
+            def bind(ev, pt):
+                tick, have = ev.tick, pt.team(other).relation(theirs) if rel is None else rel
+
+                def test(row):
+                    tick()
+                    return (project(row) in have) is want
+                return test
+        elif split in ([], [t]):
+            # any part for a split of t, else all: a disjunction splitting no
+            # sort is a conjunction; a row loop leaves an opaque part out
+            want = bool(split)
+            binds = [self.compiled(p, t, layout)
+                     for p in (self.rowwise_split(node.parts, t)[0] if want else node.parts)]
+
+            def bind(ev, pt):
+                tick, tests = ev.tick, [b(ev, pt) for b in binds]
+
+                def test(row):
+                    tick()
+                    for part in tests:
+                        if part(row) is want:
+                            return want
+                    return not want
+                return test
+        elif isinstance(node, (Exists, Forall)) and node.var.sort == t and \
+                len(domain) <= self.config.max_expanded_team_rows and \
+                (isinstance(node, Exists) or not self.binds_at(node.body, t)):
+            x, want = node.var, isinstance(node, Exists)
+            # x's column, or a new last one
+            k = layout.index(x) if x in layout else len(layout)
+            inner, extend = layout[:k] + (x,) + layout[k + 1:], \
+                lambda row, a: row[:k] + (a,) + row[k + 1:]
+            body = self.compiled(node.body, t, inner)
+            picker = _Evaluator.witness_picker if want else _Evaluator.refuter_picker
+
+            def bind(ev, pt):
+                tick, holds, pick = ev.tick, body(ev, pt), picker(ev, node, pt, layout)
+
+                def test(row):
+                    tick()
+                    for a in domain if pick is None else pick(row):
+                        if holds(extend(row, a)) is want:
+                            return want
+                    return not want
+                return test
+        else:
+            empty = Team.from_tuples(t, layout, ())
+            order = None if empty.domain == layout else \
+                _getter(tuple(map(layout.index, empty.domain)))
+
+            def bind(ev, pt):
+                def test(row):
+                    team = empty.with_rows((row if order is None else order(row),))
+                    return bool(ev.eval(node, pt.with_team(team)))
+                return test
+        return self._store(key, node, bind)
 
     # -- disjunction ------------------------------------------------------
 
@@ -448,8 +558,8 @@ class _Evaluator:
     def eval_or(self, node, pt: Polyteam) -> bool:
         """A disjunction; one that splits only sort t is decided row by row.
 
-        Each row goes to the first row-wise part whose ``row_lookup`` test
-        accepts it.  The rows no row-wise part accepts go to the one opaque
+        A row passes when some row-wise part holds on it, by the compiled
+        row test.  The rows no row-wise part accepts go to the one opaque
         part, if any, with any accepted rows it still needs.
         """
         split = self.split_sorts(node)
@@ -461,7 +571,7 @@ class _Evaluator:
         if len(opaque) > 1:
             return self.eval_or_fallback(node, split, pt)
         accepts = [] if opaque else None
-        held = self.row_loop(node, t, pt, rowwise_parts, self.or_decider, accepts)
+        held = self.row_loop(node, t, pt, rowwise_parts, accepts)
         if not held or not opaque:
             return held
         rows = team.ordered_tuples()
@@ -479,43 +589,6 @@ class _Evaluator:
                 if self.eval(blocker, pt.with_team(team.with_rows(slice_rows))):
                     return True
         return False
-
-    def or_decider(self, node, t, pt: Polyteam, parts):
-        """A row passes when some row-wise part's ``row_lookup`` test accepts it."""
-        tests = [self.row_lookup(p, t, pt) for p in parts]
-
-        def decide(row):
-            for test in tests:
-                if test(row):
-                    return True
-            return False
-
-        return decide
-
-    def row_lookup(self, part, t, pt: Polyteam):
-        """A test of one sort-t row tuple that decides ``part`` on its slice.
-
-        On a one-row team {s} at t, pinc(x̄ | ȳ) with sort_i = t ≠ sort_j
-        holds iff s(x̄) ∈ rel(X_j, ȳ), and pexc(x̄ | ȳ) with one side at t
-        iff the row's side is not in the other side's relation: those are
-        set lookups.  Any other part is evaluated on the slice.  Call it
-        only after the parts held on the empty sort-t team, or a kept probe
-        says so for this context: that read both sides, so their variables
-        lie in the team domains.
-        """
-        atom = part.atom if isinstance(part, AtomF) else None
-        if isinstance(atom, PolyInc) and atom.sort_i == t != atom.sort_j:
-            project = pt.team(t).projector(atom.x)
-            rel = pt.team(atom.sort_j).relation(atom.y)
-            return lambda row: project(row) in rel
-        if isinstance(atom, PolyExc) and (atom.sort_i == t) != (atom.sort_j == t):
-            mine, other, theirs = (atom.x, atom.sort_j, atom.y) if atom.sort_i == t \
-                else (atom.y, atom.sort_i, atom.x)
-            project = pt.team(t).projector(mine)
-            rel = pt.team(other).relation(theirs)
-            return lambda row: project(row) not in rel
-        team = pt.team(t)
-        return lambda row: self.eval(part, pt.with_team(team.with_rows((row,))))
 
     def eval_or_fallback(self, node, split, pt: Polyteam, pts=None) -> bool:
         # each row of each split team goes to a nonempty set of the parts, one
@@ -549,32 +622,9 @@ class _Evaluator:
             raise ResourceExhausted("expansion")
         if team.is_empty or (self.closure(node.body, t) == ROWWISE
                              and not self.binds_at(node.body, t)):
-            return self.row_loop(node, t, pt, (node.body,), self.forall_decider)
+            return self.row_loop(node, t, pt, (node.body,))
         expanded = team.expanded_all(node.var, self.structure.domain)
         return self.eval(node.body, pt.with_team(expanded))
-
-    def forall_decider(self, node, t, pt: Polyteam, parts):
-        """A row s passes when the body holds on {s}[C(s)/x].
-
-        C(s) holds the values that can refute the row, by ``refuter_picker``;
-        with no exclusion guard it is the whole domain.  B is row-wise at t,
-        so B(X[M/x]) holds iff B(∅) and B({s(a/x)}) for every row s and value
-        a (flatness).  The probe showed B(∅), so every part of B holds on ∅;
-        for a ∉ C(s), some guard part holds on {s(a/x)}, and with the other
-        parts on ∅ so does B.  An empty C(s) gives the probe's team, which
-        the kept probe answers.
-        """
-        refuters = self.refuter_picker(node, pt)
-        team = pt.team(t)
-        x = node.var
-        domain = self.structure.domain
-
-        def decide(row):
-            values = domain if refuters is None else refuters(row)
-            return self.eval(node.body,
-                             pt.with_team(team.with_rows((row,)).expanded_all(x, values)))
-
-        return decide
 
     def eval_exists(self, node, pt: Polyteam) -> bool:
         t = node.var.sort
@@ -584,7 +634,7 @@ class _Evaluator:
             raise ResourceExhausted("expansion")
         level = self.closure(node.body, t)
         if level == ROWWISE or team.is_empty:
-            return self.row_loop(node, t, pt, (node.body,), self.exists_decider)
+            return self.row_loop(node, t, pt, (node.body,))
         rewritten = self.block_disjunction(node)
         if rewritten is not None:
             return self.eval(rewritten, pt)
@@ -609,29 +659,10 @@ class _Evaluator:
                 return True
         return False
 
-    def exists_decider(self, node, t, pt: Polyteam, parts):
-        """A row passes when some candidate value for x satisfies the body."""
-        witnesses = self.witness_picker(node, pt)
-        extend = pt.team(t).extender(node.var)
-        domain = self.structure.domain
-
-        def decide(row):
-            for a in domain if witnesses is None else witnesses(row):
-                if self.eval(node.body, pt.with_team(extend(row, a))):
-                    return True
-            return False
-
-        return decide
-
     def block_disjunction(self, node):
-        """∃x̄(C ∧ D) ∨_t (O ∧ ∃x̄C) for a block ∃x̄(C ∧ (D ∨ O)), or None.
-
-        x̄ is the leading chain of sort-t existentials from ∃x.  Every
-        conjunct of the chain's body except one disjunction is row-wise at t
-        and goes to C.  That disjunction splits only t, and all its parts
-        but one are row-wise at t and go to D.  The last part O is
-        downward-closed at t and shares no variable with x̄.  Built once per
-        node; None when a side condition fails.
+        """∃x̄(C ∧ D) ∨_t (O ∧ ∃x̄C) for an existential block ∃x̄(C ∧ (D ∨ O)),
+        as the module docstring defines it, or None when a side condition
+        fails.  Built once per node.
         """
         key = ("block", id(node))
         got = self.memo.get(key)
@@ -659,14 +690,9 @@ class _Evaluator:
             And(opaque[0], exists_chain(block, conjoin(plain)))))
 
     def inclusion_guards(self, node):
-        """Conjuncts of ∃x B that every single-row witness must meet.
-
-        B is read past its leading chain of same-sort existentials (stopping
-        where the chain rebinds x) as a flat conjunction.  A conjunct guards
-        x when it is pinc(x̄ | ȳ) including the block sort t into another
-        sort, or a relation literal R(x̄): on one row, R(x̄) is the inclusion
-        of the row's tuple in R^M.  Either way x occurs in x̄ and the chain
-        binds no other variable of x̄.  Each guard is a ``_guard`` tuple.
+        """The inclusion guards of ∃x B (see the module docstring), each a
+        ``_guard`` tuple, among the conjuncts of B read past its leading chain
+        of sort-t existentials, up to a rebinding of x.  Built once per node.
         """
         key = ("guards", id(node))
         got = self.memo.get(key)
@@ -694,14 +720,9 @@ class _Evaluator:
         return self._store(key, node, tuple(guards))
 
     def exclusion_guards(self, node):
-        """Parts of ∀x B that hold on a row s(a/x) unless a can refute it.
-
-        A part is B itself, or one part of a disjunction B that splits only
-        t, the sort of x.  It guards x when it is pexc(x̄ | ȳ), in either
-        orientation, with x̄ at t, x in x̄ and ȳ at another sort, or a negated
-        relation literal !R(x̄) with x in x̄.  On one row, the pexc holds
-        unless s(a/x)(x̄) ∈ rel(X_j, ȳ), and !R(x̄) unless s(a/x)(x̄) ∈ R^M.
-        Each guard is a ``_guard`` tuple.  Built once per node.
+        """The exclusion guards of ∀x B (see the module docstring), each a
+        ``_guard`` tuple: B itself, or among the parts of a disjunction B
+        that splits only t, the sort of x.  Built once per node.
         """
         key = ("exclusions", id(node))
         got = self.memo.get(key)
@@ -728,14 +749,8 @@ class _Evaluator:
         return self._store(key, node, tuple(guards))
 
     def inclusion_demands(self, node) -> frozenset:
-        """Variables w whose values any workable choice for ∃x B must cover.
-
-        A conjunct pinc(w̄ | ȳ) of B with sort_j = t and x = y_k, where w_k
-        is free in ∃x B, holds only if X_i(w_k) ⊆ X_t(x).  Lax ∃ and ∀ keep
-        every row, so both value sets survive the quantifiers inside B that
-        bind neither; a disjunction splits each team into parts that cover
-        it, so what every part demands, the whole demands.  Built once per
-        node.
+        """The variables w whose values any workable choice for ∃x B must cover
+        (see inclusion demands in the module docstring).  Built once per node.
         """
         key = ("demands", id(node))
         got = self.memo.get(key)
@@ -787,13 +802,13 @@ class _Evaluator:
             return got[1][1]
         return self._store(key, guard, (rel, self.join_index(rel, at_x, at_keys)))[1]
 
-    def candidates(self, guards, pt: Polyteam, t):
-        """Row tuple of the sort-t team -> the values every guard's index gives it.
-
-        None when there is no guard.  A row that some index lacks gets ().
+    def candidates(self, guards, pt: Polyteam, layout):
+        """Row tuple over ``layout`` -> the values, in domain order, that every
+        guard's index gives it; () when some index lacks the row, and None
+        when there is no guard.
         """
-        team = pt.team(t)
-        indexes = [(team.projector(keys), self.guard_index(guard, at_x, at_keys, target, pt))
+        indexes = [(_getter(tuple(map(layout.index, keys))),
+                    self.guard_index(guard, at_x, at_keys, target, pt))
                    for guard, at_x, at_keys, keys, target in guards]
         if not indexes:
             return None
@@ -805,41 +820,26 @@ class _Evaluator:
                 if not got:
                     return ()
                 allowed = got if allowed is None else allowed & got
-            return allowed
+            return value_sorted(allowed)
 
         return pick
 
-    def witness_picker(self, node, pt: Polyteam):
-        """Per-row candidate values for the row-wise ∃x branch, or None.
-
-        On a one-row team {s} the existential chain keeps the team nonempty
-        and leaves the sort-j team as it is, so a guard pinc(x̄ | ȳ) can hold
-        only if s[a/x](x̄) ∈ rel(X_j, ȳ), and a guard R(x̄) only if
-        s[a/x](x̄) ∈ R^M.  Hash-joining each guard's relation on the other
-        variables of x̄ leaves, per row, just the values a every guard
-        admits, in domain order.  The result maps a row tuple of the sort-t
-        team to those values.
+    def witness_picker(self, node, pt: Polyteam, layout=None):
+        """Row tuple over ``layout`` (by default the sort-t team's domain) ->
+        the values for x that every inclusion guard of ∃x B admits, or None.
 
         Call it only after B held on the empty sort-t team, or a kept probe
-        says so for this context (the same sort-t domain and teams at the
-        other sorts B mentions): that evaluated every
-        guard, so the variables of x̄ and ȳ are known to lie in the team
-        domains and each R to name a relation of the structure.
+        says so for this context: that evaluated every guard, so their
+        variables lie in the team domains and each R names a relation.
         """
-        pick = self.candidates(self.inclusion_guards(node), pt, node.var.sort)
-        if pick is None:
-            return None
-        return lambda row: value_sorted(pick(row))
+        return self.candidates(self.inclusion_guards(node), pt,
+                               layout or pt.team(node.var.sort).domain)
 
-    def refuter_picker(self, node, pt: Polyteam):
-        """Per-row values that can refute the row-wise ∀x B, or None.
-
-        C(s) is the set of values a that every exclusion guard blocks: those
-        with s(a/x)(x̄) in the guard's relation, found by the same hash join
-        as ``witness_picker``.  None when B has no exclusion guard.  The same
-        precondition holds: B held on the empty sort-t team.
-        """
-        return self.candidates(self.exclusion_guards(node), pt, node.var.sort)
+    def refuter_picker(self, node, pt: Polyteam, layout=None):
+        """Row tuple -> the values that every exclusion guard of ∀x B blocks,
+        which alone can refute the row, or None; as ``witness_picker``."""
+        return self.candidates(self.exclusion_guards(node), pt,
+                               layout or pt.team(node.var.sort).domain)
 
 
 def eval_formula(structure: Structure, pt: Polyteam, phi: Formula,

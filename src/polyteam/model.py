@@ -11,14 +11,15 @@ Layout.  A ``Variable`` is a NamedTuple, equal to (and hashing like) its
 calls and sorts that every team operation makes on variables run in C.  A
 ``Team`` holds its sort, its canonical domain (the variables in sorted
 order) and ``tuples``: a frozenset of value tuples, each aligned position by
-position with the domain.  Only this module reads a row tuple by position;
-everyone else goes through ``relation`` (rel(X, x̄)), ``projector``,
-``extender`` and the other team operations, which all take and give row
-tuples.  Teams are immutable, so each keeps three caches, filled on first
-use and never inherited by a team derived from it: ``relation`` per
-variable tuple, ``rows`` (the Assignments) and ``ordered_tuples``.  Its
-hash, too, is computed on first use: the evaluator builds many one-row
-slices and hashes almost none of them.  The canonical row order, which
+position with the domain.  Besides this module, only the evaluator's
+compiled row tests read a row tuple by position, through ``_getter`` on a
+column layout of their own; everyone else goes through ``relation``
+(rel(X, x̄)), ``projector`` and the other team operations, which all take
+and give row tuples.  Teams are immutable, so each keeps three caches,
+filled on first use and never inherited by a team derived from it:
+``relation`` per variable tuple, ``rows`` (the Assignments) and
+``ordered_tuples``.  Its hash, too, is computed on first use: the evaluator
+builds many one-row slices and hashes almost none of them.  The canonical row order, which
 ``ordered_tuples`` gives and every row loop walks, is ``value_key`` order
 position by position; ``value_sorted`` computes it by plain tuple
 comparison, in C, when every value is a ``str``, as every value of a CSV
@@ -371,12 +372,6 @@ class Team:
                     f"empty choice set at row {_assignment(self.domain, row)!r}")
             new_rows.update(extend(row, a) for a in values)
         return Team._trusted(self.sort, domain, frozenset(new_rows))
-
-    def extender(self, var: Variable) -> Callable[[tuple, Value], "Team"]:
-        """The one-row extension (s, a) -> {s(a/x)}, for row tuples s of this team."""
-        sort = self.sort
-        domain, extend = self._extension(var)
-        return lambda row, a: Team._trusted(sort, domain, frozenset((extend(row, a),)))
 
     def union(self, other: "Team") -> "Team":
         if self.sort != other.sort or self.domain != other.domain:

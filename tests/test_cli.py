@@ -34,13 +34,13 @@ def check(capsys, formula, teams, structure=None):
 
 
 HOSPITAL_NODES = {
-    ("phi0.ptf", "test.csv", "results.csv"): 31,
-    ("phi1.ptf", "test.csv", "results.csv"): 28,
-    ("phi0.ptf", "test.csv", "results_mutated.csv"): 31,
-    ("phi1.ptf", "test.csv", "results_mutated.csv"): 28,
-    ("phi0.ptf", "test_missing.csv", "results.csv"): 21,
+    ("phi0.ptf", "test.csv", "results.csv"): 33,
+    ("phi1.ptf", "test.csv", "results.csv"): 29,
+    ("phi0.ptf", "test.csv", "results_mutated.csv"): 33,
+    ("phi1.ptf", "test.csv", "results_mutated.csv"): 32,
+    ("phi0.ptf", "test_missing.csv", "results.csv"): 22,
 }
-EXCHANGE_NODES = {"employees_seed.csv": 16, "employees_empty.csv": 7}
+EXCHANGE_NODES = {"employees_seed.csv": 25, "employees_empty.csv": 10}
 
 
 @pytest.mark.parametrize("formula,test,results,verdict", [
@@ -252,7 +252,14 @@ def exists_chain_text(k):
 
 def test_150_deep_exists_chain_answers_with_pinned_work(capsys, tmp_path, p_team):
     formula = write(tmp_path, "chain.ptf", exists_chain_text(150))
-    assert check_golden(capsys, formula, [("P", p_team)]) == ("true", 0, 457)
+    assert check_golden(capsys, formula, [("P", p_team)]) == ("true", 0, 459)
+
+
+def test_300_deep_exists_chain_answers_within_the_depth_limit(capsys, tmp_path, p_team):
+    # a row meets the chain as one compiled test, a frame per level; only
+    # the probe of the empty team still recurses through eval
+    formula = write(tmp_path, "chain.ptf", exists_chain_text(300))
+    assert check_golden(capsys, formula, [("P", p_team)]) == ("true", 0, 909)
 
 
 def test_exists_chain_work_grows_linearly(capsys, tmp_path, p_team):
