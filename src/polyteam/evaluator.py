@@ -53,13 +53,16 @@ approximation.  The properties used are
   blind to x̄, must hold on those rows together.  The right-hand side is
   built once per ∃ node and decided by the disjunction strategies above.
 
-Row decomposition and downward closure form one lattice: ``closure(node, t)``
-gives each subformula a level OPAQUE < DOWNWARD < ROWWISE at sort t, so
-row-wise implies downward-closed by construction.  Closure levels, mentioned
-sorts, inclusion and exclusion guards, inclusion demands, guard indexes,
-block rewrites, literal projectors and compiled row tests share one memo
-whose entries hold their nodes, so no id it keys on can be reused while the
-entry lives.  A session keeps the memo across ``holds`` calls.
+Analysis.  One pass over each formula ``check_input`` meets gives each node
+one record (``_Facts``), built from its parts' records: the sorts it
+mentions, its free variables, the sorts it binds, its split sorts, inclusion
+demands and closure levels.  Row decomposition and downward closure form
+one lattice, OPAQUE < DOWNWARD < ROWWISE at each sort, so row-wise implies
+downward-closed by construction.  A quantifier's guards and an ∃'s block
+rewrite, whose new nodes then get records, are kept in its record on first
+use.  Records, keyed by node id, hold their nodes, as the memo entries of
+guard indexes, literal projectors and compiled row tests do, so no id
+either keys on is reused while they live.  A session keeps both.
 
 Row verdicts.  One loop, ``row_loop``, decides one row at a time: for the
 row-wise parts of a disjunction that splits only sort t, for the body of a
@@ -101,8 +104,8 @@ from .errors import ResourceExhausted, SortedDomainError
 from .model import Polyteam, Structure, Team, _getter, value_sorted
 from .syntax import (
     And, AtomF, Connective, Eq, Exists, Forall, Formula, Neq, NegRel, OrGlobal,
-    OrLocal, PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth, all_variables,
-    check_well_sorted, conjoin, exists_chain, free_variables, mentioned_sorts, walk,
+    OrLocal, PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth, all_variables, atom_sorts,
+    conjoin, exists_chain, free_variables, node_variables, node_violations, walk,
 )
 from . import atoms as atom_checks
 
@@ -175,19 +178,84 @@ def atom_closure(atom, t) -> int:
     return OPAQUE
 
 
-def _demands(f, x) -> frozenset:
-    """The variables whose values f demands ∃x cover; see ``inclusion_demands``."""
-    if isinstance(f, AtomF):
-        a = f.atom
-        if isinstance(a, PolyInc) and a.sort_j == x.sort:
-            return frozenset(w for w, y in zip(a.x, a.y) if y == x != w)
-    elif isinstance(f, And):
-        return frozenset().union(*(_demands(p, x) for p in f.parts))
-    elif isinstance(f, (OrGlobal, OrLocal)):
-        return frozenset.intersection(*(_demands(p, x) for p in f.parts))
-    elif isinstance(f, (Exists, Forall)) and f.var != x:
-        return _demands(f.body, x) - {f.var}
-    return frozenset()
+class _Facts:
+    """What the evaluator reads of one formula node, built from its parts' records.
+
+    ``sorts``: the sorts it mentions, as ``mentioned_sorts`` gives them, and
+    ``order`` the same sorted; ``free``: its free variables; ``binds``: the
+    sorts at which a quantifier in it binds; ``split``: a disjunction's split
+    sorts, sorted, () for a conjunction, else None; ``levels``: its closure
+    level at each sort where that is not ROWWISE (read through ``closure``);
+    ``demands``: x -> the variables whose values it demands that ∃x cover.
+    Filled on first use: ``guards``, of an ∃ or a ∀; ``block``, an ∃'s block
+    rewrite, or False; ``passed``, at a formula ``check_input`` met, its free
+    variables by sort and the domains that last passed.  A record holds its
+    node, never the evaluator.
+    """
+
+    __slots__ = ("node", "sorts", "order", "free", "binds", "split", "levels", "demands",
+                 "guards", "block", "passed")
+
+    def __init__(self, node, records):
+        self.node = node
+        self.guards = self.block = self.passed = None
+        below = [records[id(p)] for p in node.parts] if isinstance(node, Connective) else \
+            [records[id(node.body)]] if isinstance(node, (Exists, Forall)) else []
+        own = atom_sorts(node.atom) if isinstance(node, AtomF) else \
+            frozenset(v.sort for v in node_variables(node))
+        self.sorts = own.union(*(b.sorts for b in below))
+        self.order = tuple(sorted(self.sorts))
+        self.split = None
+        if isinstance(node, (Exists, Forall)):
+            body, x = below[0], node.var
+            self.free = body.free - {x} if x in body.free else body.free
+            self.binds = body.binds | {x.sort}
+            # lax ∃ at another sort than t couples t's rows through the choice
+            self.levels = body.levels if isinstance(node, Forall) else {
+                t: level for t in self.order
+                if (level := body.closure(t) if t == x.sort else
+                    min(body.closure(t), DOWNWARD)) != ROWWISE}
+            self.demands = {v: rest for v, ws in body.demands.items()
+                            if v != x and (rest := ws - {x})}
+        elif isinstance(node, Connective):
+            self.free = frozenset().union(*(b.free for b in below))
+            self.binds = frozenset().union(*(b.binds for b in below))
+            self.split = () if isinstance(node, And) else \
+                tuple(sorted(node.sorts & self.sorts)) if isinstance(node, OrLocal) else self.order
+            self.levels = {}
+            for t in self.order:
+                level = min(b.closure(t) for b in below)
+                # a disjunction splitting only at t lets each row pick its part;
+                # any other split couples rows through the shared cover choice
+                if self.split not in ((), (t,)):
+                    level = min(level, DOWNWARD)
+                if level != ROWWISE:
+                    self.levels[t] = level
+            # every demand of a part, for ∧; of every part, for a disjunction
+            self.demands = dict(below[0].demands)
+            for b in below[1:]:
+                if isinstance(node, And):
+                    for v, ws in b.demands.items():
+                        self.demands[v] = self.demands[v] | ws if v in self.demands else ws
+                else:
+                    self.demands = {v: ws & b.demands[v] for v, ws in self.demands.items()
+                                    if v in b.demands and ws & b.demands[v]}
+        else:
+            self.free = frozenset(node_variables(node))
+            self.binds = frozenset()
+            atom = node.atom if isinstance(node, AtomF) else None
+            self.levels = {} if atom is None else \
+                {t: level for t in self.order if (level := atom_closure(atom, t)) != ROWWISE}
+            self.demands = {}
+            if isinstance(atom, PolyInc):
+                # pinc(w̄ | ȳ) demands w_k of ∃x for x = y_k at sort j
+                for w, y in zip(atom.x, atom.y):
+                    if w != y and y.sort == atom.sort_j:
+                        self.demands[y] = self.demands.get(y, frozenset()) | {w}
+
+    def closure(self, t) -> int:
+        """The node's closure level at sort t: OPAQUE, DOWNWARD or ROWWISE."""
+        return self.levels.get(t, ROWWISE)
 
 
 def _guard(guard, xs, x, bound, target):
@@ -214,8 +282,9 @@ class _Evaluator:
         self.deadline = None
         if config.timeout is not None:
             self.deadline = time.monotonic() + config.timeout
-        # key -> (node, answer); keys are id(node) for ``mentioned``,
-        # (id(node), t) for ``closure`` and (name, id(node), ...) for the others
+        # id(node) -> the node's record, from ``analyse``
+        self.records = {}
+        # key -> (node, answer), for the data-keyed caches: (name, id(node), ...)
         self.memo = {}
         # context -> (verdicts, their count and the rows reserved at the last hand-out)
         self.contexts = {}
@@ -223,45 +292,44 @@ class _Evaluator:
         # per context its count plus reserve from the last hand-out
         self.rows_held = 0
 
-    # -- cached structural queries ---------------------------------------
+    # -- analysis ---------------------------------------------------------
 
     def _store(self, key, node, answer):
         self.memo[key] = (node, answer)
         return answer
 
-    def mentioned(self, node) -> frozenset:
-        got = self.memo.get(id(node))
-        if got is not None:
-            return got[1]
-        return self._store(id(node), node, mentioned_sorts(node))
+    def facts(self, node) -> _Facts:
+        """The node's record; ``analyse`` has met every node ``eval`` meets."""
+        return self.records[id(node)]
 
-    def closure(self, node, t) -> int:
-        """The node's closure level at sort t: OPAQUE, DOWNWARD or ROWWISE."""
-        key = (id(node), t)
-        got = self.memo.get(key)
-        if got is not None:
-            return got[1]
-        if t not in self.mentioned(node) or isinstance(node, (Truth, Eq, Neq, Rel, NegRel)):
-            level = ROWWISE
-        elif isinstance(node, AtomF):
-            level = atom_closure(node.atom, t)
-        elif isinstance(node, Connective):
-            level = min(self.closure(p, t) for p in node.parts)
-            # a disjunction splitting only at t lets each row pick its part;
-            # any other split couples rows through the shared cover choice
-            if not isinstance(node, And) and self.split_sorts(node) not in ([], [t]):
-                level = min(level, DOWNWARD)
-        elif isinstance(node, Forall):
-            level = self.closure(node.body, t)
-        elif isinstance(node, Exists):
-            level = self.closure(node.body, t)
-            if node.var.sort != t:
-                level = min(level, DOWNWARD)
-        else:
-            level = OPAQUE
-        return self._store(key, node, level)
+    def analyse(self, phi) -> _Facts:
+        """phi's record, after one pass gives each node of phi its record.
 
-    # -- bookkeeping ------------------------------------------------------
+        The pass walks phi in ``walk``'s preorder for the sort problems, as
+        ``check_well_sorted`` orders them, and the relation names; either kind
+        of fault raises SortedDomainError before any record is built.  Then
+        the nodes without a record get one, last walked first, so parts come
+        first.  So a node with a record passed both checks.
+        """
+        got = self.records.get(id(phi))
+        if got is not None:
+            return got
+        nodes = list(walk(phi))
+        problems, names = [], set()
+        for node in nodes:
+            problems += node_violations(node, self.registry)
+            if isinstance(node, (Rel, NegRel)):
+                names.add(node.name)
+        if problems:
+            raise SortedDomainError("ill-sorted formula: " + "; ".join(problems))
+        names.difference_update(self.structure.relations)
+        if names:
+            raise SortedDomainError(f"unknown relation {min(names)!r}")
+        records = self.records
+        for node in reversed(nodes):
+            if id(node) not in records:
+                records[id(node)] = _Facts(node, records)
+        return records[id(phi)]
 
     def check_input(self, phi, pt: Polyteam):
         """Reject an ill-formed phi, such as one with a generalized atom the
@@ -271,23 +339,17 @@ class _Evaluator:
         All three are decided before evaluation, so whether a call raises does
         not hang on which parts a strategy happens to read: a row loop's probe
         reads every part on the empty team, an expansion may stop at a failing
-        conjunct.  Per formula, the team domains that last passed are kept:
-        while the polyteams of a session keep them, the subset test is not run
-        again.
+        conjunct.  ``analyse`` checks the first two once per formula; phi's
+        record then keeps its free variables by sort, and the team domains
+        that last passed: while the polyteams of a session keep them, the
+        subset test is not run again.
         """
-        key = ("free", id(phi))
-        got = self.memo.get(key)
-        if got is not None:
-            free, passed = got[1]
-        else:
-            problems = check_well_sorted(phi, self.registry)
-            if problems:
-                raise SortedDomainError("ill-sorted formula: " + "; ".join(problems))
-            unknown = {node.name for node in walk(phi) if isinstance(node, (Rel, NegRel))}
-            unknown.difference_update(self.structure.relations)
-            if unknown:
-                raise SortedDomainError(f"unknown relation {min(unknown)!r}")
-            free, passed = tuple(free_variables(phi).items()), None
+        facts = self.records.get(id(phi)) or self.analyse(phi)
+        if facts.passed is None:
+            free = facts.free
+            facts.passed = tuple((sort, frozenset(v for v in free if v.sort == sort))
+                                 for sort in sorted({v.sort for v in free})), None
+        free, passed = facts.passed
         domains = [pt.team(sort).domain for sort, _ in free]
         if domains == passed:
             return
@@ -297,7 +359,7 @@ class _Evaluator:
                 raise SortedDomainError(
                     f"free variables {sorted(map(str, missing))} missing from the "
                     f"{sort!r} team domain")
-        self._store(key, phi, (free, domains))
+        facts.passed = (free, domains)
 
     def tick(self):
         self.nodes += 1
@@ -357,17 +419,14 @@ class _Evaluator:
         Maps each row tuple of the sort-t team to its one-row verdict, and
         ``PROBE`` to the probe's outcome on the empty team of the same context.
         """
-        key = ("others", id(node), t)
-        got = self.memo.get(key)
-        others = got[1] if got is not None else \
-            self._store(key, node, tuple(sorted(self.mentioned(node) - {t})))
         team = pt.team(t)
         context = [id(node), team.domain]
         cost = 0
-        for s in others:
-            other = pt.team(s)
-            context.append((other.domain, other.tuples))
-            cost += len(other.tuples)
+        for s in self.facts(node).order:
+            if s != t:
+                other = pt.team(s)
+                context.append((other.domain, other.tuples))
+                cost += len(other.tuples)
         context = tuple(context)
         # a loop stores at most one verdict per row of the sort-t team, and
         # its empty-team probe
@@ -439,10 +498,10 @@ class _Evaluator:
         probe shows: then so did every part below, since an empty team splits
         and extends only into empty teams, and flatness gives each rule.  ∃x
         and ∀x try the body on s's tuple with x overwritten, or appended, by
-        each value from ``witness_picker`` or ``refuter_picker``; a ∀ with
-        none holds, as its body on {s}[∅/x] is the probe's.  Anything else,
-        such as a quantifier at another sort or a ∀ whose body binds at t
-        (so caps see its expansion), is evaluated on the slice {s}.
+        each value from ``picker``; a ∀ with none holds, as its body on
+        {s}[∅/x] is the probe's.  Anything else, such as a quantifier at
+        another sort or a ∀ whose body binds at t (so caps see its
+        expansion), is evaluated on the slice {s}.
         """
         key = ("compiled", id(node), t, layout)
         got = self.memo.get(key)
@@ -450,8 +509,7 @@ class _Evaluator:
             return got[1]
         domain = self.structure.domain
         atom = node.atom if isinstance(node, AtomF) else None
-        split = [] if isinstance(node, And) else \
-            self.split_sorts(node) if isinstance(node, (OrGlobal, OrLocal)) else None
+        split = self.facts(node).split
         if isinstance(node, (Eq, Neq)) and node.left.sort == t:
             i, j = map(layout.index, (node.left, node.right))
             want = isinstance(node, Eq)
@@ -481,7 +539,7 @@ class _Evaluator:
                     tick()
                     return (project(row) in have) is want
                 return test
-        elif split in ([], [t]):
+        elif split in ((), (t,)):
             # any part for a split of t, else all: a disjunction splitting no
             # sort is a conjunction; a row loop leaves an opaque part out
             want = bool(split)
@@ -500,17 +558,16 @@ class _Evaluator:
                 return test
         elif isinstance(node, (Exists, Forall)) and node.var.sort == t and \
                 len(domain) <= self.config.max_expanded_team_rows and \
-                (isinstance(node, Exists) or not self.binds_at(node.body, t)):
+                (isinstance(node, Exists) or t not in self.facts(node.body).binds):
             x, want = node.var, isinstance(node, Exists)
             # x's column, or a new last one
             k = layout.index(x) if x in layout else len(layout)
             inner, extend = layout[:k] + (x,) + layout[k + 1:], \
                 lambda row, a: row[:k] + (a,) + row[k + 1:]
             body = self.compiled(node.body, t, inner)
-            picker = _Evaluator.witness_picker if want else _Evaluator.refuter_picker
 
             def bind(ev, pt):
-                tick, holds, pick = ev.tick, body(ev, pt), picker(ev, node, pt, layout)
+                tick, holds, pick = ev.tick, body(ev, pt), ev.picker(node, pt, layout)
 
                 def test(row):
                     tick()
@@ -533,26 +590,11 @@ class _Evaluator:
 
     # -- disjunction ------------------------------------------------------
 
-    def binds_at(self, node, t) -> bool:
-        """Whether a quantifier in node binds a variable of sort t."""
-        key = ("binds", id(node), t)
-        got = self.memo.get(key)
-        if got is not None:
-            return got[1]
-        return self._store(key, node, any(
-            isinstance(n, (Exists, Forall)) and n.var.sort == t for n in walk(node)))
-
-    def split_sorts(self, node):
-        touched = self.mentioned(node)
-        if isinstance(node, OrLocal):
-            return sorted(node.sorts & touched)
-        return sorted(touched)
-
     def rowwise_split(self, parts, t):
         """The parts that are row-wise at sort t, and the rest, each in order."""
         rowwise, rest = [], []
         for p in parts:
-            (rowwise if self.closure(p, t) == ROWWISE else rest).append(p)
+            (rowwise if self.facts(p).closure(t) == ROWWISE else rest).append(p)
         return rowwise, rest
 
     def eval_or(self, node, pt: Polyteam) -> bool:
@@ -562,7 +604,7 @@ class _Evaluator:
         row test.  The rows no row-wise part accepts go to the one opaque
         part, if any, with any accepted rows it still needs.
         """
-        split = self.split_sorts(node)
+        split = self.facts(node).split
         if len(split) != 1:
             return self.eval_or_fallback(node, split, pt)
         t = split[0]
@@ -577,7 +619,7 @@ class _Evaluator:
         rows = team.ordered_tuples()
         blocker = opaque[0]
         required = tuple(r for r, ok in zip(rows, accepts) if not ok)
-        if self.closure(blocker, t) == DOWNWARD:
+        if self.facts(blocker).closure(t) == DOWNWARD:
             # any workable opaque slice shrinks to exactly the required rows
             return self.eval(blocker, pt.with_team(team.with_rows(required)))
         optional = tuple(r for r, ok in zip(rows, accepts) if ok)
@@ -620,8 +662,8 @@ class _Evaluator:
         team = pt.team(t)
         if len(team) * len(self.structure.domain) > self.config.max_expanded_team_rows:
             raise ResourceExhausted("expansion")
-        if team.is_empty or (self.closure(node.body, t) == ROWWISE
-                             and not self.binds_at(node.body, t)):
+        body = self.facts(node.body)
+        if team.is_empty or (body.closure(t) == ROWWISE and t not in body.binds):
             return self.row_loop(node, t, pt, (node.body,))
         expanded = team.expanded_all(node.var, self.structure.domain)
         return self.eval(node.body, pt.with_team(expanded))
@@ -632,16 +674,17 @@ class _Evaluator:
         domain = self.structure.domain
         if len(team) * len(domain) > self.config.max_expanded_team_rows:
             raise ResourceExhausted("expansion")
-        level = self.closure(node.body, t)
+        body = self.facts(node.body)
+        level = body.closure(t)
         if level == ROWWISE or team.is_empty:
             return self.row_loop(node, t, pt, (node.body,))
         rewritten = self.block_disjunction(node)
         if rewritten is not None:
             return self.eval(rewritten, pt)
         rows = team.ordered_tuples()
-        # the values that every choice must cover, by ``inclusion_demands``
+        # the values that every choice must cover: the inclusion demands
         needed = set()
-        for w in self.inclusion_demands(node):
+        for w in body.demands.get(node.var, ()):
             other = pt.team(w.sort)
             if w in other.domain:
                 needed.update(v for v, in other.relation((w,)))
@@ -662,12 +705,13 @@ class _Evaluator:
     def block_disjunction(self, node):
         """∃x̄(C ∧ D) ∨_t (O ∧ ∃x̄C) for an existential block ∃x̄(C ∧ (D ∨ O)),
         as the module docstring defines it, or None when a side condition
-        fails.  Built once per node.
+        fails.  Built once per node and kept in its record, as False for None;
+        the new nodes get their records.
         """
-        key = ("block", id(node))
-        got = self.memo.get(key)
-        if got is not None:
-            return got[1]
+        facts = self.facts(node)
+        if facts.block is not None:
+            return facts.block or None
+        facts.block = False
         t = node.var.sort
         block = []
         body = node
@@ -676,87 +720,50 @@ class _Evaluator:
             body = body.body
         plain, others = self.rowwise_split(body.parts if isinstance(body, And) else (body,), t)
         disjunction = others[0] if len(others) == 1 else None
-        if not isinstance(disjunction, (OrGlobal, OrLocal)) or self.split_sorts(disjunction) != [t]:
-            return self._store(key, node, None)
+        if not isinstance(disjunction, (OrGlobal, OrLocal)) or \
+                self.facts(disjunction).split != (t,):
+            return None
         rowwise_parts, opaque = self.rowwise_split(disjunction.parts, t)
-        if len(opaque) != 1 or self.closure(opaque[0], t) == OPAQUE or \
+        if len(opaque) != 1 or self.facts(opaque[0]).closure(t) == OPAQUE or \
                 set(block) & all_variables(opaque[0]):
-            return self._store(key, node, None)
+            return None
         at_t = frozenset((t,))
         rowwise = rowwise_parts[0] if len(rowwise_parts) == 1 else \
             OrLocal(at_t, *rowwise_parts)
-        return self._store(key, node, OrLocal(
-            at_t, exists_chain(block, conjoin(plain + [rowwise])),
-            And(opaque[0], exists_chain(block, conjoin(plain)))))
+        facts.block = OrLocal(at_t, exists_chain(block, conjoin(plain + [rowwise])),
+                              And(opaque[0], exists_chain(block, conjoin(plain))))
+        self.analyse(facts.block)
+        return facts.block
 
-    def inclusion_guards(self, node):
-        """The inclusion guards of ∃x B (see the module docstring), each a
-        ``_guard`` tuple, among the conjuncts of B read past its leading chain
-        of sort-t existentials, up to a rebinding of x.  Built once per node.
+    def guards(self, node):
+        """The guards of ∃x B or of ∀x B (see the module docstring), each a
+        ``_guard`` tuple: for ∃, among the conjuncts of B read past its
+        leading chain of sort-t existentials, up to a rebinding of x; for ∀,
+        B itself, or among the parts of a disjunction B that splits only t.
+        Built once per node and kept in its record.
         """
-        key = ("guards", id(node))
-        got = self.memo.get(key)
-        if got is not None:
-            return got[1]
-        x = node.var
-        t = x.sort
-        bound = set()
-        body = node.body
-        while isinstance(body, Exists) and body.var.sort == t and body.var != x:
+        facts = self.facts(node)
+        if facts.guards is not None:
+            return facts.guards
+        x, body, bound = node.var, node.body, set()
+        t, inclusion = x.sort, isinstance(node, Exists)
+        while inclusion and isinstance(body, Exists) and body.var.sort == t and body.var != x:
             bound.add(body.var)
             body = body.body
-        guards = []
-        for c in body.parts if isinstance(body, And) else (body,):
-            if isinstance(c, Rel):
-                guard = _guard(c, c.args, x, bound, None)
-            elif isinstance(c, AtomF) and isinstance(c.atom, PolyInc) and \
-                    c.atom.sort_i == t != c.atom.sort_j:
-                a = c.atom
-                guard = _guard(a, a.x, x, bound, (a.sort_j, a.y))
-            else:
-                continue
-            if guard is not None:
-                guards.append(guard)
-        return self._store(key, node, tuple(guards))
-
-    def exclusion_guards(self, node):
-        """The exclusion guards of ∀x B (see the module docstring), each a
-        ``_guard`` tuple: B itself, or among the parts of a disjunction B
-        that splits only t, the sort of x.  Built once per node.
-        """
-        key = ("exclusions", id(node))
-        got = self.memo.get(key)
-        if got is not None:
-            return got[1]
-        x = node.var
-        t = x.sort
-        body = node.body
-        split = isinstance(body, (OrGlobal, OrLocal)) and self.split_sorts(body) == [t]
+        split = isinstance(body, And) if inclusion else \
+            isinstance(body, (OrGlobal, OrLocal)) and self.facts(body).split == (t,)
         guards = []
         for c in body.parts if split else (body,):
-            if isinstance(c, NegRel):
-                guard = _guard(c, c.args, x, frozenset(), None)
-            elif isinstance(c, AtomF) and isinstance(c.atom, PolyExc) and \
-                    (c.atom.sort_i == t) != (c.atom.sort_j == t):
-                a = c.atom
-                mine, target = ((a.x, (a.sort_j, a.y)) if a.sort_i == t
-                                else (a.y, (a.sort_i, a.x)))
-                guard = _guard(a, mine, x, frozenset(), target)
-            else:
-                continue
-            if guard is not None:
-                guards.append(guard)
-        return self._store(key, node, tuple(guards))
-
-    def inclusion_demands(self, node) -> frozenset:
-        """The variables w whose values any workable choice for ∃x B must cover
-        (see inclusion demands in the module docstring).  Built once per node.
-        """
-        key = ("demands", id(node))
-        got = self.memo.get(key)
-        if got is not None:
-            return got[1]
-        return self._store(key, node, _demands(node.body, node.var))
+            a = c.atom if isinstance(c, AtomF) else None
+            if isinstance(c, Rel if inclusion else NegRel):
+                guards.append(_guard(c, c.args, x, bound, None))
+            elif inclusion and isinstance(a, PolyInc) and a.sort_i == t != a.sort_j:
+                guards.append(_guard(a, a.x, x, bound, (a.sort_j, a.y)))
+            elif not inclusion and isinstance(a, PolyExc) and (a.sort_i == t) != (a.sort_j == t):
+                mine, target = (a.x, (a.sort_j, a.y)) if a.sort_i == t else (a.y, (a.sort_i, a.x))
+                guards.append(_guard(a, mine, x, bound, target))
+        facts.guards = tuple(g for g in guards if g is not None)
+        return facts.guards
 
     def join_index(self, tuples, at_x, at_keys) -> dict:
         """Key values -> the domain values a that some tuple has at every x position."""
@@ -802,14 +809,21 @@ class _Evaluator:
             return got[1][1]
         return self._store(key, guard, (rel, self.join_index(rel, at_x, at_keys)))[1]
 
-    def candidates(self, guards, pt: Polyteam, layout):
-        """Row tuple over ``layout`` -> the values, in domain order, that every
-        guard's index gives it; () when some index lacks the row, and None
-        when there is no guard.
+    def picker(self, node, pt: Polyteam, layout=None):
+        """Row tuple over ``layout`` (by default the sort-t team's domain) ->
+        the values for x, in domain order, that every guard's index gives it:
+        for ∃x B the values its inclusion guards admit, for ∀x B those its
+        exclusion guards all block, which alone can refute the row.  () when
+        some index lacks the row, and None when there is no guard.
+
+        Call it only after B held on the empty sort-t team, or a kept probe
+        says so for this context: that evaluated every guard, so their
+        variables lie in the team domains and each R names a relation.
         """
+        layout = layout or pt.team(node.var.sort).domain
         indexes = [(_getter(tuple(map(layout.index, keys))),
                     self.guard_index(guard, at_x, at_keys, target, pt))
-                   for guard, at_x, at_keys, keys, target in guards]
+                   for guard, at_x, at_keys, keys, target in self.guards(node)]
         if not indexes:
             return None
 
@@ -823,23 +837,6 @@ class _Evaluator:
             return value_sorted(allowed)
 
         return pick
-
-    def witness_picker(self, node, pt: Polyteam, layout=None):
-        """Row tuple over ``layout`` (by default the sort-t team's domain) ->
-        the values for x that every inclusion guard of ∃x B admits, or None.
-
-        Call it only after B held on the empty sort-t team, or a kept probe
-        says so for this context: that evaluated every guard, so their
-        variables lie in the team domains and each R names a relation.
-        """
-        return self.candidates(self.inclusion_guards(node), pt,
-                               layout or pt.team(node.var.sort).domain)
-
-    def refuter_picker(self, node, pt: Polyteam, layout=None):
-        """Row tuple -> the values that every exclusion guard of ∀x B blocks,
-        which alone can refute the row, or None; as ``witness_picker``."""
-        return self.candidates(self.exclusion_guards(node), pt,
-                               layout or pt.team(node.var.sort).domain)
 
 
 def eval_formula(structure: Structure, pt: Polyteam, phi: Formula,
@@ -872,10 +869,10 @@ def eval_sentence(structure: Structure, phi: Formula,
 class BulkEvaluator:
     """Many evaluations against one structure, sharing one engine across queries.
 
-    The engine's memo (the structural analysis of each formula) and its row
-    verdicts (see the module docstring) carry over from one ``holds`` call
-    to the next.  Raises ResourceExhausted instead of returning a third
-    verdict.
+    The engine's records (one analysis pass per formula, see the module
+    docstring), its memo and its row verdicts carry over from one ``holds``
+    call to the next, so a formula met again is neither walked nor checked
+    again.  Raises ResourceExhausted instead of returning a third verdict.
     """
 
     def __init__(self, structure: Structure, config: Optional[EvalConfig] = None,
@@ -891,9 +888,10 @@ def evaluator_backed(config=None, registry=None):
     """An ``evaluate`` callback for ``oracle.equivalent`` driving this evaluator.
 
     For equivalence sweeps too large for the oracle's naive default.  One
-    session serves each structure in turn, so its memo and row verdicts
-    carry across the structure's polyteams; ``equivalent`` is done with a
-    structure once it moves on, so only the current session is kept.
+    session serves each structure in turn, so the records of both formulas,
+    the memo and the row verdicts carry across the structure's polyteams;
+    ``equivalent`` is done with a structure once it moves on, so only the
+    current session is kept.
     """
     current, session = None, None
 

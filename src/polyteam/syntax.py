@@ -405,28 +405,32 @@ def resolve_generalized(atom: GeneralizedAtom, registry):
     return q, None
 
 
+def node_violations(node, registry=None) -> list:
+    """The sort/arity violations of the node itself, not of its parts."""
+    if isinstance(node, (Eq, Neq)):
+        if node.left.sort != node.right.sort:
+            op = "=" if isinstance(node, Eq) else "!="
+            return [f"{node.left} {op} {node.right}: operands of different sorts"]
+    elif isinstance(node, (Rel, NegRel)):
+        sorts = {a.sort for a in node.args}
+        if len(sorts) > 1:
+            return [f"{node.name}(...): argument tuple mixes sorts {sorted(sorts)}"]
+    elif isinstance(node, OrLocal):
+        if not node.sorts:
+            return ["local disjunction with empty sort set"]
+    elif isinstance(node, AtomF):
+        out = atom_violations(node.atom)
+        if isinstance(node.atom, GeneralizedAtom):
+            problem = resolve_generalized(node.atom, registry)[1]
+            if problem:
+                out.append(problem)
+        return out
+    return []
+
+
 def check_well_sorted(phi: Formula, registry=None) -> list:
-    """All sort/arity violations in the formula; empty list iff well-formed."""
-    out = []
-    for node in walk(phi):
-        if isinstance(node, (Eq, Neq)):
-            if node.left.sort != node.right.sort:
-                op = "=" if isinstance(node, Eq) else "!="
-                out.append(f"{node.left} {op} {node.right}: operands of different sorts")
-        elif isinstance(node, (Rel, NegRel)):
-            sorts = {a.sort for a in node.args}
-            if len(sorts) > 1:
-                out.append(f"{node.name}(...): argument tuple mixes sorts {sorted(sorts)}")
-        elif isinstance(node, OrLocal):
-            if not node.sorts:
-                out.append("local disjunction with empty sort set")
-        elif isinstance(node, AtomF):
-            out.extend(atom_violations(node.atom))
-            if isinstance(node.atom, GeneralizedAtom):
-                problem = resolve_generalized(node.atom, registry)[1]
-                if problem:
-                    out.append(problem)
-    return out
+    """All sort/arity violations in the formula, in preorder; empty list iff well-formed."""
+    return [problem for node in walk(phi) for problem in node_violations(node, registry)]
 
 
 # ---------------------------------------------------------------------------

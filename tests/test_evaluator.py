@@ -23,7 +23,8 @@ from polyteam.oracle import (
 )
 from polyteam.syntax import (
     And, AtomF, Eq, Exists, Forall, Neq, NegRel, OrGlobal, OrLocal, PolyDep,
-    PolyExc, PolyInc, PolyInd, Rel, Truth, free_variables, mentioned_sorts, parse, walk,
+    PolyExc, PolyInc, PolyInd, Rel, Truth, all_variables, conjoin, exists_chain,
+    free_variables, mentioned_sorts, parse, walk,
 )
 
 from samplers import (
@@ -358,14 +359,14 @@ def test_k_part_fallback_matches_naive_oracle():
     rng = random.Random(12)
     sampler = FormulaSampler(tuple(FormulaSampler.LEAVES), connectives=("and", "exists"))
     structures = list(enumerate_structures({"R": 1}, (0, 1)))
-    ev = _Evaluator(ST, NO_LIMITS, None)
+    ev = _Evaluator(structures[0], NO_LIMITS, None)
     for _ in range(40):
         k = rng.choice((3, 3, 4))
         parts = [AtomF(PolyInc(P, (PX,), Q, (QV,)))]
         parts += [sampler.formula(rng, rng.randint(0, 1)) for _ in range(k - 1)]
         rng.shuffle(parts)
         phi = OrGlobal(*parts) if rng.random() < 0.5 else OrLocal(frozenset((P, Q)), *parts)
-        assert len(phi.parts) == k and ev.split_sorts(phi) == [P, Q]
+        assert len(phi.parts) == k and ev.analyse(phi).split == (P, Q)
         st = rng.choice(structures)
         for _ in range(3):
             pt = random_polyteam(rng, {P: (PX, PY), Q: (QU, QV)}, (0, 1),
@@ -516,6 +517,7 @@ def test_session_context_without_room_for_its_probe_is_not_kept():
     phi, pt = parse(PROBE_FLIPS["split"]), two_row_p_one_row_q()
     # 1 Q row in the key and 2 P rows: the probe's slot is one too many
     bulk = BulkEvaluator(ST_R, EvalConfig(max_expanded_team_rows=3, timeout=None))
+    bulk._engine.analyse(phi)
     verdicts = bulk._engine.row_verdicts(phi, P, pt)
     assert verdicts == {} and not bulk._engine.contexts
     assert bulk.holds(pt, phi) == naive_eval(ST_R, pt, phi)
@@ -620,6 +622,14 @@ GUARD_CASES = {
 }
 
 
+def analysed(ev, formula):
+    """The formula, parsed from text if need be, once ev's analysis pass gave
+    each of its nodes a record."""
+    phi = parse(formula) if isinstance(formula, str) else formula
+    ev.analyse(phi)
+    return phi
+
+
 def agree_with_naive(phi, structures=(ST3,), p_rows=2, q_rows=2, values=VALUES3):
     """Evaluator and naive oracle agree on all small P(y), Q(u, v) polyteams."""
     p_teams = list(enumerate_teams(P, (PY,), values, p_rows, min_rows=0))
@@ -633,8 +643,10 @@ def agree_with_naive(phi, structures=(ST3,), p_rows=2, q_rows=2, values=VALUES3)
 @pytest.mark.parametrize("case", sorted(GUARD_CASES))
 def test_inclusion_guard_side_conditions(case):
     text, count = GUARD_CASES[case]
-    ev = _Evaluator(ST3, NO_LIMITS, None)
-    assert len(ev.inclusion_guards(parse(text))) == count
+    ev = _Evaluator(REL_STRUCTURES[1], NO_LIMITS, None)
+    phi = analysed(ev, text)
+    assert ev.facts(phi).guards is None
+    assert ev.guards(phi) is ev.facts(phi).guards and len(ev.facts(phi).guards) == count
 
 
 @pytest.mark.parametrize("case", sorted(GUARD_CASES))
@@ -659,7 +671,7 @@ def test_guard_witnesses_are_the_join_values():
     pt = Polyteam([p_team, q_team])
 
     def guarded(text):
-        return ev.witness_picker(parse(text), pt)
+        return ev.picker(analysed(ev, text), pt)
 
     def picks(text):
         witnesses = guarded(text)
@@ -730,7 +742,8 @@ REL_STRUCTURES = [Structure(VALUES3, {"R": r, "R2": r2}) for r, r2 in [
 def test_relation_guard_side_conditions(case):
     text, count = REL_GUARD_CASES[case]
     ev = _Evaluator(REL_STRUCTURES[1], NO_LIMITS, None)
-    assert len(ev.inclusion_guards(parse(text))) == count
+    phi = analysed(ev, text)
+    assert ev.guards(phi) is ev.facts(phi).guards and len(ev.facts(phi).guards) == count
 
 
 @pytest.mark.parametrize("case", sorted(REL_GUARD_CASES))
@@ -756,7 +769,7 @@ def test_relation_guard_witnesses_are_the_join_values():
     pt = Polyteam([p_team, q_team])
 
     def picks(text):
-        witnesses = ev.witness_picker(parse(text), pt)
+        witnesses = ev.picker(analysed(ev, text), pt)
         return [list(witnesses(r)) for r in p_team.ordered_tuples()]
 
     assert picks(r"E P.x . R(P.x)") == [[0, 2], [0, 2]]
@@ -766,7 +779,7 @@ def test_relation_guard_witnesses_are_the_join_values():
     # the pinc guard allows u in {0, 1}: the candidate sets intersect
     assert picks(r"E P.x . (R2(P.y, P.x) /\ pinc(P.x | Q.u))") == [[1], [0]]
     assert picks(r"E P.x . R(P.y, P.x)") == [[], []]
-    assert ev.witness_picker(parse(r"E P.x . E P.y . R2(P.y, P.x)"), pt) is None
+    assert ev.picker(analysed(ev, r"E P.x . E P.y . R2(P.y, P.x)"), pt) is None
 
 
 def test_relation_guard_index_is_kept_per_position_of_x():
@@ -776,8 +789,8 @@ def test_relation_guard_index_is_kept_per_position_of_x():
     team = Team.from_tuples(P, (PX, PY), [(0, 0), (1, 1)])
     pt = Polyteam([team])
     rows = team.ordered_tuples()
-    by_x = ev.witness_picker(Exists(PX, r2), pt)
-    by_y = ev.witness_picker(Exists(PY, r2), pt)
+    by_x = ev.picker(analysed(ev, Exists(PX, r2)), pt)
+    by_y = ev.picker(analysed(ev, Exists(PY, r2)), pt)
     assert [list(by_x(r)) for r in rows] == [[1, 2], [0]]
     assert [list(by_y(r)) for r in rows] == [[1], [0]]
 
@@ -909,16 +922,16 @@ def test_compiled_row_tests_agree_with_naive_oracle():
     rng = random.Random(21)
     registry = AtomRegistry([FEW])
     sampler = FormulaSampler(tuple(FormulaSampler.LEAVES))
-    ev = _Evaluator(ST, NO_LIMITS, registry)
     structures = list(enumerate_structures({"R": 1}, (0, 1)))
+    ev = _Evaluator(structures[0], NO_LIMITS, registry)
     polyteams = list(enumerate_polyteams({P: (PX, PY), Q: (QU, QV)}, (0, 1), 2, min_rows=0))
     answers, compiled = {}, set()
     for _ in range(8):
         f = sampler.formula(rng, rng.randint(0, 2))
-        while ev.closure(f, P) != ROWWISE:
+        while ev.analyse(f).closure(P) != ROWWISE:
             f = sampler.formula(rng, rng.randint(0, 2))
         for shape, phi in compiled_shapes(f).items():
-            assert ev.closure(phi, P) == ROWWISE, (shape, phi)
+            assert ev.analyse(phi).closure(P) == ROWWISE, (shape, phi)
             st = rng.choice(structures)
             session = BulkEvaluator(st, registry=registry)
             for pt in rng.sample(polyteams, 30):
@@ -973,8 +986,10 @@ EXC_GUARD_CASES = {
 @pytest.mark.parametrize("case", sorted(EXC_GUARD_CASES))
 def test_exclusion_guard_side_conditions(case):
     text, count = EXC_GUARD_CASES[case]
-    ev = _Evaluator(ST, NO_LIMITS, None)
-    assert len(ev.exclusion_guards(parse(text))) == count
+    ev = _Evaluator(REL_STRUCTURES[1], NO_LIMITS, None)
+    phi = analysed(ev, text)
+    assert ev.facts(phi).guards is None
+    assert ev.guards(phi) is ev.facts(phi).guards and len(ev.facts(phi).guards) == count
 
 
 def test_refuters_are_the_join_values():
@@ -985,7 +1000,7 @@ def test_refuters_are_the_join_values():
     pt = Polyteam([p_team, q_team])
 
     def picks(text):
-        refuters = ev.refuter_picker(parse(text), pt)
+        refuters = ev.picker(analysed(ev, text), pt)
         return [sorted(refuters(r)) for r in p_team.ordered_tuples()]
 
     # keyed on P.y: y=0 meets u=0 (v in {0, 1}), y=2 meets u=2 (v=1)
@@ -1000,7 +1015,7 @@ def test_refuters_are_the_join_values():
         [[1], []]
     # !R read at the wrong arity holds on every row: nothing refutes it
     assert picks(r"A P.z . !R(P.y, P.z)") == [[], []]
-    assert ev.refuter_picker(parse(r"A P.z . (P.z = P.y \/_{P} P.z = P.x)"), pt) is None
+    assert ev.picker(analysed(ev, r"A P.z . (P.z = P.y \/_{P} P.z = P.x)"), pt) is None
 
 
 # two or three parts of a ∀ body over P, with {z} the bound variable; R is
@@ -1154,7 +1169,8 @@ DEMAND_CASES = {
 def test_inclusion_demand_side_conditions(case):
     text, demands = DEMAND_CASES[case]
     ev = _Evaluator(ST3, NO_LIMITS, None)
-    assert ev.inclusion_demands(parse(text)) == demands
+    phi = analysed(ev, text)
+    assert ev.facts(phi.body).demands.get(phi.var, set()) == demands
 
 
 @pytest.mark.parametrize("case", sorted(DEMAND_CASES))
@@ -1259,7 +1275,9 @@ def test_existential_block_matches_naive_oracle(block, values, rows, count):
     structures = list(enumerate_structures({"R": 1}, values))
     for _ in range(count):
         phi = block_formula(rng, block)
-        assert _Evaluator(ST3, NO_LIMITS, None).block_disjunction(phi) is not None, phi
+        ev = _Evaluator(structures[0], NO_LIMITS, None)
+        ev.analyse(phi)
+        assert ev.block_disjunction(phi) is ev.facts(phi).block is not None, phi
         agree_with_naive(phi, [rng.choice(structures)], rows, rows, values)
 
 
@@ -1271,6 +1289,21 @@ def reference_split_sorts(node):
     if isinstance(node, OrLocal):
         return sorted(node.sorts & touched)
     return sorted(touched)
+
+
+def reference_demands(f, x) -> frozenset:
+    """The variables whose values f demands that ∃x cover, by recursion."""
+    if isinstance(f, AtomF):
+        a = f.atom
+        if isinstance(a, PolyInc) and a.sort_j == x.sort:
+            return frozenset(w for w, y in zip(a.x, a.y) if y == x != w)
+    elif isinstance(f, And):
+        return frozenset().union(*(reference_demands(p, x) for p in f.parts))
+    elif isinstance(f, (OrGlobal, OrLocal)):
+        return frozenset.intersection(*(reference_demands(p, x) for p in f.parts))
+    elif isinstance(f, (Exists, Forall)) and f.var != x:
+        return reference_demands(f.body, x) - {f.var}
+    return frozenset()
 
 
 def reference_rowwise(node, t):
@@ -1326,7 +1359,7 @@ def reference_downward_closed(node, t):
 
 def test_closure_matches_reference_classifiers(rng):
     sampler = FormulaSampler(tuple(FormulaSampler.LEAVES))
-    ev = _Evaluator(ST, NO_LIMITS, None)
+    ev = _Evaluator(SWEEP_ST, NO_LIMITS, None)
     levels = {(True, True): ROWWISE, (False, True): DOWNWARD, (False, False): OPAQUE}
     z = {P: (PX,), Q: (QU,)}
     # every sort pattern of every atom kind, beside the sampler's leaves
@@ -1337,7 +1370,64 @@ def test_closure_matches_reference_classifiers(rng):
     atoms += [AtomF(PolyInd(i, (), z[i], j, (), z[j], k, (), z[k], z[k]))
               for i, j, k in itertools.product((P, Q), repeat=3)]
     for phi in atoms + [sampler.formula(rng, rng.randint(0, 3)) for _ in range(300)]:
+        ev.analyse(phi)
         for node in walk(phi):
             for t in (P, Q):
                 expected = levels[reference_rowwise(node, t), reference_downward_closed(node, t)]
-                assert ev.closure(node, t) == expected, (node, t)
+                assert ev.facts(node).closure(t) == expected, (node, t)
+
+
+# ---------------------------------------------------------------------------
+# The analysis pass against the walkers and the recursive reference_demands
+
+def assert_records_match_the_walkers(ev, phi):
+    for node in walk(phi):
+        facts = ev.facts(node)
+        assert facts.node is node
+        assert facts.sorts == mentioned_sorts(node) and facts.order == tuple(sorted(facts.sorts))
+        assert facts.free == frozenset().union(*free_variables(node).values()), node
+        assert facts.binds == {n.var.sort for n in walk(node) if isinstance(n, (Exists, Forall))}
+        if isinstance(node, (OrGlobal, OrLocal)):
+            assert list(facts.split) == reference_split_sorts(node), node
+        for x in all_variables(node):
+            assert facts.demands.get(x, frozenset()) == reference_demands(node, x), (node, x)
+        assert all(facts.demands.values()) and set(facts.demands) <= all_variables(node)
+
+
+def test_analysis_matches_the_walkers_and_reference_demands():
+    rng = random.Random(41)
+    sampler = FormulaSampler(tuple(FormulaSampler.LEAVES))
+    # beside the sampler's pinc: a repeated y, a swap, and x included in itself
+    extra = (AtomF(PolyInc(Q, (QU, QV), P, (PX, PX))), AtomF(PolyInc(P, (PY, PX), P, (PX, PY))),
+             AtomF(PolyInc(P, (PX, PY), P, (PX, PX))))
+    ev = _Evaluator(SWEEP_ST, NO_LIMITS, None)
+    for _ in range(400):
+        phi = sampler.formula(rng, rng.randint(0, 3))
+        if rng.random() < 0.4:
+            phi = And(phi, rng.choice(extra)) if rng.random() < 0.5 else \
+                OrLocal(frozenset((P,)), rng.choice(extra), phi)
+        ev.analyse(phi)
+        assert_records_match_the_walkers(ev, phi)
+        pt = random_polyteam(rng, {P: (PX, PY), Q: (QU, QV)}, (0, 1))
+        ev.check_input(phi, pt)
+        assert ev.facts(phi).passed[0] == tuple(free_variables(phi).items())
+    # a block rewrite shares the block's C and O nodes with the formula
+    for _ in range(60):
+        phi = block_formula(rng, rng.choice((("P.z1",), ("P.z1", "P.z2"))))
+        ev.analyse(phi)
+        rewritten = ev.block_disjunction(phi)
+        assert rewritten is ev.facts(phi).block
+        assert_records_match_the_walkers(ev, rewritten)
+
+
+@pytest.mark.parametrize("shape", ["exists-chain", "conjunction"])
+def test_analysis_of_5000_node_formulas_needs_no_recursion(shape):
+    zs = [Variable(P, f"z{i}") for i in range(5000)]
+    ev = _Evaluator(ST, NO_LIMITS, None)
+    if shape == "exists-chain":
+        facts = ev.analyse(exists_chain(zs, Eq(PX, PY)))
+        assert facts.free == {PX, PY} and facts.binds == {P} and facts.closure(P) == ROWWISE
+    else:
+        facts = ev.analyse(conjoin([AtomF(PolyInc(Q, (QU,), P, (z,))) for z in zs]))
+        assert facts.free == {QU, *zs} and facts.closure(P) == OPAQUE
+        assert facts.demands == {z: {QU} for z in zs}

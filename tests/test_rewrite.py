@@ -122,8 +122,19 @@ SINGLE = r"(E P.z . (pdep(P.x ; P.y | P.x ; P.y) \/_{P} P.z = P.x)) /\ Q.u = Q.v
 
 
 def demands(text):
+    """The inclusion demands of ∃x B, from the record of B."""
     phi = parse(text)
-    return _Evaluator(Structure((0, 1)), EvalConfig(), None).inclusion_demands(phi)
+    ev = _Evaluator(Structure((0, 1)), EvalConfig(), None)
+    ev.analyse(phi)
+    return ev.facts(phi.body).demands.get(phi.var, frozenset())
+
+
+def analysis(text):
+    """The evaluator's analysis pass, with the guards and block rewrite of the root."""
+    phi = parse(text)
+    ev = _Evaluator(Structure((0, 1)), EvalConfig(), None)
+    ev.analyse(phi)
+    return ev.guards(phi), ev.block_disjunction(phi)
 
 
 def embedded_dependency():
@@ -141,12 +152,13 @@ def naive_disjunction():
 @pytest.mark.parametrize("call", [
     lambda: free_variables(parse(CROSS)),
     lambda: demands(CROSS),
+    lambda: analysis(CROSS),
     lambda: rewrite_formula(parse(CROSS), "e4"),
     lambda: eliminate_global_disjunction(parse(CROSS)),
     lambda: decompose_by_sort(parse(SINGLE)),
     embedded_dependency,
     naive_disjunction,
-], ids=["free_variables", "inclusion_demands", "rewrite_formula",
+], ids=["free_variables", "inclusion_demands", "analysis", "rewrite_formula",
         "eliminate_global_disjunction", "decompose_by_sort", "embedded_dependency",
         "naive_eval"])
 def test_walkers_leave_no_cyclic_garbage(call):
