@@ -5,7 +5,11 @@ justified by a structural property of the clause being evaluated, never an
 approximation.  The properties used are
 
 * locality (satisfaction depends only on the teams at mentioned sorts) -
-  justifies restricting disjunction covers to mentioned sorts;
+  justifies restricting disjunction covers to mentioned sorts.  With
+  downward closure, it leaves one cover at a split sort s that some part
+  ignores and no part is opaque at: the parts that ignore s take the whole
+  sort-s team, which they cannot tell from any other, and the rest the
+  empty team, a subteam of any they could be given;
 * row decomposition - a subformula whose truth over the team at sort t is a
   conjunction of per-row facts (literals, dependence/exclusion atoms with one
   side at t, flat first-order parts, ...) lets covers and value choices be
@@ -41,9 +45,13 @@ approximation.  The properties used are
   Choices whose values miss such a w_k value are skipped, so the search
   cost no longer hangs on where the needed values fall in domain order;
 * downward closure at sort t - shrinking the sort-t team preserves truth,
-  so existential value sets can be searched as single values per row and an
+  so existential value sets can be searched as single values per row, an
   opaque-but-downward-closed disjunct takes exactly the rows no row-wise
-  disjunct accepts;
+  disjunct accepts, and where at most one of k parts is opaque at a split
+  sort t, the covers tried there are the partitions, k^rows, not the
+  (2^k - 1)^rows lax covers: a row that a cover gives to several parts can
+  leave all but one, keeping the opaque one if it has it.  Lax and strict
+  disjunction agree on downward-closed formulas (Galliani, APAL 2012);
 * existential blocks - let x̄ be a chain of sort-t existentials over a body
   C ∧ (D ∨ O), where C is row-wise at t, the disjunction splits only t, D
   stands for its row-wise parts, and its one other part O is downward-closed
@@ -84,7 +92,8 @@ raises is never stored.  ``evaluator_backed`` gives ``oracle.equivalent``
 one ``BulkEvaluator`` session per structure.
 
 Anything not certified falls back to literal enumeration of ∃ value choices
-or of k-way lax covers for k disjuncts, which the configuration caps guard.
+or of covers for k disjuncts, chosen per split sort as above, which the
+configuration caps guard.
 ``tests`` cross-validate every strategy against the naive oracle evaluator.
 
 Counting.  ``nodes_visited`` counts one node per ``eval`` call and one per
@@ -144,16 +153,23 @@ class EvalOutcome:
         return self.verdict == TRUE
 
 
-def enumerate_covers(team: Team, cap: Optional[int] = None, parts: int = 2):
-    """All lax covers by ``parts`` subteams, each once: (2^parts - 1)^|team|.
+def enumerate_covers(team: Team, cap: Optional[int] = None, parts: int = 2,
+                     partition: bool = False):
+    """The lax covers of ``team`` by ``parts`` subteams, each once, in a fixed order.
 
-    Each row goes to a nonempty set of the subteams; with two parts, to the
-    left, the right or both, in that order.
+    Each row goes to a nonempty set of the subteams, (2^parts - 1)^|team|
+    covers; with ``partition``, to exactly one of them, parts^|team|.  The
+    rows are routed in ``ordered_tuples`` order, the first varying slowest,
+    and each row's sets come in the order of their bit masks, subteam k
+    being bit k: with two parts, the left, the right, then both.  So the
+    partitions come in the order the lax covers list them.  Raises
+    ResourceExhausted("split") when the team has more than ``cap`` rows.
     """
     rows = team.ordered_tuples()
     if cap is not None and len(rows) > cap:
         raise ResourceExhausted("split")
-    for routing in itertools.product(range(1, 1 << parts), repeat=len(rows)):
+    ways = [1 << k for k in range(parts)] if partition else range(1, 1 << parts)
+    for routing in itertools.product(ways, repeat=len(rows)):
         yield tuple(team.with_rows([r for r, way in zip(rows, routing) if way >> k & 1])
                     for k in range(parts))
 
@@ -634,14 +650,25 @@ class _Evaluator:
 
     def eval_or_fallback(self, node, split, pt: Polyteam, pts=None) -> bool:
         # each row of each split team goes to a nonempty set of the parts, one
-        # split sort per call, with pts the polyteam of each part so far; with
-        # no split sort left, every part must hold on its polyteam
+        # split sort s per call, with pts the polyteam of each part so far; with
+        # no split sort left, every part must hold on its polyteam.  The parts'
+        # closure at s picks its covers (module docstring): one when some part
+        # ignores s and none is opaque there, the partitions when at most one
+        # is, else every lax cover
         parts = node.parts
         pts = pts or [pt] * len(parts)
         if not split:
             return all(self.eval(p, q) for p, q in zip(parts, pts))
-        for cover in enumerate_covers(pt.team(split[0]),
-                                      self.config.max_split_assignments, len(parts)):
+        s, team = split[0], pt.team(split[0])
+        records = [self.facts(p) for p in parts]
+        levels = [r.closure(s) for r in records]
+        if OPAQUE not in levels and any(s not in r.sorts for r in records):
+            empty = team.with_rows(())
+            covers = [tuple(empty if s in r.sorts else team for r in records)]
+        else:
+            covers = enumerate_covers(team, self.config.max_split_assignments, len(parts),
+                                      partition=levels.count(OPAQUE) <= 1)
+        for cover in covers:
             if self.eval_or_fallback(node, split[1:], pt,
                                      [q.with_team(y) for q, y in zip(pts, cover)]):
                 return True

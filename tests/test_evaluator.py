@@ -1,4 +1,6 @@
 import ast
+import collections
+import functools
 import itertools
 import random
 from pathlib import Path
@@ -16,7 +18,7 @@ from polyteam.model import (
     Assignment, Polyteam, Structure, Team, Variable, polyteam_restrict,
     polyteam_union, subteam_of,
 )
-from polyteam import oracle
+from polyteam import evaluator as evaluator_module, oracle
 from polyteam.oracle import (
     enumerate_polyteams, enumerate_structures, enumerate_teams, equivalent, naive_eval,
     tarski,
@@ -374,6 +376,179 @@ def test_k_part_fallback_matches_naive_oracle():
             assert holds(st, pt, phi) == naive_eval(st, pt, phi), (phi, pt)
 
 
+# ---------------------------------------------------------------------------
+# Cover routing: one cover, partitions or every lax cover per split sort
+
+def test_enumerate_covers_partitions():
+    rows = [row(x=0, y=0), row(x=1, y=1), row(x=0, y=1)]
+    for n in range(len(rows) + 1):
+        team = team_p(rows[:n])
+        ordered = team.ordered_rows()
+        # two parts: a row goes left or right, in that order
+        pairs = [(team_p([r for r, way in zip(ordered, routing) if way == 0]),
+                  team_p([r for r, way in zip(ordered, routing) if way == 1]))
+                 for routing in itertools.product((0, 1), repeat=n)]
+        assert list(enumerate_covers(team, parts=2, partition=True)) == pairs
+        for k in (1, 2, 3):
+            partitions = list(enumerate_covers(team, parts=k, partition=True))
+            assert len(partitions) == len(set(partitions)) == k ** n
+            for cover in partitions:
+                assert sum(map(len, cover)) == n
+                assert functools.reduce(Team.union, cover) == team
+            # in the order the lax covers list them
+            assert partitions == [c for c in enumerate_covers(team, parts=k)
+                                  if sum(map(len, c)) == n]
+
+
+# parts of a disjunction over P and Q, by kind: "ignores" mentions one sort
+# only, "down" is a same-sort pdep or pexc, "row" is row-wise at both sorts,
+# "opaque" is a pinc into the sort of its other side
+ROUTING_PARTS = {
+    "ignores": ["P.x = P.y", "R(P.x)", "Q.u != Q.v", "pinc(Q.u | Q.v)", "pinc(P.x | P.y)"],
+    "down": ["pdep(P.x ; P.y | P.x ; P.y)", "pexc(P.x | P.y)",
+             "pdep(Q.u ; Q.v | Q.u ; Q.v)", "pexc(Q.u | Q.v)"],
+    "row": ["pexc(P.y | Q.u)", "pdep(P.x ; P.y | Q.u ; Q.v)", r"P.x = P.y /\ Q.u != Q.v"],
+    "opaque": ["pinc(P.x | Q.v)", "pinc(Q.u | P.y)"],
+}
+ROUTING_STRUCTURES = list(enumerate_structures({"R": 1}, (0, 1)))
+
+
+def routing_disjunction(rng, k, split=(P, Q)):
+    """A disjunction of k parts that mentions P and Q and splits the sorts
+    ``split``, or, given None, P, Q or both."""
+    while True:
+        parts = []
+        for _ in range(k):
+            kind = rng.choice(sorted(ROUTING_PARTS))
+            part = parse(rng.choice(ROUTING_PARTS[kind]))
+            if rng.random() < 0.25:
+                part = And(part, parse(rng.choice(ROUTING_PARTS["ignores"])))
+            parts.append(part)
+        sorts = frozenset(split or rng.choice(((P,), (Q,), (P, Q))))
+        phi = OrGlobal(*parts) if len(sorts) == 2 and rng.random() < 0.5 else \
+            OrLocal(sorts, *parts)
+        if mentioned_sorts(phi) == {P, Q}:
+            return phi
+
+
+def cover_route(ev, phi, s):
+    """How ``eval_or_fallback`` covers sort s of phi: one cover, partitions, or all."""
+    records = [ev.facts(p) for p in phi.parts]
+    levels = [r.closure(s) for r in records]
+    if OPAQUE not in levels and any(s not in r.sorts for r in records):
+        return "one"
+    return "partitions" if levels.count(OPAQUE) <= 1 else "covers"
+
+
+def test_cover_routing_matches_naive_oracle():
+    rng = random.Random(23)
+    ev = _Evaluator(ROUTING_STRUCTURES[0], NO_LIMITS, None)
+    routes = collections.Counter()
+    for _ in range(320):
+        k = rng.choice((2, 2, 3, 4))
+        phi = routing_disjunction(rng, k, split=None)
+        split = ev.analyse(phi).split
+        if len(split) == 2 or len(ev.rowwise_split(phi.parts, split[0])[1]) > 1:
+            routes.update(cover_route(ev, phi, s) for s in split)
+        st = rng.choice(ROUTING_STRUCTURES)
+        for _ in range(4):
+            pt = random_polyteam(rng, {P: (PX, PY), Q: (QU, QV)}, (0, 1),
+                                 max_rows=2 if k < 4 else 1, min_rows=0)
+            assert holds(st, pt, phi) == naive_eval(st, pt, phi), (phi, pt)
+    assert min(routes[r] for r in ("one", "partitions", "covers")) >= 30, routes
+
+
+def test_parts_opaque_at_a_sort_may_need_to_share_its_rows():
+    # each Q row fits one part only, and both parts need the one P row: only
+    # a lax cover that gives it to both holds, so two parts opaque at P rule
+    # out partitions there
+    phi = parse(r"(pinc(Q.u | P.y) /\ Q.u = Q.v) \/ (pinc(Q.u | P.y) /\ Q.u != Q.v)")
+    pt = Polyteam([team_p([row(x=1, y=0)]),
+                   Team.from_tuples(Q, (QU, QV), [(0, 0), (0, 1)])])
+    assert holds(ST, pt, phi) and naive_eval(ST, pt, phi)
+    ev = _Evaluator(ST, NO_LIMITS, None)
+    ev.analyse(phi)
+    assert [cover_route(ev, phi, s) for s in (P, Q)] == ["covers", "partitions"]
+
+
+PU, PV = Variable(P, "u"), Variable(P, "v")
+DEPENDENCE_PAIR = parse(r"pdep(P.x ; P.y | P.x ; P.y) \/ pdep(P.u ; P.v | P.u ; P.v)")
+
+
+def dependence_pair_instance(rows, clashes):
+    """A structure and a P team of ``rows`` rows for ``DEPENDENCE_PAIR``: first
+    ``clashes`` rows (0, k, 0, k), which pairwise break both parts, then rows
+    of fresh values.  The pair is false from 3 clashes on."""
+    tuples = [(0, k, 0, k) for k in range(clashes)]
+    tuples += [(v, v, v, v) for v in range(10, 10 + rows - clashes)]
+    st = Structure(sorted({v for t in tuples for v in t}))
+    return st, Polyteam([Team.from_tuples(P, (PX, PY, PU, PV), tuples)])
+
+
+@pytest.mark.parametrize("rows,clashes,verdict,nodes", [
+    (12, 3, FALSE, 6145), (12, 2, TRUE, 1027), (14, 3, FALSE, 24577)])
+def test_disjunction_of_two_dependence_atoms_tries_only_partitions(rows, clashes, verdict,
+                                                                   nodes):
+    # both parts are downward-closed at P, so 2^rows partitions replace the
+    # 3^rows lax covers: 12 false rows took 669,223 nodes over all covers
+    st, pt = dependence_pair_instance(rows, clashes)
+    assert eval_formula(st, pt, DEPENDENCE_PAIR, EvalConfig()) == EvalOutcome(verdict, nodes)
+
+
+@pytest.mark.parametrize("clashes", [2, 3])
+def test_disjunction_of_two_dependence_atoms_matches_naive_oracle(clashes):
+    st, pt = dependence_pair_instance(5, clashes)
+    assert holds(st, pt, DEPENDENCE_PAIR) == naive_eval(st, pt, DEPENDENCE_PAIR) == \
+        (clashes < 3)
+
+
+def test_ignored_sort_above_the_split_cap_gets_a_verdict():
+    # the P team goes whole to the part that ignores P, and none of it to
+    # the other, downward-closed there; no P cover is enumerated, so its four
+    # rows no longer trip a cap of 2, and only the Q partitions are tried
+    phi = parse(r"pinc(Q.u | Q.v) \/ (pexc(P.x | P.y) /\ Q.u = Q.v)")
+    config = EvalConfig(max_split_assignments=2, timeout=None)
+    p_team = team_p([row(x=a, y=b) for a, b in itertools.product((0, 1), repeat=2)])
+    verdicts = set()
+    for q_team in enumerate_teams(Q, (QU, QV), (0, 1), 2, min_rows=0):
+        pt = Polyteam([p_team, q_team])
+        expected = TRUE if naive_eval(ST, pt, phi) else FALSE
+        assert eval_formula(ST, pt, phi, config).verdict == expected, pt
+        verdicts.add(expected)
+    assert verdicts == {TRUE, FALSE}
+
+
+def test_split_cap_trips_only_on_an_enumerated_team_above_it(monkeypatch):
+    # every verdict under a split cap of 1 or 2 is the oracle's, and the cap
+    # trips exactly where a team handed to ``enumerate_covers`` has more rows
+    rng = random.Random(29)
+    sizes = []
+
+    def recorded(team, cap=None, parts=2, partition=False):
+        sizes.append(len(team))
+        return enumerate_covers(team, cap, parts, partition)
+
+    monkeypatch.setattr(evaluator_module, "enumerate_covers", recorded)
+    ev = _Evaluator(ROUTING_STRUCTURES[0], NO_LIMITS, None)
+    trips = above_cap_answers = 0
+    for _ in range(400):
+        k = rng.choice((2, 2, 3))
+        phi = routing_disjunction(rng, k)
+        assert ev.analyse(phi).split == (P, Q)
+        st, cap = rng.choice(ROUTING_STRUCTURES), rng.choice((1, 2))
+        pt = random_polyteam(rng, {P: (PX, PY), Q: (QU, QV)}, (0, 1),
+                             max_rows=3 if k == 2 else 2, min_rows=0)
+        sizes.clear()
+        out = eval_formula(st, pt, phi, EvalConfig(max_split_assignments=cap, timeout=None))
+        assert (out.limit == "split") == any(size > cap for size in sizes), (phi, pt)
+        if out.verdict == EXHAUSTED:
+            trips += 1
+            continue
+        assert out.as_bool() == naive_eval(st, pt, phi), (phi, pt)
+        above_cap_answers += max(len(pt.team(P)), len(pt.team(Q))) > cap
+    assert trips >= 40 and above_cap_answers >= 40, (trips, above_cap_answers)
+
+
 def test_bulk_evaluator_agrees_with_eval_formula(rng):
     sampler = FormulaSampler(("eq", "pdep", "pinc"))
     bulk = BulkEvaluator(ST)
@@ -527,7 +702,7 @@ def test_session_context_without_room_for_its_probe_is_not_kept():
     assert memo_rows(roomy) == 4
 
 
-@pytest.mark.parametrize("pair,nodes", [("e2", 395), ("elim-or", 1437)])
+@pytest.mark.parametrize("pair,nodes", [("e2", 395), ("elim-or", 1199)])
 def test_sweep_shaped_session_work_is_pinned(pair, nodes):
     # one session over an equivalence sweep, as ``oracle equiv
     # --use-evaluator`` runs it; the count moves only if the session's work

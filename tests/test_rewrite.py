@@ -5,14 +5,15 @@ import warnings
 import pytest
 
 from polyteam.atoms import compile_embedded_dependency, parse_embedded_dependency
+from polyteam.errors import RewriteError
 from polyteam.evaluator import EvalConfig, _Evaluator
 from polyteam.model import Polyteam, Structure, Team
-from polyteam.oracle import equivalent, naive_eval
+from polyteam.oracle import enumerate_structures, equivalent, naive_eval
 from polyteam.rewrite import (
-    EmptyTeamWarning, decompose_by_sort, eliminate_global_disjunction, rewrite_formula,
-    translate_atom,
+    CardinalityWarning, EmptyTeamWarning, decompose_by_sort, eliminate_global_disjunction,
+    rewrite_formula, translate_atom,
 )
-from polyteam.syntax import AtomF, PolyInc, free_variables, parse
+from polyteam.syntax import And, AtomF, OrGlobal, OrLocal, PolyInc, free_variables, parse
 
 from samplers import P, PX, PY, Q, QU, QV, FormulaSampler, random_polyteam
 
@@ -115,6 +116,80 @@ def test_rewrite_agrees_with_the_naive_oracle_on_empty_teams_too(rule, text, val
         warnings.simplefilter("error")
         rewritten = rewrite_formula(phi, rule)
     assert equivalent(phi, rewritten, values=values, max_rows=2, min_rows=0) == (True, None)
+
+
+SPLIT_LEAVES = ["P.x = P.y", "Q.u != Q.v", "R(P.x)", "pdep(P.x ; P.y | P.x ; P.y)",
+                "pexc(Q.u | Q.v)", "pexc(P.y | Q.u)", "pinc(P.x | Q.v)", "pinc(Q.u | P.y)",
+                "pdep(P.x ; P.y | Q.u ; Q.v)"]
+
+
+def eliminated(phi):
+    with pytest.warns(CardinalityWarning):
+        return eliminate_global_disjunction(phi)
+
+
+# The split encoding nests one ∃ per fresh variable, and the naive oracle
+# tries every value set at each, so a third part or a second row multiplies
+# its work: some two-part pairs take over 3 s at two rows, some three-part
+# ones over 5 s at one.  Sampled pairs keep one row; two fixed ones take two.
+@pytest.mark.parametrize("text", [r"pexc(P.x | Q.u) \/ Q.u = Q.v",
+                                  r"P.x = P.y \/ Q.u = Q.v \/ pexc(P.x | Q.u)"])
+def test_fixed_global_disjunction_elimination_agrees_with_the_naive_oracle(text):
+    phi = parse(text)
+    psi = eliminated(phi)
+    assert equivalent(phi, psi, values=(0, 1), max_rows=2, min_rows=0) == (True, None)
+
+
+def test_global_disjunction_elimination_needs_two_values():
+    # with one value every fresh pair is equal, so no row reaches the right part
+    phi = parse(r"P.x = P.y \/ Q.u != Q.v")
+    same, witness = equivalent(phi, eliminated(phi), values=(0,), max_rows=1, min_rows=0)
+    assert not same and witness[2:] == (True, False)
+    assert equivalent(phi, eliminated(phi), values=(0, 1), max_rows=2, min_rows=0)[0]
+
+
+def test_sampled_global_disjunction_elimination_agrees_with_the_naive_oracle():
+    rng = random.Random(13)
+    expanded = 0
+    for _ in range(16):
+        parts = [parse(rng.choice(SPLIT_LEAVES)) for _ in range(2)]
+        if rng.random() < 0.25:
+            parts[0] = And(parts[0], parse(rng.choice(SPLIT_LEAVES)))
+        phi = OrGlobal(*parts) if rng.random() < 0.5 else OrLocal(frozenset((P, Q)), *parts)
+        if rng.random() < 0.25:
+            phi = And(parse(rng.choice(SPLIT_LEAVES)), phi)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", CardinalityWarning)
+            psi = eliminate_global_disjunction(phi)
+        expanded += bool(caught)
+        assert equivalent(phi, psi, values=(0, 1), max_rows=1, min_rows=0) == (True, None), phi
+    assert expanded >= 12
+
+
+def test_decomposition_holds_exactly_where_each_sort_part_holds():
+    # the claim in ``decompose_by_sort``'s docstring, on formulas with only
+    # single-sort atoms and single-sort local disjunctions
+    rng = random.Random(17)
+    sampler = FormulaSampler(("eq", "neq", "rel", "negrel", "dep_uni", "inc_uni", "exc_uni"),
+                             connectives=("and", "orlocal", "exists", "forall"))
+    structures = list(enumerate_structures({"R": 1}, (0, 1)))
+    domains = {P: (PX, PY), Q: (QU, QV)}
+    checked, verdicts = 0, set()
+    while checked < 300:
+        phi = sampler.formula(rng, rng.randint(1, 3))
+        try:
+            parts = decompose_by_sort(phi)
+        except RewriteError:
+            continue  # a local disjunction over both sorts
+        st = rng.choice(structures)
+        for _ in range(3):
+            pt = random_polyteam(rng, domains, (0, 1), max_rows=2, min_rows=0)
+            whole = naive_eval(st, pt, phi)
+            assert whole == all(naive_eval(st, Polyteam([pt.team(sort)]), part)
+                                for sort, part in parts.items()), (phi, pt)
+            verdicts.add(whole)
+            checked += 1
+    assert verdicts == {False, True}
 
 
 CROSS = r"E P.z . (pinc(Q.u | P.z) /\ (pdep(P.x ; P.y | Q.u ; Q.v) \/ P.z = P.x))"
