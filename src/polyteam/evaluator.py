@@ -27,9 +27,9 @@ approximation.  The properties used are
   team and unbound by the chain, admits a row's value a only if s[a/x](x̄)
   lies in rel(X_j, ȳ), or in R^M: lax ∃ keeps the one-row team nonempty and
   leaves X_j as it is, and R(x̄) is flat.  Candidate values come from a hash
-  join of the row against each guard's relation; the structure is fixed, so
-  the index of a relation guard is built once per evaluator, and the index
-  of a pinc guard is kept while the sort-j team's relation stays the same;
+  join of the row against each guard's relation, whose index is kept while
+  that relation stays the same: for good for R^M, which the structure fixes,
+  and while the sort-j team's relation does for a pinc guard;
 * exclusion guards - when ∀x B at sort t is decided row by row, B itself or
   one part of a disjunction B that splits only t, if it is pexc(x̄ | ȳ) (in
   either orientation) with x̄ at t, ȳ at another sort and x in x̄, or a
@@ -66,11 +66,11 @@ one record (``_Facts``), built from its parts' records: the sorts it
 mentions, its free variables, the sorts it binds, its split sorts, inclusion
 demands and closure levels.  Row decomposition and downward closure form
 one lattice, OPAQUE < DOWNWARD < ROWWISE at each sort, so row-wise implies
-downward-closed by construction.  A quantifier's guards and an ∃'s block
-rewrite, whose new nodes then get records, are kept in its record on first
-use.  Records, keyed by node id, hold their nodes, as the memo entries of
-guard indexes, literal projectors and compiled row tests do, so no id
-either keys on is reused while they live.  A session keeps both.
+downward-closed by construction.  All else built from a node is kept in its
+record on first use: a quantifier's guards, an ∃'s block rewrite (whose new
+nodes get records), literal projectors, compiled row tests and guard join
+slots.  Records, keyed by node id, hold their nodes, so no id is reused
+while they live.  A session keeps them.
 
 Row verdicts.  One loop, ``row_loop``, decides one row at a time: for the
 row-wise parts of a disjunction that splits only sort t, for the body of a
@@ -205,16 +205,19 @@ class _Facts:
     ``demands``: x -> the variables whose values it demands that ∃x cover.
     Filled on first use: ``guards``, of an ∃ or a ∀; ``block``, an ∃'s block
     rewrite, or False; ``passed``, at a formula ``check_input`` met, its free
-    variables by sort and the domains that last passed.  A record holds its
-    node, never the evaluator.
+    variables by sort and the domains that last passed; ``getters``, a
+    literal's row projector per team domain; ``compiled``, its row test per
+    (sort, column layout); ``joins``, a guard's join slot per position of x.
+    A record holds its node, never the evaluator.
     """
 
     __slots__ = ("node", "sorts", "order", "free", "binds", "split", "levels", "demands",
-                 "guards", "block", "passed")
+                 "guards", "block", "passed", "getters", "compiled", "joins")
 
     def __init__(self, node, records):
         self.node = node
         self.guards = self.block = self.passed = None
+        self.getters, self.compiled, self.joins = {}, {}, {}
         below = [records[id(p)] for p in node.parts] if isinstance(node, Connective) else \
             [records[id(node.body)]] if isinstance(node, (Exists, Forall)) else []
         own = atom_sorts(node.atom) if isinstance(node, AtomF) else \
@@ -275,11 +278,11 @@ class _Facts:
 
 
 def _guard(guard, xs, x, bound, target):
-    """A guard of x in the variables xs: (the atom or literal, the positions
-    of x in xs, those of the other variables, those variables, and the sort
-    and variables of the relation to join, or None for R^M).  None when x is
-    not in xs, or ``bound`` holds one of the other variables: a row's value
-    says nothing of a variable bound below the quantifier.
+    """A guard of x in the variables xs: (its AtomF or literal node, the
+    positions of x in xs, those of the other variables, those variables, and
+    the sort and variables of the relation to join, or None for R^M).  None
+    when x is not in xs, or ``bound`` holds one of the other variables: a
+    row's value says nothing of a variable bound below the quantifier.
     """
     at_keys = tuple(k for k, v in enumerate(xs) if v != x)
     keys = tuple(xs[k] for k in at_keys)
@@ -300,8 +303,6 @@ class _Evaluator:
             self.deadline = time.monotonic() + config.timeout
         # id(node) -> the node's record, from ``analyse``
         self.records = {}
-        # key -> (node, answer), for the data-keyed caches: (name, id(node), ...)
-        self.memo = {}
         # context -> (verdicts, their count and the rows reserved at the last hand-out)
         self.contexts = {}
         # a bound on the rows the contexts hold: the rows of their keys, and
@@ -309,10 +310,6 @@ class _Evaluator:
         self.rows_held = 0
 
     # -- analysis ---------------------------------------------------------
-
-    def _store(self, key, node, answer):
-        self.memo[key] = (node, answer)
-        return answer
 
     def facts(self, node) -> _Facts:
         """The node's record; ``analyse`` has met every node ``eval`` meets."""
@@ -407,13 +404,13 @@ class _Evaluator:
         raise TypeError(f"not a formula node: {node!r}")
 
     def getter(self, node, team: Team):
-        """The literal's row projector on teams with this domain, built once."""
-        key = ("getter", id(node), team.domain)
-        got = self.memo.get(key)
-        if got is not None:
-            return got[1]
-        variables = (node.left, node.right) if isinstance(node, (Eq, Neq)) else node.args
-        return self._store(key, node, team.projector(variables))
+        """The literal's row projector on teams with this domain, kept in its record."""
+        getters = self.facts(node).getters
+        got = getters.get(team.domain)
+        if got is None:
+            variables = (node.left, node.right) if isinstance(node, (Eq, Neq)) else node.args
+            got = getters[team.domain] = team.projector(variables)
+        return got
 
     def eval_literal(self, node, pt: Polyteam) -> bool:
         if isinstance(node, (Eq, Neq)):
@@ -508,24 +505,24 @@ class _Evaluator:
         """bind(ev, pt) -> test(row): whether node holds on the one-row team {s}.
 
         node is row-wise at sort t; ``layout`` names the sort-t variable at
-        each position of s's tuple.  Built once per (node, t, layout), with
-        no reference to the evaluator ev, so the memo makes no cycle.  Test
-        a row only once node held on the empty sort-t team, as a row loop's
-        probe shows: then so did every part below, since an empty team splits
-        and extends only into empty teams, and flatness gives each rule.  ∃x
-        and ∀x try the body on s's tuple with x overwritten, or appended, by
-        each value from ``picker``; a ∀ with none holds, as its body on
-        {s}[∅/x] is the probe's.  Anything else, such as a quantifier at
-        another sort or a ∀ whose body binds at t (so caps see its
-        expansion), is evaluated on the slice {s}.
+        each position of s's tuple.  Built once per (t, layout) and kept in
+        node's record, with no reference to the evaluator ev, which no record
+        holds.  Test a row only once node held on the empty sort-t team, as a
+        row loop's probe shows: then so did every part below, since an empty
+        team splits and extends only into empty teams, and flatness gives
+        each rule.  ∃x and ∀x try the body on s's tuple with x overwritten,
+        or appended, by each value from ``picker``; a ∀ with none holds, as
+        its body on {s}[∅/x] is the probe's.  Anything else, such as a
+        quantifier at another sort or a ∀ whose body binds at t (so caps see
+        its expansion), is evaluated on the slice {s}.
         """
-        key = ("compiled", id(node), t, layout)
-        got = self.memo.get(key)
+        facts = self.facts(node)
+        got = facts.compiled.get((t, layout))
         if got is not None:
-            return got[1]
+            return got
         domain = self.structure.domain
         atom = node.atom if isinstance(node, AtomF) else None
-        split = self.facts(node).split
+        split = facts.split
         if isinstance(node, (Eq, Neq)) and node.left.sort == t:
             i, j = map(layout.index, (node.left, node.right))
             want = isinstance(node, Eq)
@@ -602,7 +599,8 @@ class _Evaluator:
                     team = empty.with_rows((row if order is None else order(row),))
                     return bool(ev.eval(node, pt.with_team(team)))
                 return test
-        return self._store(key, node, bind)
+        facts.compiled[t, layout] = bind
+        return bind
 
     # -- disjunction ------------------------------------------------------
 
@@ -785,16 +783,20 @@ class _Evaluator:
             if isinstance(c, Rel if inclusion else NegRel):
                 guards.append(_guard(c, c.args, x, bound, None))
             elif inclusion and isinstance(a, PolyInc) and a.sort_i == t != a.sort_j:
-                guards.append(_guard(a, a.x, x, bound, (a.sort_j, a.y)))
+                guards.append(_guard(c, a.x, x, bound, (a.sort_j, a.y)))
             elif not inclusion and isinstance(a, PolyExc) and (a.sort_i == t) != (a.sort_j == t):
                 mine, target = (a.x, (a.sort_j, a.y)) if a.sort_i == t else (a.y, (a.sort_i, a.x))
-                guards.append(_guard(a, mine, x, bound, target))
+                guards.append(_guard(c, mine, x, bound, target))
         facts.guards = tuple(g for g in guards if g is not None)
         return facts.guards
 
     def join_index(self, tuples, at_x, at_keys) -> dict:
-        """Key values -> the domain values a that some tuple has at every x position."""
+        """Key values -> the domain values a that some tuple has at every x
+        position.  The tuples share one width; unless it is |at_x| + |at_keys|,
+        none joins."""
         index = {}
+        if len(next(iter(tuples), ())) != len(at_x) + len(at_keys):
+            return index
         for values in tuples:
             a = values[at_x[0]]
             if a not in self.domain_set or any(values[k] != a for k in at_x[1:]):
@@ -802,43 +804,29 @@ class _Evaluator:
             index.setdefault(tuple(values[k] for k in at_keys), set()).add(a)
         return index
 
-    def relation_index(self, rel, at_x, at_keys) -> dict:
-        """``join_index`` of R^M for the guard R(x̄) or !R(x̄), built once per evaluator.
-
-        Only tuples of length |x̄| count: under another arity R(x̄) fails on
-        every nonempty team, so it admits no value, and !R(x̄) holds on every
-        team, so it blocks none.
-        """
-        # the positions of x fix the others: at_keys is every position not in at_x
-        key = ("relation index", id(rel), at_x)
-        got = self.memo.get(key)
-        if got is not None:
-            return got[1]
-        width = len(rel.args)
-        tuples = [v for v in self.structure.relation(rel.name) if len(v) == width]
-        return self._store(key, rel, self.join_index(tuples, at_x, at_keys))
-
     def guard_index(self, guard, at_x, at_keys, target, pt: Polyteam) -> dict:
         """The guard's ``join_index``: of R^M for a literal, else of rel(X_j, ȳ).
 
-        The memo keeps one slot per guard atom and position of x: the
-        relation the index was built from, and the index.  The slot is reused
-        while ``Team.relation`` returns that same frozenset, as it does for
-        every slice of one polyteam, and replaced when X_j changes.
+        The guard's record keeps one slot per position of x: the relation the
+        index was built from, and the index, reused while the relation is the
+        same frozenset, as R^M always is and rel(X_j, ȳ) is for every slice of
+        one polyteam.  Under another arity R^M joins as no tuples: then R(x̄)
+        fails on every nonempty team, so it admits no value, and !R(x̄) holds
+        on every team, so it blocks none.
         """
-        if target is None:
-            return self.relation_index(guard, at_x, at_keys)
-        sort, variables = target
-        rel = pt.team(sort).relation(variables)
-        key = ("join", id(guard), at_x)
-        got = self.memo.get(key)
-        if got is not None and got[1][0] is rel:
-            return got[1][1]
-        return self._store(key, guard, (rel, self.join_index(rel, at_x, at_keys)))[1]
+        rel = self.structure.relation(guard.name) if target is None else \
+            pt.team(target[0]).relation(target[1])
+        joins = self.facts(guard).joins
+        got = joins.get(at_x)
+        if got is not None and got[0] is rel:
+            return got[1]
+        index = self.join_index(rel, at_x, at_keys)
+        joins[at_x] = (rel, index)
+        return index
 
-    def picker(self, node, pt: Polyteam, layout=None):
-        """Row tuple over ``layout`` (by default the sort-t team's domain) ->
-        the values for x, in domain order, that every guard's index gives it:
+    def picker(self, node, pt: Polyteam, layout):
+        """Row tuple over ``layout`` -> the values for x, in domain order,
+        that every guard's index gives it:
         for ∃x B the values its inclusion guards admit, for ∀x B those its
         exclusion guards all block, which alone can refute the row.  () when
         some index lacks the row, and None when there is no guard.
@@ -847,7 +835,6 @@ class _Evaluator:
         says so for this context: that evaluated every guard, so their
         variables lie in the team domains and each R names a relation.
         """
-        layout = layout or pt.team(node.var.sort).domain
         indexes = [(_getter(tuple(map(layout.index, keys))),
                     self.guard_index(guard, at_x, at_keys, target, pt))
                    for guard, at_x, at_keys, keys, target in self.guards(node)]
@@ -896,10 +883,11 @@ def eval_sentence(structure: Structure, phi: Formula,
 class BulkEvaluator:
     """Many evaluations against one structure, sharing one engine across queries.
 
-    The engine's records (one analysis pass per formula, see the module
-    docstring), its memo and its row verdicts carry over from one ``holds``
-    call to the next, so a formula met again is neither walked nor checked
-    again.  Raises ResourceExhausted instead of returning a third verdict.
+    The engine's records (one analysis pass per formula, with what is built
+    from each node, see the module docstring) and its row verdicts carry over
+    from one ``holds`` call to the next, so a formula met again is neither
+    walked, checked nor compiled again.  Raises ResourceExhausted instead of
+    returning a third verdict.
     """
 
     def __init__(self, structure: Structure, config: Optional[EvalConfig] = None,
@@ -915,8 +903,8 @@ def evaluator_backed(config=None, registry=None):
     """An ``evaluate`` callback for ``oracle.equivalent`` driving this evaluator.
 
     For equivalence sweeps too large for the oracle's naive default.  One
-    session serves each structure in turn, so the records of both formulas,
-    the memo and the row verdicts carry across the structure's polyteams;
+    session serves each structure in turn, so the records of both formulas
+    and the row verdicts carry across the structure's polyteams;
     ``equivalent`` is done with a structure once it moves on, so only the
     current session is kept.
     """

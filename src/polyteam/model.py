@@ -18,8 +18,8 @@ column layout of their own; everyone else goes through ``relation``
 and give row tuples.  Teams are immutable, so each keeps three caches,
 filled on first use and never inherited by a team derived from it:
 ``relation`` per variable tuple, ``rows`` (the Assignments) and
-``ordered_tuples``.  Its hash, too, is computed on first use: the evaluator
-builds many one-row slices and hashes almost none of them.  The canonical row order, which
+``ordered_tuples``.  Its hash is computed on each call, from the rows'
+frozenset, which keeps its own.  The canonical row order, which
 ``ordered_tuples`` gives and every row loop walks, is ``value_key`` order
 position by position; ``value_sorted`` computes it by plain tuple
 comparison, in C, when every value is a ``str``, as every value of a CSV
@@ -189,7 +189,7 @@ class Team:
     value tuples aligned with ``domain`` (see the module docstring).
     """
 
-    __slots__ = ("sort", "domain", "tuples", "_hash", "_relations", "_rows", "_ordered")
+    __slots__ = ("sort", "domain", "tuples", "_relations", "_rows", "_ordered")
 
     def __init__(self, sort: Sort, domain: Iterable[Variable], rows: Iterable[Assignment] = ()):
         domain = _checked_domain(sort, domain)
@@ -234,7 +234,6 @@ class Team:
         object.__setattr__(self, "sort", sort)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "tuples", tuples)
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_relations", None)
         object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_ordered", None)
@@ -253,11 +252,7 @@ class Team:
         return NotImplemented
 
     def __hash__(self):
-        got = self._hash
-        if got is None:
-            got = hash((self.sort, self.domain, self.tuples))
-            object.__setattr__(self, "_hash", got)
-        return got
+        return hash((self.sort, self.domain, self.tuples))
 
     def __len__(self):
         return len(self.tuples)
@@ -410,12 +405,11 @@ class Polyteam(Mapping):
 
     Teams equal to the singleton-empty-assignment default are normalized
     away, implementing the identification of a polyteam with its finitely
-    many non-default components.  The store keeps insertion order and the
-    hash is computed on first use; ``sorts()``, iteration and ``repr`` list
-    the sorts in sorted order.
+    many non-default components.  The store keeps insertion order;
+    ``sorts()``, iteration and ``repr`` list the sorts in sorted order.
     """
 
-    __slots__ = ("_teams", "_hash")
+    __slots__ = ("_teams",)
 
     def __init__(self, teams: Union[Mapping, Iterable[Team]] = ()):
         if isinstance(teams, Mapping):
@@ -433,7 +427,6 @@ class Polyteam(Mapping):
             if team.domain or not team.tuples:
                 store[team.sort] = team
         object.__setattr__(self, "_teams", store)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Polyteam is immutable")
@@ -453,9 +446,7 @@ class Polyteam(Mapping):
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(frozenset(self._teams.items())))
-        return self._hash
+        return hash(frozenset(self._teams.items()))
 
     def __repr__(self):
         return f"Polyteam({[self._teams[s] for s in self.sorts()]!r})"
@@ -479,7 +470,6 @@ class Polyteam(Mapping):
             store[team.sort] = team
         self2 = object.__new__(Polyteam)
         object.__setattr__(self2, "_teams", store)
-        object.__setattr__(self2, "_hash", None)
         return self2
 
 

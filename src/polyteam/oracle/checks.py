@@ -84,12 +84,21 @@ def _exhaustive_counterexample(premises, conclusion, values, max_rows):
 
 def find_semantic_counterexample(premises, conclusion, values=(0, 1, 2),
                                  max_rows=2, method="auto") -> Optional[Polyteam]:
-    """A bounded polyteam satisfying the premises and violating the conclusion."""
+    """A bounded polyteam satisfying the premises and violating the conclusion.
+
+    Raises ValueError when the bounds admit no polyteam, or when the reduced
+    search, exhaustive only from two rows up, is asked for below that.
+    """
+    if not values or max_rows < 0:
+        raise ValueError(f"the bounds admit no polyteam: at most {max_rows} rows per "
+                         f"team over the values {list(values)}")
     premises = tuple(premises)
     all_pdep = all(isinstance(a, PolyDep) for a in premises + (conclusion,))
     if method == "reduced" or (method == "auto" and all_pdep and max_rows >= 2):
         if not all_pdep:
             raise SortedDomainError("reduced search only covers poly-dependence atoms")
+        if max_rows < 2:
+            raise ValueError(f"reduced search needs max_rows >= 2, got {max_rows}")
         return _reduced_counterexample(premises, conclusion, values)
     return _exhaustive_counterexample(premises, conclusion, values, max_rows)
 
@@ -130,6 +139,7 @@ def equivalent(phi: Formula, psi: Formula, values=(0, 1), max_rows=2, min_rows=0
 
     ``evaluate`` defaults to the naive evaluator; pass a callable
     ``(structure, polyteam, formula) -> bool`` to drive a faster engine.
+    Raises ValueError, before any verdict, when the bounds admit no polyteam.
     """
     if evaluate is None:
         def evaluate(structure, pt, formula):
@@ -141,6 +151,11 @@ def equivalent(phi: Formula, psi: Formula, values=(0, 1), max_rows=2, min_rows=0
         for sort, vs in free_variables(formula).items():
             domains[sort] = tuple(sorted(set(domains.get(sort, ())) | vs))
     values = tuple(sorted(set(values), key=value_key))
+    # a team over the variables vs has at most |values|^|vs| distinct rows
+    most = min((len(values) ** len(vs) for vs in domains.values()), default=max_rows)
+    if not values or max_rows < 0 or min_rows > min(max_rows, most):
+        raise ValueError(f"the bounds admit no polyteam: {min_rows} to {max_rows} rows "
+                         f"per team over the values {list(values)}")
     signature = _relation_signature(phi, psi)
     for structure in enumerate_structures(signature, values):
         for pt in enumerate_polyteams(domains, values, max_rows, min_rows):

@@ -379,6 +379,79 @@ def test_atoms_file_parse_errors_point_into_the_file(capsys, tmp_path, line, mes
 
 
 # ---------------------------------------------------------------------------
+# Caps and bounds that leave nothing to check are input errors: exit 3 with
+# the error on stderr, and never a verdict on stdout
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--max-rows", "0", "caps must be positive"),
+    ("--max-split", "0", "caps must be positive"),
+    ("--timeout-ms", "-5", "timeout must be positive"),
+])
+def test_check_caps_that_are_not_positive_exit_3(capsys, tmp_path, p_team, option, value,
+                                                 message):
+    formula = write(tmp_path, "phi.ptf", "P.x = P.y")
+    argv = ["check", "--formula", str(formula), "--team", f"P={p_team}", option, value]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# a cross-sort pdep implies itself; a same-sort a -> b does not give b -> a,
+# but only a two-row team shows it
+ORACLE_INPUTS = {
+    "equiv": ("P.x = P.y", "P.x != P.y"),
+    "pdep-pair": "pdep(P.x ; P.y | Q.u ; Q.v)\npdep(P.x ; P.y | Q.u ; Q.v)\n",
+    "converse": "pdep(S.a ; S.b | S.a ; S.b)\npdep(S.b ; S.a | S.b ; S.a)\n",
+}
+NO_ROOM = "error: the bounds admit no polyteam: "
+TWO_VALUES = " rows per team over the values ['0', '1']"
+
+
+ORACLE_RUNS = {
+    "equiv-negative-rows": ("equiv", ["--max-rows", "-1"], 3, NO_ROOM + "0 to -1" + TWO_VALUES),
+    "equiv-min-above-max": ("equiv", ["--min-rows", "3", "--max-rows", "2"], 3,
+                            NO_ROOM + "3 to 2" + TWO_VALUES),
+    # a team over P.x and P.y has at most 4 rows over two values
+    "equiv-min-above-team": ("equiv", ["--min-rows", "5", "--max-rows", "9"], 3,
+                             NO_ROOM + "5 to 9" + TWO_VALUES),
+    "equiv-no-values": ("equiv", ["--values", ","], 3,
+                        NO_ROOM + "0 to 2 rows per team over the values []"),
+    "implies-negative-rows": ("pdep-pair", ["--max-rows", "-1"], 3,
+                              NO_ROOM + "at most -1 rows per team over the values "
+                                        "['0', '1', '2']"),
+    "implies-no-values": ("pdep-pair", ["--values", ","], 3,
+                          NO_ROOM + "at most 2 rows per team over the values []"),
+    "reduced-one-row": ("converse", ["--method", "reduced", "--max-rows", "1"], 3,
+                        "error: reduced search needs max_rows >= 2, got 1"),
+    # empty teams are still there to check
+    "equiv-no-rows": ("equiv", ["--max-rows", "0"], 0, "equivalent"),
+    "implies-no-rows": ("pdep-pair", ["--max-rows", "0"], 0, "implies"),
+    "reduced-two-rows": ("converse", ["--method", "reduced", "--max-rows", "2"], 1,
+                         "not-implies"),
+    "exhaustive-one-row": ("converse", ["--method", "exhaustive", "--max-rows", "1"], 0,
+                           "implies"),
+    "auto-one-row": ("converse", ["--max-rows", "1"], 0, "implies"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(ORACLE_RUNS))
+def test_oracle_answers_only_where_the_bounds_admit_a_polyteam(capsys, tmp_path, run):
+    inputs, options, code, text = ORACLE_RUNS[run]
+    if inputs == "equiv":
+        left, right = ORACLE_INPUTS[inputs]
+        argv = ["oracle", "equiv", "--left", str(write(tmp_path, "l.ptf", left)),
+                "--right", str(write(tmp_path, "r.ptf", right))]
+    else:
+        argv = ["oracle", "implies",
+                "--atoms", str(write(tmp_path, "a.pdep", ORACLE_INPUTS[inputs]))]
+    assert cli.main(argv + options) == code
+    captured = capsys.readouterr()
+    if code == 3:
+        assert captured == ("", text + "\n")
+    else:
+        assert (captured.out.splitlines()[0], captured.err) == (text, "")
+
+
+# ---------------------------------------------------------------------------
 # Bounded equivalence: the evaluator-backed sweep prints what the naive one does
 
 EQUIV_PAIRS = {

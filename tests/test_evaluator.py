@@ -723,7 +723,7 @@ def test_sweep_shaped_session_work_is_pinned(pair, nodes):
 
 def test_literal_getter_is_kept_per_team_domain():
     ev = _Evaluator(Structure((0, 1), {"R": [(1,)]}), NO_LIMITS, None)
-    eq, rel = Eq(PX, PY), Rel("R", (PY,))
+    eq, rel = analysed(ev, Eq(PX, PY)), analysed(ev, Rel("R", (PY,)))
     narrow = Polyteam([Team.from_tuples(P, (PX, PY), [(1, 1)])])
     wide = Polyteam([Team.from_tuples(P, (PW, PX, PY), [(0, 1, 1)])])
     wide_false = Polyteam([Team.from_tuples(P, (PW, PX, PY), [(1, 1, 0)])])
@@ -731,6 +731,7 @@ def test_literal_getter_is_kept_per_team_domain():
         assert ev.eval(eq, narrow) and ev.eval(rel, narrow)
         assert ev.eval(eq, wide) and ev.eval(rel, wide)
         assert not ev.eval(eq, wide_false) and not ev.eval(rel, wide_false)
+    assert len(ev.facts(eq).getters) == len(ev.facts(rel).getters) == 2
 
 
 @pytest.mark.parametrize("left,right", [
@@ -846,7 +847,7 @@ def test_guard_witnesses_are_the_join_values():
     pt = Polyteam([p_team, q_team])
 
     def guarded(text):
-        return ev.picker(analysed(ev, text), pt)
+        return ev.picker(analysed(ev, text), pt, p_team.domain)
 
     def picks(text):
         witnesses = guarded(text)
@@ -903,8 +904,10 @@ REL_GUARD_CASES = {
     "bound-later": (r"E P.x . E P.y . R2(P.y, P.x)", 0),
     "in-disjunction": (r"E P.x . (P.x = P.y \/ R(P.x))", 0),
     "beside-pinc": (r"E P.x . (R2(P.y, P.x) /\ pinc(P.x | Q.u))", 2),
-    # a unary R read as binary fails on every nonempty team
+    # a unary R read as binary fails on every nonempty team, as does a
+    # binary R2 read as unary
     "arity-mismatch": (r"E P.x . R(P.y, P.x)", 1),
+    "arity-mismatch-wide": (r"E P.x . R2(P.x)", 1),
 }
 REL_STRUCTURES = [Structure(VALUES3, {"R": r, "R2": r2}) for r, r2 in [
     ([], []),
@@ -944,7 +947,7 @@ def test_relation_guard_witnesses_are_the_join_values():
     pt = Polyteam([p_team, q_team])
 
     def picks(text):
-        witnesses = ev.picker(analysed(ev, text), pt)
+        witnesses = ev.picker(analysed(ev, text), pt, p_team.domain)
         return [list(witnesses(r)) for r in p_team.ordered_tuples()]
 
     assert picks(r"E P.x . R(P.x)") == [[0, 2], [0, 2]]
@@ -954,7 +957,8 @@ def test_relation_guard_witnesses_are_the_join_values():
     # the pinc guard allows u in {0, 1}: the candidate sets intersect
     assert picks(r"E P.x . (R2(P.y, P.x) /\ pinc(P.x | Q.u))") == [[1], [0]]
     assert picks(r"E P.x . R(P.y, P.x)") == [[], []]
-    assert ev.picker(analysed(ev, r"E P.x . E P.y . R2(P.y, P.x)"), pt) is None
+    unguarded = analysed(ev, r"E P.x . E P.y . R2(P.y, P.x)")
+    assert ev.picker(unguarded, pt, p_team.domain) is None
 
 
 def test_relation_guard_index_is_kept_per_position_of_x():
@@ -964,32 +968,38 @@ def test_relation_guard_index_is_kept_per_position_of_x():
     team = Team.from_tuples(P, (PX, PY), [(0, 0), (1, 1)])
     pt = Polyteam([team])
     rows = team.ordered_tuples()
-    by_x = ev.picker(analysed(ev, Exists(PX, r2)), pt)
-    by_y = ev.picker(analysed(ev, Exists(PY, r2)), pt)
+    by_x = ev.picker(analysed(ev, Exists(PX, r2)), pt, team.domain)
+    by_y = ev.picker(analysed(ev, Exists(PY, r2)), pt, team.domain)
     assert [list(by_x(r)) for r in rows] == [[1, 2], [0]]
     assert [list(by_y(r)) for r in rows] == [[1], [0]]
 
 
-def test_relation_guard_index_is_built_once_per_session():
-    calls = []
+@pytest.fixture
+def join_builds(monkeypatch):
+    """The relation of each index ``join_index`` builds, in order."""
+    built = []
+    join_index = _Evaluator.join_index
 
-    class CountingStructure(Structure):
-        def relation(self, name):
-            calls.append(name)
-            return super().relation(name)
+    def counting(self, tuples, at_x, at_keys):
+        built.append(tuples)
+        return join_index(self, tuples, at_x, at_keys)
 
-    st = CountingStructure(VALUES3, {"R2": [(0, 1), (2, 2)]})
+    monkeypatch.setattr(_Evaluator, "join_index", counting)
+    return built
+
+
+def test_relation_guard_index_is_built_once_per_session(join_builds):
+    st = Structure(VALUES3, {"R2": [(0, 1), (2, 2)]})
     phi = parse(r"E P.x . R2(P.y, P.x)")
-    # the first call runs the probe, compiles the row test of R2(P.y, P.x)
-    # and builds the index, one call each, before it tries the witness; the
-    # second finds all three kept, and its row joins nothing, so it tries no
-    # witness
+    # the first call builds the index of R2^M before it tries the witness;
+    # the second finds it kept, and its row joins nothing, so it tries no
+    # witness; a new evaluator builds it again
     seen, unseen = (Polyteam([Team(P, (PY,), [Assignment({PY: y})])]) for y in (0, 1))
     bulk = BulkEvaluator(st)
-    assert bulk.holds(seen, phi) and calls == ["R2"] * 3
-    del calls[:]
-    assert not bulk.holds(unseen, phi) and calls == []
-    assert not holds(st, unseen, phi) and calls == ["R2"] * 3
+    assert bulk.holds(seen, phi) and join_builds == [st.relation("R2")]
+    del join_builds[:]
+    assert not bulk.holds(unseen, phi) and join_builds == []
+    assert not holds(st, unseen, phi) and join_builds == [st.relation("R2")]
 
 
 # ---------------------------------------------------------------------------
@@ -1114,7 +1124,7 @@ def test_compiled_row_tests_agree_with_naive_oracle():
                 assert holds(st, pt, phi, registry=registry) == expected, (shape, phi, pt)
                 assert session.holds(pt, phi) == expected, (shape, phi, pt)
                 answers.setdefault(shape, set()).add(expected)
-            if any(key[0] == "compiled" for key in session._engine.memo if isinstance(key, tuple)):
+            if any(r.compiled for r in session._engine.records.values()):
                 compiled.add(shape)
     assert all(seen == {False, True} for seen in answers.values()), answers
     assert compiled == set(answers)
@@ -1175,7 +1185,7 @@ def test_refuters_are_the_join_values():
     pt = Polyteam([p_team, q_team])
 
     def picks(text):
-        refuters = ev.picker(analysed(ev, text), pt)
+        refuters = ev.picker(analysed(ev, text), pt, p_team.domain)
         return [sorted(refuters(r)) for r in p_team.ordered_tuples()]
 
     # keyed on P.y: y=0 meets u=0 (v in {0, 1}), y=2 meets u=2 (v=1)
@@ -1190,7 +1200,8 @@ def test_refuters_are_the_join_values():
         [[1], []]
     # !R read at the wrong arity holds on every row: nothing refutes it
     assert picks(r"A P.z . !R(P.y, P.z)") == [[], []]
-    assert ev.picker(analysed(ev, r"A P.z . (P.z = P.y \/_{P} P.z = P.x)"), pt) is None
+    unguarded = analysed(ev, r"A P.z . (P.z = P.y \/_{P} P.z = P.x)")
+    assert ev.picker(unguarded, pt, p_team.domain) is None
 
 
 # two or three parts of a ∀ body over P, with {z} the bound variable; R is
@@ -1275,7 +1286,7 @@ def test_forall_work_does_not_grow_with_unrelated_values():
 
 
 def guard_slots(bulk):
-    return [key for key in bulk._engine.memo if isinstance(key, tuple) and key[0] == "join"]
+    return sum(len(r.joins) for r in bulk._engine.records.values())
 
 
 def test_sweep_session_keeps_one_index_per_guard():
@@ -1291,18 +1302,10 @@ def test_sweep_session_keeps_one_index_per_guard():
     for phi in formulas:
         for pt in polyteams:
             assert bulk.holds(pt, phi) == naive_eval(ST, pt, phi), (phi, pt)
-    assert len(guard_slots(bulk)) == 4
+    assert guard_slots(bulk) == 4
 
 
-def test_guard_index_is_rebuilt_when_the_joined_team_changes(monkeypatch):
-    built = []
-    join_index = _Evaluator.join_index
-
-    def counting(self, tuples, at_x, at_keys):
-        built.append(tuples)
-        return join_index(self, tuples, at_x, at_keys)
-
-    monkeypatch.setattr(_Evaluator, "join_index", counting)
+def test_guard_index_is_rebuilt_when_the_joined_team_changes(join_builds):
     phi = parse(r"A P.z . (pexc(P.y, P.z | Q.u, Q.v) \/_{P} P.z = P.y)")
     # Q = {(0, 1)} refutes a row with y = 0 by z = 1; {(1, 1)} refutes no such row
     q_refutes, q_not = (Team.from_tuples(Q, (QU, QV), [r]) for r in ((0, 1), (1, 1)))
@@ -1314,8 +1317,8 @@ def test_guard_index_is_rebuilt_when_the_joined_team_changes(monkeypatch):
         for rows in p_teams:
             pt = Polyteam([Team.from_tuples(P, (PX, PY), rows), q_team])
             assert bulk.holds(pt, phi) is verdict is naive_eval(ST, pt, phi)
-        assert len(built) == 1 and built.pop() is q_team.relation((QU, QV))
-    assert len(guard_slots(bulk)) == 1
+        assert len(join_builds) == 1 and join_builds.pop() is q_team.relation((QU, QV))
+    assert guard_slots(bulk) == 1
 
 
 # ---------------------------------------------------------------------------
