@@ -532,7 +532,3 @@ class Structure:
             return self.relations[name]
         except KeyError:
             raise SortedDomainError(f"unknown relation {name!r}") from None
-
-    def arity(self, name: str) -> int:
-        rel = self.relation(name)
-        return len(next(iter(rel))) if rel else 0

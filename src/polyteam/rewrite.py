@@ -59,7 +59,6 @@ per sort.
 from __future__ import annotations
 
 import warnings
-from operator import attrgetter
 from typing import Optional
 
 from .errors import RewriteError
@@ -67,7 +66,7 @@ from .model import Sort, Variable
 from .syntax import (
     And, AtomF, Eq, Exists, Forall, Formula, Neq, NegRel, OrGlobal, OrLocal,
     PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth, all_variables, atom_sorts,
-    atom_variables, conjoin, exists_chain, mentioned_sorts, node_variables, walk,
+    atom_variables, conjoin, exists_chain, mentioned_sorts,
     FRESH_PREFIX,
 )
 
@@ -334,9 +333,6 @@ def _guard_chain(sorts, zs, phase, core):
 # ---------------------------------------------------------------------------
 # Sort-wise decomposition
 
-_SORT = attrgetter("sort")
-
-
 def _atom_sort(atom):
     sorts = atom_sorts(atom)
     if len(sorts) != 1:
@@ -350,47 +346,76 @@ def decompose_by_sort(phi: Formula) -> dict:
     The polyteam satisfies the input exactly when, for every sort, that
     sort's team alone satisfies the output formula.  Requires every atom to
     be single-sorted and every disjunction to be a single-sort local one
-    (run eliminate_global_disjunction first).
+    (run eliminate_global_disjunction first); the first node in preorder
+    that breaks this raises the RewriteError.
+
+    The output has a formula for each sort the input mentions.  That sort's
+    formula keeps the literals and atoms at the sort, every quantifier of a
+    variable of the sort, and as a plain disjunction every local disjunction
+    that splits the sort.  A part that says nothing about the sort reads as
+    ``true``, which is dropped from conjunctions; ``true`` remains only as a
+    disjunct that says nothing about the sort it splits, as the body of a
+    quantifier whose body says nothing about its sort, and as the whole
+    formula of a sort that only an ill-sorted literal mentions.
     """
-    sorts = set()  # as mentioned_sorts(phi) finds them
-    for node in walk(phi):
-        if isinstance(node, OrGlobal):
-            raise RewriteError("global disjunction present; "
-                               "apply eliminate_global_disjunction first")
-        if isinstance(node, OrLocal) and len(node.sorts) != 1:
-            raise RewriteError("multi-sort local disjunction present; "
-                               "apply eliminate_global_disjunction first")
-        if isinstance(node, AtomF):
-            sorts.add(_atom_sort(node.atom))
-        else:
-            sorts.update(map(_SORT, node_variables(node)))
-    sorts = sorted(sorts)
-    return dict(zip(sorts, _project(phi, sorts)))
+    parts = _parts(phi)
+    return {sort: parts[sort] for sort in sorted(parts)}
 
 
 _TRUE = Truth()
 
 
-def _project(f, sorts) -> tuple:
-    """f projected onto each of the sorts, in order, in one pass over f."""
-    if isinstance(f, Truth):
-        return (_TRUE,) * len(sorts)
+def _parts(f) -> dict:
+    """Each sort f mentions, mapped to f's part at that sort; each node is
+    checked before its parts, so the first bad node in preorder raises."""
+    if isinstance(f, AtomF):
+        return {_atom_sort(f.atom): f}
     if isinstance(f, (Eq, Neq)):
-        own = f.left.sort
-    elif isinstance(f, (Rel, NegRel)):
-        own = f.args[0].sort
-    elif isinstance(f, AtomF):
-        own = _atom_sort(f.atom)
-    elif isinstance(f, And):
-        return tuple(map(And, *(_project(p, sorts) for p in f.parts)))
-    elif isinstance(f, OrLocal):
-        per_sort = zip(*(_project(p, sorts) for p in f.parts))
-        return tuple((OrGlobal if sort in f.sorts else And)(*parts)
-                     for sort, parts in zip(sorts, per_sort))
-    elif isinstance(f, (Exists, Forall)):
-        inner = _project(f.body, sorts)
-        return tuple(type(f)(f.var, body) if f.var.sort == sort else body
-                     for sort, body in zip(sorts, inner))
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    return tuple(f if sort == own else _TRUE for sort in sorts)
+        return _literal_parts(f, (f.left, f.right))
+    if isinstance(f, And):
+        return _joined([_parts(p) for p in f.parts], None)
+    if isinstance(f, OrLocal):
+        if len(f.sorts) != 1:
+            raise RewriteError("multi-sort local disjunction present; "
+                               "apply eliminate_global_disjunction first")
+        return _joined([_parts(p) for p in f.parts], next(iter(f.sorts)))
+    if isinstance(f, (Exists, Forall)):
+        parts = _parts(f.body)
+        sort = f.var.sort
+        parts[sort] = type(f)(f.var, parts.get(sort, _TRUE))
+        return parts
+    if isinstance(f, (Rel, NegRel)):
+        return _literal_parts(f, f.args)
+    if isinstance(f, Truth):
+        return {}
+    if isinstance(f, OrGlobal):
+        raise RewriteError("global disjunction present; "
+                           "apply eliminate_global_disjunction first")
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def _literal_parts(f, variables):
+    # an ill-sorted literal stays at its first variable's sort, and its
+    # other sorts get ``true``
+    own = variables[0].sort
+    parts = {own: f}
+    for var in variables:
+        if var.sort != own:
+            parts[var.sort] = _TRUE
+    return parts
+
+
+def _joined(parts, split):
+    """The parts of a conjunction, or of a disjunction that splits the sort
+    ``split``: per sort, the parts' formulas there, conjoined, or at the
+    split sort disjoined with ``true`` for a part that has none."""
+    grouped = {}
+    for part in parts:
+        for sort, sub in part.items():
+            grouped.setdefault(sort, []).append(sub)
+    for sort, subs in grouped.items():
+        if sort == split:
+            grouped[sort] = OrGlobal(*(part.get(sort, _TRUE) for part in parts))
+        else:
+            grouped[sort] = subs[0] if len(subs) == 1 else And(*subs)
+    return grouped

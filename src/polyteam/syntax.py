@@ -33,9 +33,13 @@ evaluating), the implication engine and ``atoms.check_generalized`` call them.
 
 The scanner is one compiled regex: ``findall`` yields the token texts, and a
 dict lookup gives each text's kind, so the parser reads two parallel lists,
-kinds and texts, by index and builds no object per token.  Line and column
-are found only when a ``ParseError`` is raised, by scanning the text again up
-to the failing token.
+kinds and texts, by index and builds no object per token.  The reader of the
+built-in atoms steps through each group and separator by index, with no
+method call per token, and keeps one sort per sort field; it gathers sorts
+only once two clash, for the error message.  A token it cannot take is
+reported by ``variable`` or ``mismatch``, which hold each message once.  Line
+and column are found only when a ``ParseError`` is raised, by scanning the
+text again up to the failing token.
 """
 
 from __future__ import annotations
@@ -569,8 +573,11 @@ class _Parser:
         index = self.pos
         self.pos = index + 1
         if self.kinds[index] != kind:
-            self.error(f"expected {kind}, found {self.texts[index]!r}", index)
+            self.mismatch(kind, index)
         return self.texts[index]
+
+    def mismatch(self, kind: str, index: int):
+        self.error(f"expected {kind}, found {self.texts[index]!r}", index)
 
     def error(self, message, index=None):
         if index is None:
@@ -588,23 +595,19 @@ class _Parser:
                        self.pos - 1)
         return Variable(sort, name)
 
-    def bare_tuple(self, stop_kinds):
-        """A comma-separated variable list, optionally ``:S`` or empty."""
+    def paren_tuple(self):
+        """A parenthesised comma-separated variable list, optionally ``:S`` or empty."""
+        self.expect("LPAREN")
+        variables, sort = [], None
         kind = self.kinds[self.pos]
         if kind == "COLON":
             self.next()
-            return [], self.expect("IDENT")
-        if kind in stop_kinds:
-            return [], None
-        variables = [self.variable()]
-        while self.kinds[self.pos] == "COMMA":
-            self.pos += 1
+            sort = self.expect("IDENT")
+        elif kind != "RPAREN":
             variables.append(self.variable())
-        return variables, None
-
-    def paren_tuple(self):
-        self.expect("LPAREN")
-        variables, sort = self.bare_tuple(("RPAREN",))
+            while self.kinds[self.pos] == "COMMA":
+                self.pos += 1
+                variables.append(self.variable())
         self.expect("RPAREN")
         return variables, sort
 
@@ -697,24 +700,57 @@ class _Parser:
         if shape is None:
             return self.generalized_atom(key)
         cls, parenthesised, plan, sides, order = shape
-        self.expect("LPAREN")
+        kinds, texts = self.kinds, self.texts
+        at = key + 2  # unit() saw the "(" after the keyword
         groups = []
-        sorts = [set(), set(), set()]  # per sort field, from variables and markers
+        found = [None] * sides  # per sort field, the first sort met on it
+        mixed = None  # once sorts clash, every (sort field, sort) pair that did
         for after, side in plan:
-            variables, marker = self.paren_tuple() if parenthesised else self.bare_tuple((after,))
-            self.expect(after)
+            if parenthesised:
+                if kinds[at] != "LPAREN":
+                    self.mismatch("LPAREN", at)
+                at += 1
+            variables = []
+            if kinds[at] == "COLON":
+                if kinds[at + 1] != "IDENT":
+                    self.mismatch("IDENT", at + 1)
+                sort = texts[at + 1]
+                at += 2
+            elif kinds[at] == ("RPAREN" if parenthesised else after):
+                sort = None
+            else:
+                sort = texts[at]
+                while True:
+                    if kinds[at] != "IDENT" or kinds[at + 1] != "DOT" or \
+                            kinds[at + 2] != "IDENT" or texts[at + 2].startswith(FRESH_PREFIX):
+                        self.pos = at
+                        self.variable()  # raises the error it reports
+                    if texts[at] != sort:
+                        mixed = (mixed or set()) | {(side, sort), (side, texts[at])}
+                    variables.append(Variable(texts[at], texts[at + 2]))
+                    at += 3
+                    if kinds[at] != "COMMA":
+                        break
+                    at += 1
+            if parenthesised:
+                if kinds[at] != "RPAREN":
+                    self.mismatch("RPAREN", at)
+                at += 1
+            if kinds[at] != after:
+                self.mismatch(after, at)
+            at += 1
             groups.append(tuple(variables))
-            sorts[side].update(map(_SORT, variables))
-            if marker is not None:
-                sorts[side].add(marker)
-        found = []
-        for candidates in sorts[:sides]:
-            if len(candidates) > 1:
-                self.error(f"atom side mixes sorts {sorted(candidates)}", key)
-            found.append(next(iter(candidates), None))
+            if found[side] is None:
+                found[side] = sort
+            elif sort is not None and sort != found[side]:
+                mixed = (mixed or set()) | {(side, found[side]), (side, sort)}
+        self.pos = at
+        if mixed:
+            side = min(mixed)[0]
+            self.error(f"atom side mixes sorts {sorted(s for k, s in mixed if k == side)}", key)
         known = next(filter(None, found), None)
         if known is None:
-            self.error(f"{self.texts[key]} atom with no determinable sorts", key)
+            self.error(f"{texts[key]} atom with no determinable sorts", key)
         values = groups + [sort or known for sort in found]
         atom = cls(*map(values.__getitem__, order))
         self._validate(atom, key)

@@ -172,6 +172,22 @@ def test_rewrite_reports_cardinality_warning_on_stderr(capsys, tmp_path, rule):
     assert leaked == []
 
 
+
+def test_rewrite_decompose_output_is_pinned(capsys, tmp_path):
+    formula = tmp_path / "mixed.ptf"
+    formula.write_text(r"(E P.z . pinc(P.z | P.x)) /\ (pexc(Q.u | Q.v) \/ P.x = P.y)",
+                       encoding="utf-8")
+    code = cli.main(["rewrite", "--formula", str(formula), "--rule", "decompose"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == "warning: the split encoding needs at least two domain elements\n"
+    assert captured.out == (
+        r"P: ((E P.z . pinc(P.z | P.x)) /\ (E P._fr0 . (E P._fr1 . "
+        r"((P._fr0 = P._fr1 \/ P._fr0 != P._fr1) /\ "
+        r"(P._fr0 != P._fr1 \/ (P._fr0 = P._fr1 /\ P.x = P.y))))))" "\n"
+        r"Q: (E Q._fr2 . (E Q._fr3 . ((Q._fr2 = Q._fr3 \/ (Q._fr2 != Q._fr3 /\ pexc(Q.u | Q.v)))"
+        r" /\ (Q._fr2 != Q._fr3 \/ Q._fr2 = Q._fr3))))" "\n")
+
 def test_decompose_error_does_not_depend_on_the_hash_seed():
     argv = [sys.executable, "-m", "polyteam", "rewrite", "--rule", "decompose",
             "--formula", str(WORKFORCE / "join_atom.ptf")]

@@ -222,7 +222,6 @@ def test_structure_invariants():
         Structure((0,), {"R": [(1,)]})
     st_ = Structure((1, 0), {"R": [(0, 1)]})
     assert st_.domain == (0, 1)
-    assert st_.arity("R") == 2
     with pytest.raises(SortedDomainError):
         st_.relation("missing")
 

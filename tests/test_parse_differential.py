@@ -40,6 +40,11 @@ PIECES = (
     "pinc(P.x | Q.u)", "pexc(:P | :Q)", "atom one((P.x))", "E P.x .", "A Q.u .",
     " /\\ ", " \\/ ", " \\/_{P,Q} ", "(P.x = P.y)", "P._fr1", "atom nope((P.x))",
     "atom two((P.x)(Q.u, Q.v))", "pind((P.x),(Q.a)/(R.u) ; (P.y)/(R.v) ; (Q.b)/(R.w))",
+    # whole broken atoms, one for each way the atom reader fails
+    "pdep(P.x, Q.y ; P.z | Q.u ; Q.v)", "pinc(P.x, :P | Q.u)", "pdep(P.x | Q.u)",
+    "pexc(P._fr0 | Q.u)", "pind((P.x),(Q.a)(R.u) ; (P.y)/(R.v) ; (Q.b)/(R.w))", "pexc(P.x,",
+    "pinc(:P P.x | Q.u)", "pexc(P.x | Q.u.)", "pind((P.x),(Q.a)/(R.u) ; P.y/(R.v) ; (Q.b)/(R.w))",
+    "pinc(P.x | P.y, Q.u)", "pdep(: ; | ; )", "pdep(P.x ; Q.y, R.z | Q.u ; Q.v)",
 )
 
 

@@ -8,12 +8,15 @@ from polyteam.atoms import compile_embedded_dependency, parse_embedded_dependenc
 from polyteam.errors import RewriteError
 from polyteam.evaluator import EvalConfig, _Evaluator
 from polyteam.model import Polyteam, Structure, Team
-from polyteam.oracle import enumerate_structures, equivalent, naive_eval
+from polyteam.oracle import enumerate_polyteams, enumerate_structures, equivalent, naive_eval
 from polyteam.rewrite import (
     CardinalityWarning, EmptyTeamWarning, decompose_by_sort, eliminate_global_disjunction,
     rewrite_formula, translate_atom,
 )
-from polyteam.syntax import And, AtomF, OrGlobal, OrLocal, PolyInc, free_variables, parse
+from polyteam.syntax import (
+    And, AtomF, OrGlobal, OrLocal, PolyInc, Truth, format_formula, free_variables,
+    mentioned_sorts, parse, walk,
+)
 
 from samplers import P, PX, PY, Q, QU, QV, FormulaSampler, random_polyteam
 
@@ -166,6 +169,11 @@ def test_sampled_global_disjunction_elimination_agrees_with_the_naive_oracle():
     assert expanded >= 12
 
 
+def parts_hold(st, pt, parts):
+    """Whether each sort's team alone satisfies that sort's part."""
+    return all(naive_eval(st, Polyteam([pt.team(sort)]), part) for sort, part in parts.items())
+
+
 def test_decomposition_holds_exactly_where_each_sort_part_holds():
     # the claim in ``decompose_by_sort``'s docstring, on formulas with only
     # single-sort atoms and single-sort local disjunctions
@@ -181,16 +189,50 @@ def test_decomposition_holds_exactly_where_each_sort_part_holds():
             parts = decompose_by_sort(phi)
         except RewriteError:
             continue  # a local disjunction over both sorts
+        for sort, part in parts.items():
+            assert mentioned_sorts(part) == {sort}, (phi, part)
+            assert not any(isinstance(node, And) and any(isinstance(p, Truth) for p in node.parts)
+                           for node in walk(part)), (phi, part)
         st = rng.choice(structures)
         for _ in range(3):
             pt = random_polyteam(rng, domains, (0, 1), max_rows=2, min_rows=0)
             whole = naive_eval(st, pt, phi)
-            assert whole == all(naive_eval(st, Polyteam([pt.team(sort)]), part)
-                                for sort, part in parts.items()), (phi, pt)
+            assert whole == parts_hold(st, pt, parts), (phi, pt)
             verdicts.add(whole)
             checked += 1
     assert verdicts == {False, True}
 
+
+
+@pytest.mark.parametrize("text,expected", [
+    (r"true /\ P.x = P.y", {P: "P.x = P.y"}),
+    (r"E Q.z . P.x = P.y", {P: "P.x = P.y", Q: "(E Q.z . true)"}),
+    # the split sort is mentioned nowhere, so it has no part
+    (r"P.x = P.y \/_{Q} P.x = P.z", {P: r"(P.x = P.y /\ P.x = P.z)"}),
+    # a disjunct that says nothing about the split sort reads as true there
+    (r"P.x = P.y \/_{P} Q.u = Q.v", {P: r"(P.x = P.y \/ true)", Q: "Q.u = Q.v"}),
+])
+def test_decomposition_keeps_true_only_where_it_is_needed(text, expected):
+    phi = parse(text)
+    parts = decompose_by_sort(phi)
+    assert {sort: format_formula(part) for sort, part in parts.items()} == expected
+    domains = dict.fromkeys(mentioned_sorts(phi), ())
+    domains.update((sort, tuple(sorted(vs))) for sort, vs in free_variables(phi).items())
+    st = Structure((0, 1))
+    for pt in enumerate_polyteams(domains, (0, 1), max_rows=2, min_rows=0):
+        assert naive_eval(st, pt, phi) == parts_hold(st, pt, parts), (text, pt)
+
+
+@pytest.mark.parametrize("text,message", [
+    (r"pinc(P.x | Q.u) /\ (P.x = P.y \/ Q.u = Q.v)",
+     "cross-sort atom blocks the decomposition: ['P', 'Q']"),
+    (r"(P.x = P.y \/ Q.u = Q.v) /\ pinc(P.x | Q.u)",
+     "global disjunction present; apply eliminate_global_disjunction first"),
+])
+def test_decomposition_reports_the_first_blocking_node_in_preorder(text, message):
+    with pytest.raises(RewriteError) as err:
+        decompose_by_sort(parse(text))
+    assert str(err.value) == message
 
 CROSS = r"E P.z . (pinc(Q.u | P.z) /\ (pdep(P.x ; P.y | Q.u ; Q.v) \/ P.z = P.x))"
 SINGLE = r"(E P.z . (pdep(P.x ; P.y | P.x ; P.y) \/_{P} P.z = P.x)) /\ Q.u = Q.v"
