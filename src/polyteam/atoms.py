@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .errors import ParseError, RegistryError
-from .model import Polyteam, Structure, value_sorted
+from .model import Polyteam, Record, Structure, value_sorted
 from .syntax import GeneralizedAtom, PolyDep, PolyExc, PolyInc, PolyInd, resolve_generalized
 
 
@@ -91,17 +90,16 @@ def check_atom(structure: Structure, pt: Polyteam, atom, registry=None) -> bool:
 # ---------------------------------------------------------------------------
 # Generalized quantifiers
 
-@dataclass(frozen=True)
-class GeneralizedQuantifier:
+class GeneralizedQuantifier(Record):
     """An isomorphism-closed predicate over (domain, relations).
 
-    Isomorphism invariance is the registrant's obligation; it is spot-checked
-    probabilistically by ``spot_check_isomorphism_invariance``, never enforced.
+    ``type`` gives the arity of each relation, and ``evaluator(domain,
+    relations)`` decides the predicate.  Isomorphism invariance is the
+    registrant's obligation; it is spot-checked probabilistically by
+    ``spot_check_isomorphism_invariance``, never enforced.
     """
 
-    name: str
-    type: Tuple[int, ...]
-    evaluator: Callable
+    __slots__ = ("name", "type", "evaluator")
 
 
 class AtomRegistry(Mapping):
@@ -147,26 +145,21 @@ def spot_check_isomorphism_invariance(q: GeneralizedQuantifier, domain, relation
 # ---------------------------------------------------------------------------
 # Embedded dependencies
 
-@dataclass(frozen=True)
-class EDRel:
-    name: str
-    args: Tuple[str, ...]
+class EDRel(Record):
+    __slots__ = ("name", "args")
 
 
-@dataclass(frozen=True)
-class EDEq:
-    left: str
-    right: str
+class EDEq(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class EmbeddedDependency:
-    """forall x̄ (antecedent -> exists ȳ consequent), conjuncts of atoms/equalities."""
+class EmbeddedDependency(Record):
+    """forall x̄ (antecedent -> exists ȳ consequent), conjuncts of atoms/equalities.
 
-    universal: Tuple[str, ...]
-    antecedent: Tuple
-    existential: Tuple[str, ...]
-    consequent: Tuple
+    The variables are names; the conjuncts are ``EDRel``s and ``EDEq``s.
+    """
+
+    __slots__ = ("universal", "antecedent", "existential", "consequent")
 
     def relation_occurrences(self):
         for part in (self.antecedent, self.consequent):
@@ -297,15 +290,17 @@ def compile_embedded_dependency(ed: EmbeddedDependency, name: str = "ed",
 # ---------------------------------------------------------------------------
 # Dependency classification
 
-@dataclass(frozen=True)
-class DependencyClassification:
-    tuple_generating: bool
-    equality_generating: bool
-    full: bool
-    one_head: bool
-    uni_relational: bool
-    separated: bool
-    instance_class: Optional[str] = None  # "source_to_target" | "target" | "neither"
+class DependencyClassification(Record):
+    """Six syntactic flags, and ``instance_class``: "source_to_target",
+    "target" or "neither" for an instantiated dependency, else None."""
+
+    __slots__ = ("tuple_generating", "equality_generating", "full", "one_head",
+                 "uni_relational", "separated", "instance_class")
+
+    def __init__(self, tuple_generating, equality_generating, full, one_head,
+                 uni_relational, separated, instance_class=None):
+        super().__init__(tuple_generating, equality_generating, full, one_head,
+                         uni_relational, separated, instance_class)
 
 
 def classify(ed: EmbeddedDependency, instance_sorts=None, source=(), target=()) -> DependencyClassification:

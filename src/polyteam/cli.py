@@ -32,7 +32,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .atoms import AtomRegistry, compile_embedded_dependency, parse_embedded_dependency
-from .errors import ParseError, PolyteamError
+from .errors import ParseError, PolyteamError, SortedDomainError
 from .evaluator import EXHAUSTED, TRUE, EvalConfig, eval_formula, evaluator_backed
 from .implication import decide, replay_trace
 from .model import Polyteam, Structure, Team, Variable
@@ -41,7 +41,7 @@ from .rewrite import (
     RULE_NAMES, FreshNameSource, decompose_by_sort,
     eliminate_global_disjunction, rewrite_formula,
 )
-from .syntax import AtomF, PolyDep, format_formula, mentioned_sorts, parse
+from .syntax import AtomF, PolyDep, check_well_sorted, format_formula, mentioned_sorts, parse
 
 
 # UTF-8 that drops one leading byte-order mark; see the module docstring
@@ -263,6 +263,11 @@ def run_oracle(args) -> int:
     if args.oracle_command == "equiv":
         left = parse(Path(args.left).read_text(encoding=INPUT_ENCODING))
         right = parse(Path(args.right).read_text(encoding=INPUT_ENCODING))
+        # both backends report ill-sorted input as the evaluator does
+        for formula in (left, right):
+            problems = check_well_sorted(formula)
+            if problems:
+                raise SortedDomainError("ill-sorted formula: " + "; ".join(problems))
         evaluate = evaluator_backed() if args.use_evaluator else None
         ok, witness = equivalent(left, right, values=values, max_rows=args.max_rows,
                                  min_rows=args.min_rows, evaluate=evaluate)

@@ -106,11 +106,10 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ResourceExhausted, SortedDomainError
-from .model import Polyteam, Structure, Team, _getter, value_sorted
+from .model import Polyteam, Record, Structure, Team, _getter, _set, value_sorted
 from .syntax import (
     And, AtomF, Connective, Eq, Exists, Forall, Formula, Neq, NegRel, OrGlobal,
     OrLocal, PolyDep, PolyExc, PolyInc, PolyInd, Rel, Truth, all_variables, atom_sorts,
@@ -123,29 +122,41 @@ FALSE = "false"
 EXHAUSTED = "resource_exhausted"
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Resource limits for the exponential search; all caps are positive."""
+class EvalConfig(Record):
+    """Resource limits for the exponential search; all caps are positive.
 
-    max_expanded_team_rows: int = 100_000
-    max_split_assignments: int = 14
-    timeout: Optional[float] = 120.0
+    ``timeout`` is in seconds, or None for no limit.
+    """
 
-    def __post_init__(self):
-        if self.max_expanded_team_rows <= 0 or self.max_split_assignments <= 0:
+    __slots__ = ("max_expanded_team_rows", "max_split_assignments", "timeout")
+
+    def __init__(self, max_expanded_team_rows: int = 100_000,
+                 max_split_assignments: int = 14, timeout: Optional[float] = 120.0):
+        if max_expanded_team_rows <= 0 or max_split_assignments <= 0:
             raise ValueError("caps must be positive")
-        if self.timeout is not None and self.timeout <= 0:
+        if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
+        _set(self, "max_expanded_team_rows", max_expanded_team_rows)
+        _set(self, "max_split_assignments", max_split_assignments)
+        _set(self, "timeout", timeout)
 
 
-@dataclass
-class EvalOutcome:
+class EvalOutcome(Record):
     """A verdict; ``nodes_visited`` counts each ``eval`` call and each call of
-    a compiled row test as one node (see Counting in the module docstring)."""
+    a compiled row test as one node (see Counting in the module docstring).
 
-    verdict: str
-    nodes_visited: int = 0
-    limit: Optional[str] = None
+    Unlike other records its fields may be reassigned, so it has no hash.
+    """
+
+    __slots__ = ("verdict", "nodes_visited", "limit")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, verdict: str, nodes_visited: int = 0, limit: Optional[str] = None):
+        self.verdict = verdict
+        self.nodes_visited = nodes_visited
+        self.limit = limit
 
     def as_bool(self) -> bool:
         if self.verdict == EXHAUSTED:

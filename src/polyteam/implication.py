@@ -34,11 +34,10 @@ verdict and the counterexample are those of any saturation order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .errors import RuleApplicationError, SortedDomainError
-from .model import Assignment, Polyteam, Structure, Team, Variable
+from .model import Assignment, Polyteam, Record, Structure, Team, Variable, _set
 from .syntax import PolyDep, atom_violations
 from .atoms import check_polydep
 
@@ -46,37 +45,38 @@ from .atoms import check_polydep
 # ---------------------------------------------------------------------------
 # Verdict objects
 
-@dataclass(frozen=True)
-class FiringRecord:
-    """One saturation step: the premise fired and the pairs it merged.
+class FiringRecord(Record):
+    """One saturation step: the premise ``atom`` fired, and ``merges`` holds
+    the pairs of variables it merged.
 
     Cross-sort merges pair a left-sort variable with a right-sort variable;
     same-sort closure steps record each attribute added as a self-pair.
     """
 
-    atom: PolyDep
-    merges: Tuple[Tuple[Variable, Variable], ...]
+    __slots__ = ("atom", "merges")
+
+    def __init__(self, atom, merges):
+        _set(self, "atom", atom)
+        _set(self, "merges", merges)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """A polyteam satisfying the premises and violating the conclusion.
 
-    Rows map each occurring variable to its interned equivalence-class value;
-    sorts touched only by discarded premises carry explicitly empty teams,
-    which keeps those premises vacuously satisfied.
+    Rows map each occurring variable to its interned equivalence-class value,
+    as the mapping ``classes`` records; sorts touched only by discarded
+    premises carry explicitly empty teams, which keeps those premises
+    vacuously satisfied.
     """
 
-    polyteam: Polyteam
-    classes: Mapping
+    __slots__ = ("polyteam", "classes")
 
     def structure(self) -> Structure:
         values = set(self.classes.values()) or {"c0"}
         return Structure(values)
 
 
-@dataclass(frozen=True)
-class ImplicationVerdict:
+class ImplicationVerdict(Record):
     """The answer of ``decide``, with a trace or a counterexample.
 
     ``stats`` counts the work done and takes no part in equality:
@@ -86,14 +86,18 @@ class ImplicationVerdict:
     ``pair_checks`` (watch-list rechecks of a waiting premise).
     """
 
-    implied: bool
-    trace: Optional[Tuple[FiringRecord, ...]] = None
-    counterexample: Optional[Counterexample] = None
-    stats: Mapping = field(default_factory=dict, compare=False)
+    __slots__ = ("implied", "trace", "counterexample", "stats")
 
-    def __post_init__(self):
-        if (self.trace is None) == (self.counterexample is None):
+    def __init__(self, implied, trace=None, counterexample=None, stats=None):
+        if (trace is None) == (counterexample is None):
             raise ValueError("exactly one of trace/counterexample must be present")
+        _set(self, "implied", implied)
+        _set(self, "trace", trace)
+        _set(self, "counterexample", counterexample)
+        _set(self, "stats", {} if stats is None else stats)
+
+    def _key(self) -> tuple:
+        return self.implied, self.trace, self.counterexample
 
 
 def _stats(premises, kept, firings, pair_checks) -> dict:
@@ -394,18 +398,22 @@ def derive_rule(rule: str, *args) -> PolyDep:
 # ---------------------------------------------------------------------------
 # Trace replay
 
-@dataclass(frozen=True)
-class DerivationStep:
-    rule: str
-    premises: Tuple
-    conclusion: PolyDep
+class DerivationStep(Record):
+    """The rule applied, its premises (a tuple of PolyDeps) and its conclusion."""
+
+    __slots__ = ("rule", "premises", "conclusion")
+
+    def __init__(self, rule, premises, conclusion):
+        _set(self, "rule", rule)
+        _set(self, "premises", premises)
+        _set(self, "conclusion", conclusion)
 
 
-@dataclass(frozen=True)
-class Derivation:
-    steps: Tuple[DerivationStep, ...]
-    projections: Tuple[PolyDep, ...]
-    conclusion: Optional[PolyDep]
+class Derivation(Record):
+    """The steps of a replayed trace, the projections it started from, and
+    the PolyDep it derived, if any."""
+
+    __slots__ = ("steps", "projections", "conclusion")
 
 
 class _Stepper:

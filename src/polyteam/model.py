@@ -6,6 +6,17 @@ map denote the singleton team containing only the empty assignment, so that
 reading any sort from a polyteam never fails.  All values here are immutable
 after construction and safe to share across concurrent evaluations.
 
+Records.  The atoms, formula nodes and result objects of the other modules
+are ``Record``s: a class names its fields once, in ``__slots__``, and the
+base class gives every record its constructor, value equality, hash,
+``repr`` and immutability from the class's field tuple, with no code made
+per class.  It stands in for frozen dataclasses, which cost a fresh process
+about 20 ms before its first query when no bytecode is cached: importing
+``dataclasses`` pulls in ``inspect`` and ``ast``, and each decorator
+compiles and runs five methods.  Only a record's construction is hot, so
+the classes built by the thousand set their fields in an ``__init__`` of
+their own.
+
 Layout.  A ``Variable`` is a NamedTuple, equal to (and hashing like) its
 ``(sort, name)`` pair and ordered by it, so the dict probes, ``tuple.index``
 calls and sorts that every team operation makes on variables run in C.  A
@@ -75,6 +86,69 @@ def value_sorted(items: Iterable, rows: bool = False) -> list:
     else:
         items.sort(key=_row_key if rows else value_key)
     return items
+
+
+# A record's own ``__init__`` sets each field with this, past the
+# ``__setattr__`` that refuses every later assignment.
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable record; each class names its own fields in ``__slots__``.
+
+    ``_fields`` is every field, its base classes' first.  ``__init__`` takes
+    them in that order, by position or by name, and ``repr`` prints them as
+    ``Name(field=value, ...)``.  Two records are equal when they are of the
+    same class and their ``_key()`` values, by default all the fields, are
+    equal; the hash is that of the ``_key()``.  Assigning or deleting an
+    attribute raises ``AttributeError``.  A class built on hot paths defines
+    its own ``__init__``, which sets each field with ``_set``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"record class {cls.__name__} must name its fields in __slots__")
+        cls._fields = cls._fields + cls.__slots__
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:
+            values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}, "
+                            f"in order or by name")
+        for name, value in zip(fields, values):
+            _set(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # ``copy`` and ``pickle`` restore the slots through here, not setattr
+        for name, value in state[1].items():
+            _set(self, name, value)
 
 
 class Variable(NamedTuple):

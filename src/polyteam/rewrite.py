@@ -345,18 +345,18 @@ def decompose_by_sort(phi: Formula) -> dict:
 
     The polyteam satisfies the input exactly when, for every sort, that
     sort's team alone satisfies the output formula.  Requires every atom to
-    be single-sorted and every disjunction to be a single-sort local one
-    (run eliminate_global_disjunction first); the first node in preorder
-    that breaks this raises the RewriteError.
+    be single-sorted, every literal to be well sorted, and every
+    disjunction to be a single-sort local one (run
+    eliminate_global_disjunction first); the first node in preorder that
+    breaks this raises the RewriteError.
 
     The output has a formula for each sort the input mentions.  That sort's
     formula keeps the literals and atoms at the sort, every quantifier of a
     variable of the sort, and as a plain disjunction every local disjunction
     that splits the sort.  A part that says nothing about the sort reads as
     ``true``, which is dropped from conjunctions; ``true`` remains only as a
-    disjunct that says nothing about the sort it splits, as the body of a
-    quantifier whose body says nothing about its sort, and as the whole
-    formula of a sort that only an ill-sorted literal mentions.
+    disjunct that says nothing about the sort it splits, and as the body of
+    a quantifier whose body says nothing about its sort.
     """
     parts = _parts(phi)
     return {sort: parts[sort] for sort in sorted(parts)}
@@ -395,14 +395,11 @@ def _parts(f) -> dict:
 
 
 def _literal_parts(f, variables):
-    # an ill-sorted literal stays at its first variable's sort, and its
-    # other sorts get ``true``
     own = variables[0].sort
-    parts = {own: f}
     for var in variables:
         if var.sort != own:
-            parts[var.sort] = _TRUE
-    return parts
+            raise RewriteError(f"ill-sorted literal blocks the decomposition: {f}")
+    return {own: f}
 
 
 def _joined(parts, split):

@@ -12,6 +12,14 @@ Concrete syntax summary (whitespace-insensitive, ``#`` starts a comment):
                      pind((xs),(as)/(us) ; (ys)/(vs) ; (bs)/(ws))
                      atom NAME((t1)(t2)...)
 
+Atoms and formula nodes are ``model.Record``s, immutable and equal when of
+one class with equal fields; the field tuple ``_fields`` gives the atoms'
+field order to the tables below.  The nodes that every parse and rewrite
+builds by the thousand (the built-in atoms, ``Eq``, ``Neq``, the
+quantifiers, ``AtomF`` and the connectives) have their own ``__init__``,
+at least as fast as the frozen dataclasses they replace, whose import and
+per-class code generation cost about 20 ms when no bytecode is cached.
+
 The connectives ``And``, ``OrGlobal`` and ``OrLocal`` are n-ary: each
 constructor splices in any part of the node's own shape (for ``OrLocal``,
 the same sorts), so trees are flat and nest only at quantifiers and where
@@ -45,13 +53,11 @@ text again up to the failing token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from itertools import chain, groupby, repeat
 from operator import attrgetter
-from typing import Tuple
 
 from .errors import ParseError
-from .model import Sort, Variable
+from .model import Record, Variable, _set
 
 FRESH_PREFIX = "_fr"
 _SORT = attrgetter("sort")
@@ -60,8 +66,13 @@ _SORT = attrgetter("sort")
 # ---------------------------------------------------------------------------
 # Atom instances
 
-class _BuiltinAtom:
-    """One of the paper's four atoms; ``_SHAPES`` gives its written form."""
+class _BuiltinAtom(Record):
+    """One of the paper's four atoms; ``_SHAPES`` gives its written form.
+
+    The ``sort_*`` fields are sorts and the others tuples of variables.
+    """
+
+    __slots__ = ()
 
     def tuples(self):
         """(sort, variable group) pairs, in field order."""
@@ -69,39 +80,44 @@ class _BuiltinAtom:
         return tuple(zip(sides(self), groups(self)))
 
 
-@dataclass(frozen=True)
 class PolyDep(_BuiltinAtom):
     """=(x ; y | u ; v): values of u determine v across teams i and j."""
 
-    sort_i: Sort
-    x: Tuple[Variable, ...]
-    y: Tuple[Variable, ...]
-    sort_j: Sort
-    u: Tuple[Variable, ...]
-    v: Tuple[Variable, ...]
+    __slots__ = ("sort_i", "x", "y", "sort_j", "u", "v")
+
+    def __init__(self, sort_i, x, y, sort_j, u, v):
+        _set(self, "sort_i", sort_i)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "sort_j", sort_j)
+        _set(self, "u", u)
+        _set(self, "v", v)
 
 
-@dataclass(frozen=True)
 class PolyInc(_BuiltinAtom):
     """x ⊆ y between teams of sorts i and j."""
 
-    sort_i: Sort
-    x: Tuple[Variable, ...]
-    sort_j: Sort
-    y: Tuple[Variable, ...]
+    __slots__ = ("sort_i", "x", "sort_j", "y")
+
+    def __init__(self, sort_i, x, sort_j, y):
+        _set(self, "sort_i", sort_i)
+        _set(self, "x", x)
+        _set(self, "sort_j", sort_j)
+        _set(self, "y", y)
 
 
-@dataclass(frozen=True)
 class PolyExc(_BuiltinAtom):
     """x | y: value sets of x in team i and y in team j are disjoint."""
 
-    sort_i: Sort
-    x: Tuple[Variable, ...]
-    sort_j: Sort
-    y: Tuple[Variable, ...]
+    __slots__ = ("sort_i", "x", "sort_j", "y")
+
+    def __init__(self, sort_i, x, sort_j, y):
+        _set(self, "sort_i", sort_i)
+        _set(self, "x", x)
+        _set(self, "sort_j", sort_j)
+        _set(self, "y", y)
 
 
-@dataclass(frozen=True)
 class PolyInd(_BuiltinAtom):
     """Poly-independence ⟨x,a/u ; y/v ; b/w⟩ over sorts (i, j, k).
 
@@ -110,16 +126,19 @@ class PolyInd(_BuiltinAtom):
     The pure form has x, a, u all empty.
     """
 
-    sort_i: Sort
-    x: Tuple[Variable, ...]
-    y: Tuple[Variable, ...]
-    sort_j: Sort
-    a: Tuple[Variable, ...]
-    b: Tuple[Variable, ...]
-    sort_k: Sort
-    u: Tuple[Variable, ...]
-    v: Tuple[Variable, ...]
-    w: Tuple[Variable, ...]
+    __slots__ = ("sort_i", "x", "y", "sort_j", "a", "b", "sort_k", "u", "v", "w")
+
+    def __init__(self, sort_i, x, y, sort_j, a, b, sort_k, u, v, w):
+        _set(self, "sort_i", sort_i)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "sort_j", sort_j)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "sort_k", sort_k)
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "w", w)
 
 
 # The written form of each built-in atom: its keyword, whether each group
@@ -148,20 +167,17 @@ def _getters(groups):
 
 
 def _in_field_order(cls, groups):
-    names = [f.name for f in fields(cls)]
-    return sorted(groups, key=lambda group: names.index(group[0]))
+    return sorted(groups, key=lambda group: cls._fields.index(group[0]))
 
 
 # per class, getters of its groups' sorts and of its groups, in field order
 _FIELD_ORDER = {cls: _getters(_in_field_order(cls, shape[2])) for cls, shape in _SHAPES.items()}
 
 
-@dataclass(frozen=True)
-class GeneralizedAtom:
-    """A registered generalized quantifier applied to variable tuples."""
+class GeneralizedAtom(Record):
+    """A registered generalized quantifier, by name, applied to variable tuples."""
 
-    name: str
-    args: Tuple[Tuple[Variable, ...], ...]
+    __slots__ = ("name", "args")
 
     def tuples(self):
         return tuple((t[0].sort if t else None, t) for t in self.args)
@@ -186,47 +202,47 @@ def atom_sorts(atom) -> frozenset:
 # ---------------------------------------------------------------------------
 # Formula nodes
 
-class Formula:
+class Formula(Record):
     __slots__ = ()
 
     def __str__(self):
         return format_formula(self)
 
 
-@dataclass(frozen=True)
 class Truth(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
-    left: Variable
-    right: Variable
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Neq(Formula):
-    left: Variable
-    right: Variable
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Rel(Formula):
-    name: str
-    args: Tuple[Variable, ...]
+    """The relation ``name`` applied to the variable tuple ``args``."""
+
+    __slots__ = ("name", "args")
 
 
-@dataclass(frozen=True)
 class NegRel(Formula):
-    name: str
-    args: Tuple[Variable, ...]
+    __slots__ = ("name", "args")
 
 
-@dataclass(frozen=True, init=False)
 class Connective(Formula):
     """At least two parts; the constructor splices in parts of the node's own shape."""
 
-    parts: Tuple[Formula, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, *parts):
         flat = []
@@ -236,41 +252,50 @@ class Connective(Formula):
             flat.extend(p.parts if same else (p,))
         if len(flat) < 2:
             raise TypeError(f"{type(self).__name__} needs at least two parts")
-        object.__setattr__(self, "parts", tuple(flat))
+        _set(self, "parts", tuple(flat))
 
 
 class And(Connective):
-    pass
+    __slots__ = ()
 
 
 class OrGlobal(Connective):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, init=False)
 class OrLocal(Connective):
-    sorts: frozenset
+    """A disjunction split only at the frozenset ``sorts``."""
+
+    __slots__ = ("sorts",)
 
     def __init__(self, sorts, *parts):
-        object.__setattr__(self, "sorts", sorts)
+        _set(self, "sorts", sorts)
         super().__init__(*parts)
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    var: Variable
-    body: Formula
+    __slots__ = ("var", "body")
+
+    def __init__(self, var, body):
+        _set(self, "var", var)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
-    var: Variable
-    body: Formula
+    __slots__ = ("var", "body")
+
+    def __init__(self, var, body):
+        _set(self, "var", var)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class AtomF(Formula):
-    atom: object
+    """An atom instance (a built-in atom or a ``GeneralizedAtom``) as a formula."""
+
+    __slots__ = ("atom",)
+
+    def __init__(self, atom):
+        _set(self, "atom", atom)
 
 
 def conjoin(parts) -> Formula:
@@ -542,7 +567,7 @@ def _position(text: str, index: int):
 def _parsed(cls, parenthesised, groups):
     """Per group, the kind of the token after it and its sort field's index; the
     number of sort fields; the constructor's arguments, indexing groups + sorts."""
-    names = [f.name for f in fields(cls)]
+    names = cls._fields
     sides = [name for name in names if name.startswith("sort_")]
     plan = tuple((_KINDS[after.strip()], sides.index(side)) for _, side, after in groups)
     written = [field for field, _, _ in groups] + sides

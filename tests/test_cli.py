@@ -188,6 +188,15 @@ def test_rewrite_decompose_output_is_pinned(capsys, tmp_path):
         r"Q: (E Q._fr2 . (E Q._fr3 . ((Q._fr2 = Q._fr3 \/ (Q._fr2 != Q._fr3 /\ pexc(Q.u | Q.v)))"
         r" /\ (Q._fr2 != Q._fr3 \/ Q._fr2 = Q._fr3))))" "\n")
 
+def test_rewrite_decompose_refuses_an_ill_sorted_literal(capsys, tmp_path):
+    formula = tmp_path / "ill.ptf"
+    formula.write_text(r"P.x = Q.u /\ pinc(P.x | P.y)", encoding="utf-8")
+    code = cli.main(["rewrite", "--formula", str(formula), "--rule", "decompose"])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", "error: ill-sorted literal blocks the decomposition: P.x = Q.u\n")
+
+
 def test_decompose_error_does_not_depend_on_the_hash_seed():
     argv = [sys.executable, "-m", "polyteam", "rewrite", "--rule", "decompose",
             "--formula", str(WORKFORCE / "join_atom.ptf")]
@@ -465,6 +474,25 @@ def test_oracle_answers_only_where_the_bounds_admit_a_polyteam(capsys, tmp_path,
         assert captured == ("", text + "\n")
     else:
         assert (captured.out.splitlines()[0], captured.err) == (text, "")
+
+
+ILL_SORTED = {
+    "left": ("P.x = Q.u", "P.x = P.y", "P.x = Q.u: operands of different sorts"),
+    "right": (r"E P.z . P.z = P.x", r"R(P.x, Q.u) /\ P.x != Q.v",
+              "R(...): argument tuple mixes sorts ['P', 'Q']; "
+              "P.x != Q.v: operands of different sorts"),
+}
+
+
+@pytest.mark.parametrize("backend", [[], ["--use-evaluator"]])
+@pytest.mark.parametrize("side", sorted(ILL_SORTED))
+def test_oracle_equiv_reports_ill_sorted_input_alike_on_both_backends(
+        capsys, tmp_path, side, backend):
+    left, right, problems = ILL_SORTED[side]
+    argv = ["oracle", "equiv", "--left", str(write(tmp_path, "l.ptf", left)),
+            "--right", str(write(tmp_path, "r.ptf", right))]
+    assert cli.main(argv + backend) == 3
+    assert capsys.readouterr() == ("", f"error: ill-sorted formula: {problems}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -256,10 +256,11 @@ def test_timeout_trips():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EvalConfig(max_expanded_team_rows=0)
-    with pytest.raises(ValueError):
-        EvalConfig(timeout=0)
+    for limits in ({"max_expanded_team_rows": 0}, {"max_expanded_team_rows": -1},
+                   {"max_split_assignments": 0}, {"max_split_assignments": -2},
+                   {"timeout": 0}, {"timeout": -0.5}):
+        with pytest.raises(ValueError, match="must be positive"):
+            EvalConfig(**limits)
 
 
 def test_determinism_of_outcome_and_stats():

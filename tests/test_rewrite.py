@@ -228,6 +228,8 @@ def test_decomposition_keeps_true_only_where_it_is_needed(text, expected):
      "cross-sort atom blocks the decomposition: ['P', 'Q']"),
     (r"(P.x = P.y \/ Q.u = Q.v) /\ pinc(P.x | Q.u)",
      "global disjunction present; apply eliminate_global_disjunction first"),
+    (r"E P.z . (!R(P.z, Q.u) /\ pinc(P.x | Q.u))",
+     "ill-sorted literal blocks the decomposition: !R(P.z, Q.u)"),
 ])
 def test_decomposition_reports_the_first_blocking_node_in_preorder(text, message):
     with pytest.raises(RewriteError) as err:

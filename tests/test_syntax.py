@@ -1,5 +1,3 @@
-from dataclasses import fields, replace
-
 import pytest
 from hypothesis import given, settings
 
@@ -259,11 +257,16 @@ GRID_FIRSTS = {"pdep": ("x", "y"), "pinc": ("x",), "pexc": ("x",), "pind": ("x",
 STRAY = Variable("R", "z")
 
 
+def replace(atom, **changes):
+    """The atom with the named fields changed."""
+    return type(atom)(*(changes.get(name, getattr(atom, name)) for name in atom._fields))
+
+
 def grid_atoms():
     """Per built-in class and group: the group with a variable of another sort,
     one more variable of its own sort, or both; then every group at once."""
     for keyword, atom in GRID_BASE.items():
-        groups = [f.name for f in fields(atom) if not f.name.startswith("sort_")]
+        groups = [name for name in atom._fields if not name.startswith("sort_")]
         yield keyword, atom
         for field in groups:
             tup = getattr(atom, field)
