@@ -2,6 +2,8 @@
 
 The built-in checkers use hash-indexed joins on antecedent tuples; the
 deliberately naive reference implementations live in ``polyteam.oracle``.
+When a pind's witness tuple u v w permutes its team's domain, each probe is
+permuted into the team's column order and looked up in its rows in place.
 The checkers take the atom to be well-formed, which ``syntax`` decides:
 ``check_generalized`` raises ``RegistryError`` with the problem
 ``syntax.resolve_generalized`` finds.
@@ -15,7 +17,7 @@ from itertools import product
 from typing import Iterable, Optional, Tuple
 
 from .errors import ParseError, RegistryError
-from .model import Polyteam, Record, Structure, value_sorted
+from .model import Polyteam, Record, Structure, _getter, value_sorted
 from .syntax import GeneralizedAtom, PolyDep, PolyExc, PolyInc, PolyInd, resolve_generalized
 
 
@@ -49,7 +51,10 @@ def check_polyexc(structure: Structure, pt: Polyteam, atom: PolyExc) -> bool:
 
 
 def check_polyind(structure: Structure, pt: Polyteam, atom: PolyInd) -> bool:
-    witnesses = pt.team(atom.sort_k).relation(atom.u + atom.v + atom.w)
+    team, uvw = pt.team(atom.sort_k), atom.u + atom.v + atom.w
+    permuted = uvw != team.domain and tuple(sorted(uvw)) == team.domain
+    witnesses = team.tuples if permuted else team.relation(uvw)
+    reorder = _getter(tuple(map(uvw.index, team.domain))) if permuted else None
     index = {}
     for key in pt.team(atom.sort_j).relation(atom.a + atom.b):
         index.setdefault(key[:len(atom.a)], set()).add(key[len(atom.a):])
@@ -58,7 +63,7 @@ def check_polyind(structure: Structure, pt: Polyteam, atom: PolyInd) -> bool:
         if not bs:
             continue
         for b_val in bs:
-            if head + b_val not in witnesses:
+            if (reorder(head + b_val) if reorder else head + b_val) not in witnesses:
                 return False
     return True
 

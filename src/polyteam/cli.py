@@ -6,7 +6,8 @@ variables) plus an optional JSON structure file::
     {"domain": ["a", "b"], "relations": {"R": [["a", "b"]]}}
 
 Every input file is read as UTF-8; one leading byte-order mark, as
-spreadsheet "CSV UTF-8" exports write, is dropped.
+spreadsheet "CSV UTF-8" exports write, is dropped.  A table is read in one
+pass and holds each distinct value once, however many cells repeat it.
 
 The working domain is the union of the declared domain, all relation values,
 and all table values.  Exit codes: 0 for true/implied/equivalent, 1 for the
@@ -35,7 +36,7 @@ from .atoms import AtomRegistry, compile_embedded_dependency, parse_embedded_dep
 from .errors import ParseError, PolyteamError, SortedDomainError
 from .evaluator import EXHAUSTED, TRUE, EvalConfig, eval_formula, evaluator_backed
 from .implication import decide, replay_trace
-from .model import Polyteam, Structure, Team, Variable
+from .model import Polyteam, Structure, Team, Variable, _getter
 from .oracle import equivalent, find_semantic_counterexample
 from .rewrite import (
     RULE_NAMES, FreshNameSource, decompose_by_sort,
@@ -60,6 +61,15 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Input loading
 
+class _Values(dict):
+    """Raw cell -> its stripped value; equal values come back as one object."""
+
+    def __missing__(self, cell):
+        value = cell.strip()
+        value = self[cell] = self.setdefault(value, value)
+        return value
+
+
 def load_team_csv(path, sort) -> Team:
     """A CSV table as a team: header names the variables, rows the values."""
     with open(path, newline="", encoding=INPUT_ENCODING) as handle:
@@ -72,17 +82,22 @@ def load_team_csv(path, sort) -> Team:
         if not header or any(not h for h in header):
             raise ParseError(f"{path}: empty or blank header")
         variables = tuple(Variable(sort, name) for name in header)
-        if len(set(variables)) != len(variables):
+        domain = tuple(sorted(set(variables)))
+        if len(domain) != len(variables):
             raise ParseError(f"{path}: duplicate column names")
-        rows = set()
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, "
-                                 f"got {len(cells)}")
-            rows.add(tuple(map(str.strip, cells)))
-        return Team.from_tuples(sort, variables, rows)
+        reorder = None if variables == domain else _getter(tuple(map(variables.index, domain)))
+        value = _Values().__getitem__
+
+        def rows():
+            for cells in reader:
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    raise ParseError(f"{path}:{reader.line_num}: expected {len(header)} "
+                                     f"cells, got {len(cells)}")
+                yield tuple(map(value, reorder(cells) if reorder else cells))
+
+        return Team.from_tuples(sort, domain, rows())
 
 
 def load_structure_json(path) -> dict:

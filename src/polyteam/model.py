@@ -27,8 +27,9 @@ compiled row tests read a row tuple by position, through ``_getter`` on a
 column layout of their own; everyone else goes through ``relation``
 (rel(X, x̄)), ``projector`` and the other team operations, which all take
 and give row tuples.  Teams are immutable, so each keeps three caches,
-filled on first use and never inherited by a team derived from it:
-``relation`` per variable tuple, ``rows`` (the Assignments) and
+filled on first use and never inherited by a team derived from it, nor
+by a copy or a pickle: ``relation`` per variable tuple (over the whole
+domain in its order, ``tuples`` itself), ``rows`` (the Assignments) and
 ``ordered_tuples``.  Its hash is computed on each call, from the rows'
 frozenset, which keeps its own.  The canonical row order, which
 ``ordered_tuples`` gives and every row loop walks, is ``value_key`` order
@@ -41,8 +42,9 @@ Assignments are built on demand only.  ``Team(sort, domain, rows)`` takes
 Assignments and ``rows``, ``ordered_rows()`` and iteration give them back;
 the naive oracle, implication's counterexamples, the benchmark's answer
 checks and the tests use that API.  The CSV loader builds teams straight
-from value tuples with ``Team.from_tuples``, and the evaluator and the atom
-checkers never see an Assignment.
+from value tuples with ``Team.from_tuples``, streaming each record into the
+canonical column order, and equal values within one table are one object.
+The evaluator and the atom checkers never see an Assignment.
 """
 
 from __future__ import annotations
@@ -319,6 +321,9 @@ class Team:
     def __setattr__(self, *_):
         raise AttributeError("Team is immutable")
 
+    def __reduce__(self):
+        return Team._trusted, (self.sort, self.domain, self.tuples)
+
     def __eq__(self, other):
         if isinstance(other, Team):
             return (self.sort, self.domain, self.tuples) == \
@@ -399,6 +404,8 @@ class Team:
         two threads racing on a new tuple at worst compute it twice.
         """
         variables = tuple(variables)
+        if variables == self.domain:
+            return self.tuples
         cache = self._relations
         if cache is None:
             cache = {}
@@ -504,6 +511,9 @@ class Polyteam(Mapping):
 
     def __setattr__(self, *_):
         raise AttributeError("Polyteam is immutable")
+
+    def __reduce__(self):
+        return Polyteam, (tuple(self._teams.values()),)
 
     def __getitem__(self, sort: Sort) -> Team:
         return self._teams[sort]

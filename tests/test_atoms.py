@@ -99,12 +99,24 @@ def all_polyteams(max_rows=2, values=(0, 1)):
     return enumerate_polyteams({P: (PX, PY), Q: (QU, QV)}, values, max_rows)
 
 
+# pind atoms whose witness tuple u v w, on the witness team's domain (x, y),
+# is (y, x), (x, y), (x), (x, y, y) and (y, x, y)
+IND_SHAPES = (
+    PolyInd(P, (PX,), (), Q, (QU,), (QV,), P, (PY,), (), (PX,)),
+    PolyInd(Q, (QU,), (), Q, (QU,), (QV,), P, (PX,), (), (PY,)),
+    PolyInd(P, (), (PY,), Q, (), (), P, (), (PX,), ()),
+    IND,
+    PolyInd(P, (PX,), (PY,), Q, (QU,), (QV,), P, (PY,), (PX,), (PY,)),
+)
+
+
 def test_checkers_agree_with_naive_definitions():
     for poly in all_polyteams():
         assert check_polydep(ST2, poly, DEP) == naive_polydep(poly, DEP)
         assert check_polyinc(ST2, poly, INC) == naive_polyinc(poly, INC)
         assert check_polyexc(ST2, poly, EXC) == naive_polyexc(poly, EXC)
-        assert check_polyind(ST2, poly, IND) == naive_polyind(poly, IND)
+        for atom in IND_SHAPES:
+            assert check_polyind(ST2, poly, atom) == naive_polyind(poly, atom), atom
 
 
 def test_same_sort_independence_matches_standard_atom(rng):

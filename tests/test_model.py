@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -361,3 +363,21 @@ def test_relation_is_kept_per_team_and_not_inherited_by_slices():
     assert team.relation((PX,)) is first
     with pytest.raises(SortedDomainError):
         team.relation((QU,))
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))])
+def test_teams_and_polyteams_survive_copy_and_pickle(duplicate):
+    team = Team.from_tuples(P, (PY, PX), [(0, "a"), (1, "b")])
+    kept = team.ordered_tuples()
+    empty = Team(Q, (QU,), ())
+    poly = Polyteam([team, empty])
+    for value in (team, empty, poly, Polyteam()):
+        twin = duplicate(value)
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+    twin = duplicate(team)
+    assert twin.ordered_tuples() == kept and twin.ordered_tuples() is not kept
+    assert twin.relation((PX,)) == {("a",), ("b",)}
+    assert duplicate(poly).sorts() == (P, Q)
+    with pytest.raises(AttributeError):
+        twin.sort = Q

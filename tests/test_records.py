@@ -131,10 +131,8 @@ DUPLICATES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
               "pickle": lambda record: pickle.loads(pickle.dumps(record))}
 
 
-# a Counterexample's Team refuses the setattr that deep copies restore it by
 @pytest.mark.parametrize("name,how", [(name, how) for name in sorted(RECORDS)
-                                      for how in DUPLICATES
-                                      if name != "Counterexample" or how == "copy"])
+                                      for how in DUPLICATES])
 def test_records_survive_copy_and_pickle(name, how):
     record = RECORDS[name][0]()
     twin = DUPLICATES[how](record)
