@@ -101,9 +101,15 @@ def load_team_csv(path, sort) -> Team:
 
 
 def load_structure_json(path) -> dict:
+    """The structure spec in the JSON file at path.
+
+    Each value is a string or a number, and a number keeps its JSON text as
+    a string, as a CSV cell does: so 1 meets the cell ``1``, and 1 and 1.0
+    are two values.  Any other value is refused.
+    """
     with open(path, encoding=INPUT_ENCODING) as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=str, parse_float=str)
         except json.JSONDecodeError as err:
             raise ParseError(f"{path}: {err}") from None
     relations = data.get("relations", {}) if isinstance(data, dict) else None
@@ -111,8 +117,9 @@ def load_structure_json(path) -> dict:
             not all(isinstance(ts, list) for ts in relations.values()):
         raise ParseError(f"{path}: expected an object whose \"relations\" map names to lists")
     for xs in [data.get("domain", [])] + [t for ts in relations.values() for t in ts]:
-        if not isinstance(xs, list) or any(isinstance(v, (list, dict)) for v in xs):
-            raise ParseError(f"{path}: the domain and relation tuples must be lists of values")
+        if not isinstance(xs, list) or not all(isinstance(v, str) for v in xs):
+            raise ParseError(f"{path}: the domain and relation tuples must be lists of "
+                             "strings or numbers")
     return data
 
 

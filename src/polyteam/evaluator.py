@@ -27,9 +27,9 @@ approximation.  The properties used are
   team and unbound by the chain, admits a row's value a only if s[a/x](x̄)
   lies in rel(X_j, ȳ), or in R^M: lax ∃ keeps the one-row team nonempty and
   leaves X_j as it is, and R(x̄) is flat.  Candidate values come from a hash
-  join of the row against each guard's relation, whose index is kept while
-  that relation stays the same: for good for R^M, which the structure fixes,
-  and while the sort-j team's relation does for a pinc guard;
+  join of the row against each guard's relation: R^M's index is kept, as
+  the structure fixes it, and rel(X_j, ȳ)'s is built from the current team
+  each time a row test is bound;
 * exclusion guards - when ∀x B at sort t is decided row by row, B itself or
   one part of a disjunction B that splits only t, if it is pexc(x̄ | ȳ) (in
   either orientation) with x̄ at t, ȳ at another sort and x in x̄, or a
@@ -68,8 +68,8 @@ demands and closure levels.  Row decomposition and downward closure form
 one lattice, OPAQUE < DOWNWARD < ROWWISE at each sort, so row-wise implies
 downward-closed by construction.  All else built from a node is kept in its
 record on first use: a quantifier's guards, an ∃'s block rewrite (whose new
-nodes get records), literal projectors, compiled row tests and guard join
-slots.  Records, keyed by node id, hold their nodes, so no id is reused
+nodes get records), compiled row tests and a relation literal's join index
+of R^M.  Records, keyed by node id, hold their nodes, so no id is reused
 while they live.  A session keeps them.
 
 Row verdicts.  One loop, ``row_loop``, decides one row at a time: for the
@@ -216,19 +216,19 @@ class _Facts:
     ``demands``: x -> the variables whose values it demands that ∃x cover.
     Filled on first use: ``guards``, of an ∃ or a ∀; ``block``, an ∃'s block
     rewrite, or False; ``passed``, at a formula ``check_input`` met, its free
-    variables by sort and the domains that last passed; ``getters``, a
-    literal's row projector per team domain; ``compiled``, its row test per
-    (sort, column layout); ``joins``, a guard's join slot per position of x.
-    A record holds its node, never the evaluator.
+    variables by sort and the domains that last passed; ``compiled``, its row
+    test per (sort, column layout); ``joins``, a relation literal's index of
+    R^M as a guard, per position of x.  A record holds its node, never the
+    evaluator.
     """
 
     __slots__ = ("node", "sorts", "order", "free", "binds", "split", "levels", "demands",
-                 "guards", "block", "passed", "getters", "compiled", "joins")
+                 "guards", "block", "passed", "compiled", "joins")
 
     def __init__(self, node, records):
         self.node = node
         self.guards = self.block = self.passed = None
-        self.getters, self.compiled, self.joins = {}, {}, {}
+        self.compiled, self.joins = {}, {}
         below = [records[id(p)] for p in node.parts] if isinstance(node, Connective) else \
             [records[id(node.body)]] if isinstance(node, (Exists, Forall)) else []
         own = atom_sorts(node.atom) if isinstance(node, AtomF) else \
@@ -414,25 +414,14 @@ class _Evaluator:
             return atom_checks.check_atom(self.structure, pt, node.atom, self.registry)
         raise TypeError(f"not a formula node: {node!r}")
 
-    def getter(self, node, team: Team):
-        """The literal's row projector on teams with this domain, kept in its record."""
-        getters = self.facts(node).getters
-        got = getters.get(team.domain)
-        if got is None:
-            variables = (node.left, node.right) if isinstance(node, (Eq, Neq)) else node.args
-            got = getters[team.domain] = team.projector(variables)
-        return got
-
     def eval_literal(self, node, pt: Polyteam) -> bool:
         if isinstance(node, (Eq, Neq)):
-            team = pt.team(node.left.sort)
-            pairs = map(self.getter(node, team), team.tuples)
+            pairs = pt.team(node.left.sort).relation((node.left, node.right))
             if isinstance(node, Eq):
                 return all(a == b for a, b in pairs)
             return all(a != b for a, b in pairs)
         rel = self.structure.relation(node.name)
-        team = pt.team(node.args[0].sort)
-        values = map(self.getter(node, team), team.tuples)
+        values = pt.team(node.args[0].sort).relation(node.args)
         if isinstance(node, Rel):
             return rel.issuperset(values)
         return rel.isdisjoint(values)
@@ -816,24 +805,22 @@ class _Evaluator:
         return index
 
     def guard_index(self, guard, at_x, at_keys, target, pt: Polyteam) -> dict:
-        """The guard's ``join_index``: of R^M for a literal, else of rel(X_j, ȳ).
+        """The guard's ``join_index``: of rel(X_j, ȳ), built from pt on each
+        call, or of R^M for a literal.
 
-        The guard's record keeps one slot per position of x: the relation the
-        index was built from, and the index, reused while the relation is the
-        same frozenset, as R^M always is and rel(X_j, ȳ) is for every slice of
-        one polyteam.  Under another arity R^M joins as no tuples: then R(x̄)
-        fails on every nonempty team, so it admits no value, and !R(x̄) holds
-        on every team, so it blocks none.
+        The structure fixes R^M, so its index is built once and kept in the
+        guard's record per position of x.  Under another arity R^M joins as
+        no tuples: then R(x̄) fails on every nonempty team, so it admits no
+        value, and !R(x̄) holds on every team, so it blocks none.
         """
-        rel = self.structure.relation(guard.name) if target is None else \
-            pt.team(target[0]).relation(target[1])
+        if target is not None:
+            return self.join_index(pt.team(target[0]).relation(target[1]), at_x, at_keys)
         joins = self.facts(guard).joins
         got = joins.get(at_x)
-        if got is not None and got[0] is rel:
-            return got[1]
-        index = self.join_index(rel, at_x, at_keys)
-        joins[at_x] = (rel, index)
-        return index
+        if got is None:
+            got = joins[at_x] = self.join_index(self.structure.relation(guard.name),
+                                                at_x, at_keys)
+        return got
 
     def picker(self, node, pt: Polyteam, layout):
         """Row tuple over ``layout`` -> the values for x, in domain order,

@@ -25,17 +25,16 @@ order) and ``tuples``: a frozenset of value tuples, each aligned position by
 position with the domain.  Besides this module, only the evaluator's
 compiled row tests read a row tuple by position, through ``_getter`` on a
 column layout of their own; everyone else goes through ``relation``
-(rel(X, x̄)), ``projector`` and the other team operations, which all take
-and give row tuples.  Teams are immutable, so each keeps three caches,
-filled on first use and never inherited by a team derived from it, nor
-by a copy or a pickle: ``relation`` per variable tuple (over the whole
-domain in its order, ``tuples`` itself), ``rows`` (the Assignments) and
-``ordered_tuples``.  Its hash is computed on each call, from the rows'
-frozenset, which keeps its own.  The canonical row order, which
-``ordered_tuples`` gives and every row loop walks, is ``value_key`` order
-position by position; ``value_sorted`` computes it by plain tuple
-comparison, in C, when every value is a ``str``, as every value of a CSV
-table is.  ``Structure`` and every other module order values with
+(rel(X, x̄)) and the other team operations, which all take and give row
+tuples.  Teams are immutable, so each keeps two caches, filled on first
+use and never inherited by a team derived from it, nor by a copy or a
+pickle: ``relation`` per variable tuple (over the whole domain in its
+order, ``tuples`` itself) and ``ordered_tuples``.  Its hash is computed on
+each call, from the rows' frozenset, which keeps its own.  The canonical
+row order, which ``ordered_tuples`` gives and every row loop walks, is
+``value_key`` order position by position; ``value_sorted`` computes it by
+plain tuple comparison, in C, when every value is a ``str``, as every
+value of a CSV table is.  ``Structure`` and every other module order values with
 ``value_sorted``; ``value_key`` is private to this module and ``oracle``.
 
 Assignments are built on demand only.  ``Team(sort, domain, rows)`` takes
@@ -265,7 +264,7 @@ class Team:
     value tuples aligned with ``domain`` (see the module docstring).
     """
 
-    __slots__ = ("sort", "domain", "tuples", "_relations", "_rows", "_ordered")
+    __slots__ = ("sort", "domain", "tuples", "_relations", "_ordered")
 
     def __init__(self, sort: Sort, domain: Iterable[Variable], rows: Iterable[Assignment] = ()):
         domain = _checked_domain(sort, domain)
@@ -311,7 +310,6 @@ class Team:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "tuples", tuples)
         object.__setattr__(self, "_relations", None)
-        object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_ordered", None)
 
     def with_rows(self, rows: Iterable[tuple]) -> "Team":
@@ -348,12 +346,8 @@ class Team:
 
     @property
     def rows(self) -> frozenset:
-        """The rows as Assignments, built on first use and kept."""
-        got = self._rows
-        if got is None:
-            got = frozenset(_assignment(self.domain, row) for row in self.tuples)
-            object.__setattr__(self, "_rows", got)
-        return got
+        """The rows as Assignments, built on each call."""
+        return frozenset(_assignment(self.domain, row) for row in self.tuples)
 
     def ordered_tuples(self) -> tuple:
         """Row tuples in the canonical deterministic order, sorted on first use and kept."""
@@ -392,10 +386,6 @@ class Team:
             # one-tuples straight from the column, with no Python call per row
             return frozenset(zip(map(itemgetter(positions[0]), self.tuples)))
         return frozenset(map(_getter(positions), self.tuples))
-
-    def projector(self, variables: Iterable[Variable]) -> Callable[[tuple], tuple]:
-        """The map s -> s(x̄) from this team's row tuples to value tuples."""
-        return _getter(self._positions(tuple(variables)))
 
     def relation(self, variables: Iterable[Variable]) -> frozenset:
         """rel(X, x̄): the set of value tuples s(x̄) for s in the team.
@@ -607,6 +597,9 @@ class Structure:
 
     def __setattr__(self, *_):
         raise AttributeError("Structure is immutable")
+
+    def __reduce__(self):
+        return Structure, (self.domain, self.relations)
 
     def __repr__(self):
         return f"Structure(|A|={len(self.domain)}, relations={list(self.relations)})"

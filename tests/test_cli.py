@@ -239,7 +239,8 @@ def test_malformed_inputs_exit_3(capsys, tmp_path):
 @pytest.mark.parametrize("structure", [
     '[1]', '{"relations": []}', '{"relations": {"R": 5}}', '{"domain": 5}',
     '{"domain": [[1]]}', '{"domain": {"a": 1}}', '{"relations": {"R": [1]}}',
-    '{"relations": {"R": [[{}]]}}',
+    '{"relations": {"R": [[{}]]}}', '{"domain": [1, true, 1.0]}', '{"domain": [null]}',
+    '{"relations": {"R": [[false]]}}', '{"domain": [NaN]}',
 ])
 def test_malformed_structure_shapes_exit_3(capsys, tmp_path, structure):
     path = tmp_path / "structure.json"
@@ -249,6 +250,22 @@ def test_malformed_structure_shapes_exit_3(capsys, tmp_path, structure):
     assert cli.main(["check", "--formula", str(formula), "--structure", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "lists" in err
+
+
+@pytest.mark.parametrize("structure,formula,table,verdict", [
+    # the JSON numbers meet the CSV cells 1 and 2
+    ('{"domain": [1, 2], "relations": {"R": [[1, 2]]}}', "R(P.x, P.y)", True, "true"),
+    ('{"domain": [1, 2], "relations": {"R": [[2, 1]]}}', "R(P.x, P.y)", True, "false"),
+    # with no table, the domain holds two values for 1 and 1.0, one for 1 and 1
+    ('{"domain": [1, 1.0]}', r"A Q.x . E Q.z . Q.z != Q.x", False, "true"),
+    ('{"domain": [1, 1]}', r"A Q.x . E Q.z . Q.z != Q.x", False, "false"),
+])
+def test_structure_numbers_keep_their_json_text(capsys, tmp_path, structure, formula, table,
+                                                verdict):
+    path = write(tmp_path, "structure.json", structure)
+    phi = write(tmp_path, "phi.ptf", formula)
+    teams = [("P", write(tmp_path, "P.csv", "x,y\n1,2\n"))] if table else []
+    assert check(capsys, phi, teams, path) == (verdict, 0 if verdict == "true" else 1)
 
 
 # ---------------------------------------------------------------------------

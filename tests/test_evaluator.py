@@ -722,7 +722,7 @@ def test_sweep_shaped_session_work_is_pinned(pair, nodes):
     assert sessions[0]._engine.nodes == nodes
 
 
-def test_literal_getter_is_kept_per_team_domain():
+def test_literal_reads_its_team_relation_on_each_domain():
     ev = _Evaluator(Structure((0, 1), {"R": [(1,)]}), NO_LIMITS, None)
     eq, rel = analysed(ev, Eq(PX, PY)), analysed(ev, Rel("R", (PY,)))
     narrow = Polyteam([Team.from_tuples(P, (PX, PY), [(1, 1)])])
@@ -732,7 +732,6 @@ def test_literal_getter_is_kept_per_team_domain():
         assert ev.eval(eq, narrow) and ev.eval(rel, narrow)
         assert ev.eval(eq, wide) and ev.eval(rel, wide)
         assert not ev.eval(eq, wide_false) and not ev.eval(rel, wide_false)
-    assert len(ev.facts(eq).getters) == len(ev.facts(rel).getters) == 2
 
 
 @pytest.mark.parametrize("left,right", [
@@ -778,6 +777,20 @@ def test_oracle_imports_neither_the_evaluator_nor_the_atom_checkers():
         for name in imported_modules(tree, "polyteam.oracle"):
             assert not any(name == b or name.startswith(b + ".") for b in banned), \
                 (path.name, name)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a package's __init__ imports names to export them
+    package = Path(evaluator_module.__file__).parent
+    modules = sorted(p for p in package.rglob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 10
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        bound = {(alias.asname or alias.name).partition(".")[0]
+                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert bound <= used, (path.relative_to(package), sorted(bound - used))
 
 
 # ---------------------------------------------------------------------------
@@ -1290,9 +1303,10 @@ def guard_slots(bulk):
     return sum(len(r.joins) for r in bulk._engine.records.values())
 
 
-def test_sweep_session_keeps_one_index_per_guard():
+def test_sweep_session_keeps_no_index_for_pinc_or_pexc_guards():
     # the e2 right side's ∀ guard, an ∃ guard, and one atom node guarding a
-    # ∀ at each position of its P side
+    # ∀ at each position of its P side; each joins a team's relation, so no
+    # record keeps its index
     exc = AtomF(PolyExc(P, (PX, PY), Q, (QU, QV)))
     formulas = [parse(EQUIV_PAIRS["e2"][1]),
                 parse(r"E P.z . (pinc(P.y, P.z | Q.u, Q.v) /\ P.z != P.x)"),
@@ -1303,7 +1317,7 @@ def test_sweep_session_keeps_one_index_per_guard():
     for phi in formulas:
         for pt in polyteams:
             assert bulk.holds(pt, phi) == naive_eval(ST, pt, phi), (phi, pt)
-    assert guard_slots(bulk) == 4
+    assert guard_slots(bulk) == 0
 
 
 def test_guard_index_is_rebuilt_when_the_joined_team_changes(join_builds):
@@ -1312,14 +1326,21 @@ def test_guard_index_is_rebuilt_when_the_joined_team_changes(join_builds):
     q_refutes, q_not = (Team.from_tuples(Q, (QU, QV), [r]) for r in ((0, 1), (1, 1)))
     y0, y1 = [[(0, 0)], [(0, 0), (1, 0)]], [[(0, 1)], [(0, 1), (1, 1)]]
     bulk = BulkEvaluator(ST)
-    # each second P team has a row with no kept verdict, and reuses the slot
+    # a loop that meets a row with no kept verdict binds the row test, which
+    # builds the index once, from the current Q relation
+    builds = []
     for q_team, p_teams, verdict in ((q_refutes, y0, False), (q_not, y0, True),
                                      (q_refutes, y1, True)):
         for rows in p_teams:
             pt = Polyteam([Team.from_tuples(P, (PX, PY), rows), q_team])
             assert bulk.holds(pt, phi) is verdict is naive_eval(ST, pt, phi)
-        assert len(join_builds) == 1 and join_builds.pop() is q_team.relation((QU, QV))
-    assert guard_slots(bulk) == 1
+            assert all(rel is q_team.relation((QU, QV)) for rel in join_builds)
+            builds.append(len(join_builds))
+            del join_builds[:]
+    # the second y = 0 team under the refuting Q stops at its first row,
+    # whose verdict is kept
+    assert builds == [1, 0, 1, 1, 1, 1]
+    assert guard_slots(bulk) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,40 @@ def test_decide_matches_semantic_oracle_on_random_instances(rng):
             assert verify_counterexample(verdict, sigma, goal)
 
 
+# every instance of at most two premises over the 32 cross-sort unary atoms on
+# S{x, y} and T{u, v}, each with every one of them as the conclusion
+SIDES = (("S", (Variable("S", "x"), Variable("S", "y"))),
+         ("T", (Variable("T", "u"), Variable("T", "v"))))
+UNARY = [PolyDep(si, (a,), (b,), sj, (c,), (d,))
+         for (si, mine), (sj, theirs) in (SIDES, SIDES[::-1])
+         for a, b, c, d in itertools.product(mine, mine, theirs, theirs)]
+SMALL_SCOPE = [(sigma, goal) for n in range(3) for sigma in itertools.combinations(UNARY, n)
+               for goal in UNARY]
+
+
+@pytest.fixture(scope="module")
+def small_scope_verdicts():
+    return [decide(sigma, goal) for sigma, goal in SMALL_SCOPE]
+
+
+def test_small_scope_verdicts_check_themselves(small_scope_verdicts):
+    assert len(UNARY) == 32 and len(SMALL_SCOPE) == 16_928
+    implied = 0
+    for (sigma, goal), verdict in zip(SMALL_SCOPE, small_scope_verdicts):
+        if verdict.implied:
+            implied += 1
+            assert replay_trace(sigma, goal, verdict).conclusion == goal, (sigma, goal)
+        else:
+            assert verify_counterexample(verdict, sigma, goal), (sigma, goal)
+    assert implied == 6_224
+
+
+def test_small_scope_verdicts_match_semantic_oracle(small_scope_verdicts):
+    for (sigma, goal), verdict in zip(SMALL_SCOPE, small_scope_verdicts):
+        assert verdict.implied == semantic_implies(sigma, goal, values=(0, 1, 2), max_rows=2), \
+            (sigma, goal)
+
+
 def test_invalid_atoms_are_rejected():
     with pytest.raises(SortedDomainError):
         decide([], PolyDep(S1, (X,), (Y,), S1, (U,), (V,)))

@@ -38,7 +38,7 @@ def test_variable_identity():
 def test_a_bare_variable_is_not_a_variable_tuple():
     # a Variable iterates as its two strings, which no team domain holds
     team = Team(P, (PX, PY), assignments((PX, PY), (0, 1)))
-    for operation in (team.relation, team.projector, team.restricted,
+    for operation in (team.relation, team.restricted,
                       team.ordered_rows()[0].values_of,
                       lambda bare: Team(P, bare),
                       lambda bare: Team.from_tuples(P, bare, [])):
@@ -381,3 +381,10 @@ def test_teams_and_polyteams_survive_copy_and_pickle(duplicate):
     assert duplicate(poly).sorts() == (P, Q)
     with pytest.raises(AttributeError):
         twin.sort = Q
+    structure = Structure((1, 0, "a"), {"R": [(0, "a")], "E": []})
+    twin = duplicate(structure)
+    assert type(twin) is Structure and repr(twin) == repr(structure)
+    assert (twin.domain, twin.domain_set, twin.relations) == \
+        (structure.domain, structure.domain_set, structure.relations)
+    with pytest.raises(AttributeError):
+        twin.domain = ()
